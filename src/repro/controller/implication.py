@@ -87,6 +87,7 @@ class CompiledNetwork:
         self.external_ids = [i for i in range(n) if not self.is_driven[i]]
         self._backtrace_memo: list[dict | None] = [None] * n
         self._baseline: tuple[list, list] | None = None
+        self._kernel = None
 
     def baseline_state(self) -> tuple[list[int | None], list[int | None]]:
         """(values, computed) of the empty assignment, computed once.
@@ -138,6 +139,40 @@ class CompiledNetwork:
         self, values: Sequence[int | None]
     ) -> dict[str, int | None]:
         return dict(zip(self.names, values))
+
+    # ------------------------------------------------------------------
+    # Generated evaluate kernel (the override-free sweep, straight-line)
+    # ------------------------------------------------------------------
+    def kernel(self):
+        """``assignment -> name/value dict``: :meth:`sweep` without
+        overrides, followed by :meth:`values_dict`, as one generated
+        function.
+
+        Built on first use, not at compile time: TG compiles an unrolled
+        network per window and only ever runs sessions over it.
+        """
+        if self._kernel is None:
+            self._kernel = self._generate_kernel()
+        return self._kernel
+
+    def _generate_kernel(self):
+        # The dict display lists ``names`` in order, so the result has
+        # the key order of :meth:`values_dict`.
+        names = self.names
+        env: dict[str, object] = {}
+        lines = ["def evaluate(assignment):", "    get = assignment.get"]
+        for i in self.external_ids:
+            lines.append(f"    v{i} = get({names[i]!r})")
+        for out in self.topo_ids:
+            env[f"e{out}"] = self.eval_of[out]
+            key = "".join(f"v{i}, " for i in self.inputs_of[out])
+            lines.append(f"    v{out} = e{out}(({key}))")
+        lines.append("    return {")
+        lines.extend(f"        {name!r}: v{i}," for i, name in enumerate(names))
+        lines.append("    }")
+        source = "\n".join(lines) + "\n"
+        exec(compile(source, f"<controller:{self.network.name}>", "exec"), env)
+        return env["evaluate"]
 
     def compute_node(
         self, out: int, values: Sequence[int | None]

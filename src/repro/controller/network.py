@@ -25,16 +25,22 @@ class ControlNetwork:
         self.drivers: dict[str, ControlNode] = {}
         self._topo_cache: list[str] | None = None
         self._compiled_cache = None
+        self._kind_cache: dict[SignalKind, tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _invalidate(self) -> None:
+        """Drop every structure derived from the signals and drivers."""
+        self._topo_cache = None
+        self._compiled_cache = None
+        self._kind_cache = {}
+
     def add_signal(self, signal: Signal) -> Signal:
         if signal.name in self.signals:
             raise ControlNetworkError(f"duplicate signal {signal.name!r}")
         self.signals[signal.name] = signal
-        self._topo_cache = None
-        self._compiled_cache = None
+        self._invalidate()
         return signal
 
     def drive(self, name: str, node: ControlNode) -> None:
@@ -49,8 +55,7 @@ class ControlNetwork:
                     f"node for {name!r} reads unknown signal {input_name!r}"
                 )
         self.drivers[name] = node
-        self._topo_cache = None
-        self._compiled_cache = None
+        self._invalidate()
 
     # ------------------------------------------------------------------
     # Queries
@@ -65,8 +70,15 @@ class ControlNetwork:
         """Signals not driven by any node (inputs of the network)."""
         return [name for name in self.signals if name not in self.drivers]
 
-    def signals_of_kind(self, kind: SignalKind) -> list[str]:
-        return [s.name for s in self.signals.values() if s.kind is kind]
+    def signals_of_kind(self, kind: SignalKind) -> tuple[str, ...]:
+        """Names of the signals of ``kind``, in declaration order
+        (computed once per kind until the next structural edit)."""
+        names = self._kind_cache.get(kind)
+        if names is None:
+            names = self._kind_cache[kind] = tuple(
+                s.name for s in self.signals.values() if s.kind is kind
+            )
+        return names
 
     def domains_of(self, node: ControlNode) -> list[tuple[int, ...]]:
         return [self.signals[name].domain for name in node.inputs]
@@ -138,11 +150,15 @@ class ControlNetwork:
         the map holds the decided value, and ``computed:<name>`` entries are
         NOT added — use :meth:`consistency` to compare.
 
-        The sweep runs over the compiled flat-array form of the network
-        (:meth:`compiled`), not per-call dictionaries.
+        Without overrides (every co-simulation call) this runs the
+        compiled network's generated straight-line kernel; with overrides
+        it runs the flat-array :meth:`CompiledNetwork.sweep`, which is
+        also the kernel's reference.
         """
         compiled = self.compiled()
-        return compiled.values_dict(compiled.sweep(assignment, overrides))
+        if overrides:
+            return compiled.values_dict(compiled.sweep(assignment, overrides))
+        return compiled.kernel()(assignment)
 
     def consistency(
         self,

@@ -16,6 +16,7 @@ the reset state.  CTRLJUST searches this structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.controller.network import ControlNetwork, ControlNetworkError
 from repro.controller.nodes import ConstNode, ControlNode
@@ -172,19 +173,19 @@ class PipelinedController:
     # Classification and statistics
     # ------------------------------------------------------------------
     @property
-    def cpi_signals(self) -> list[str]:
+    def cpi_signals(self) -> tuple[str, ...]:
         return self.network.signals_of_kind(SignalKind.CPI)
 
     @property
-    def cti_signals(self) -> list[str]:
+    def cti_signals(self) -> tuple[str, ...]:
         return self.network.signals_of_kind(SignalKind.CTI)
 
     @property
-    def sts_signals(self) -> list[str]:
+    def sts_signals(self) -> tuple[str, ...]:
         return self.network.signals_of_kind(SignalKind.STS)
 
     @property
-    def ctrl_signals(self) -> list[str]:
+    def ctrl_signals(self) -> tuple[str, ...]:
         return self.network.signals_of_kind(SignalKind.CTRL)
 
     @property
@@ -236,6 +237,15 @@ class PipelinedController:
         assignment: dict[str, int | None] = dict(inputs)
         assignment.update(state)
         values = self.network.evaluate(assignment)
+        return values, self.next_state(state, values)
+
+    def next_state(
+        self, state: Mapping[str, int], values: Mapping[str, int | None]
+    ) -> dict[str, int]:
+        """The CPR contents after the clock edge of a cycle whose signal
+        values (``evaluate`` over ``state`` plus the inputs) are
+        ``values``; raises :class:`ControlNetworkError` when a loading
+        register's D input is X."""
         next_state: dict[str, int] = {}
         for cpr in self.cprs:
             current = state[cpr.q]
@@ -253,7 +263,7 @@ class PipelinedController:
                         "concrete simulation (missing external input?)"
                     )
                 next_state[cpr.q] = d_value
-        return values, next_state
+        return next_state
 
     # ------------------------------------------------------------------
     # Unrolling (Figure 2)

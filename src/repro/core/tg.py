@@ -981,11 +981,11 @@ class TestGenerator:
             if verdict is not _FORK_UNDECIDED:
                 return verdict
         try:
-            bad_sim = error.attach(self.processor.datapath)
+            injector, module_overrides = error.hooks(self.processor.datapath)
             bad_cosim = ProcessorSimulator(
                 self.processor,
-                injector=bad_sim.injector,
-                module_overrides=bad_sim.module_overrides,
+                injector=injector,
+                module_overrides=module_overrides,
                 compiled=self.use_compiled_datapath,
             )
             bad_cosim.set_stimulus_state(test.stimulus_state)

@@ -114,13 +114,13 @@ class BatchFaultSimulator:
     def hooks_for(self, error):
         """(inj_map, ovr_map) for an error, or None when unsupported."""
         cd = self.cd
-        bad = error.attach(self.processor.datapath)
+        injector, module_overrides = error.hooks(self.processor.datapath)
         inj = {}
-        if bad.injector is not no_injection:
-            if getattr(bad.injector, "sites", None) is None:
+        if injector is not no_injection:
+            if getattr(injector, "sites", None) is None:
                 return None  # no site annotation: cone unknown
-            inj = cd.injector_map(bad.injector)
-        ovr = cd.override_map(bad.module_overrides)
+            inj = cd.injector_map(injector)
+        ovr = cd.override_map(module_overrides)
         return inj, ovr
 
     def fork_all(self, errors, stop_at_first_observed=False):

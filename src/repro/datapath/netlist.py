@@ -27,16 +27,24 @@ class Netlist:
         self.nets: dict[str, Net] = {}
         self._topo_cache: list[Module] | None = None
         self._compiled_cache = None
+        self._registers_cache: tuple[RegisterModule, ...] | None = None
+        self._external_cache: tuple[str, ...] | None = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _invalidate(self) -> None:
+        """Drop every structure derived from the modules and nets."""
+        self._topo_cache = None
+        self._compiled_cache = None
+        self._registers_cache = None
+        self._external_cache = None
+
     def add_module(self, module: Module) -> Module:
         if module.name in self.modules:
             raise NetlistError(f"duplicate module name {module.name!r}")
         self.modules[module.name] = module
-        self._topo_cache = None
-        self._compiled_cache = None
+        self._invalidate()
         return module
 
     def add_net(
@@ -50,8 +58,7 @@ class Netlist:
             raise NetlistError(f"duplicate net name {name!r}")
         net = Net(name, width, role=role, stage=stage)
         self.nets[name] = net
-        self._topo_cache = None
-        self._compiled_cache = None
+        self._invalidate()
         return net
 
     def connect(self, net: Net, port: Port) -> None:
@@ -70,8 +77,7 @@ class Netlist:
         else:
             net.sinks.append(port)
         port.net = net
-        self._topo_cache = None
-        self._compiled_cache = None
+        self._invalidate()
 
     # ------------------------------------------------------------------
     # Queries
@@ -116,8 +122,26 @@ class Netlist:
         return self.nets_with_role(NetRole.STS)
 
     @property
-    def registers(self) -> list[RegisterModule]:
-        return [m for m in self.modules.values() if isinstance(m, RegisterModule)]
+    def registers(self) -> tuple[RegisterModule, ...]:
+        """The pipe registers, in module order (computed once until the
+        next structural edit)."""
+        if self._registers_cache is None:
+            self._registers_cache = tuple(
+                m for m in self.modules.values()
+                if isinstance(m, RegisterModule)
+            )
+        return self._registers_cache
+
+    @property
+    def external_input_names(self) -> tuple[str, ...]:
+        """Names of the nets the environment drives (no module driver),
+        in net order (computed once until the next structural edit)."""
+        if self._external_cache is None:
+            self._external_cache = tuple(
+                net.name for net in self.nets.values()
+                if net.is_external_input
+            )
+        return self._external_cache
 
     @property
     def constants(self) -> list[ConstantModule]:

@@ -56,14 +56,9 @@ class DlxEnv:
 
     # ------------------------------------------------------------------
     def _preview(self):
-        """State-only resolution of the current cycle (no external data)."""
-        externals = {
-            net.name: None
-            for net in self.processor.datapath.nets.values()
-            if net.is_external_input
-        }
-        ctl_values, dp_values = self.sim.resolve({}, externals)
-        return ctl_values, dp_values
+        """State-only resolution of the current cycle (no external data:
+        ``resolve`` leaves every unsupplied external input X)."""
+        return self.sim.resolve({}, {})
 
     def run(
         self,
@@ -199,11 +194,9 @@ def detects(
     """True iff the program distinguishes the erroneous implementation from
     the ISA specification — the Table 1 detection criterion."""
     spec = DlxSpec().run(program, init_regs, init_memory)
-    bad = error.attach(processor.datapath)
+    injector, module_overrides = error.hooks(processor.datapath)
     env = DlxEnv(
-        processor,
-        injector=bad.injector,
-        module_overrides=bad.module_overrides,
+        processor, injector=injector, module_overrides=module_overrides,
     )
     impl = env.run(program, init_regs, init_memory)
     return impl.events != spec.events

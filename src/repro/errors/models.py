@@ -11,9 +11,9 @@ paper builds on (Van Campenhout et al. [28]):
   wrong function (e.g. an adder built as a subtractor);
 * **bus order error (BOE)** — the two data inputs of a module are swapped.
 
-Every error knows how to plant itself in a :class:`DatapathSimulator`
-(injector or module override) and where its effect originates (``site_net``),
-which is what DPTRACE needs.
+Every error knows the simulator hooks that plant it (``hooks``: an injector
+or a module override) and where its effect originates (``site_net``), which
+is what DPTRACE needs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,12 @@ from dataclasses import dataclass
 from repro.core.dprelax import ActivationConstraint
 from repro.datapath.module import ModuleClass
 from repro.datapath.netlist import Netlist
-from repro.datapath.simulate import DatapathSimulator
+from repro.datapath.simulate import (
+    DatapathSimulator,
+    Injector,
+    ModuleOverride,
+    no_injection,
+)
 
 
 class DesignError:
@@ -37,9 +42,21 @@ class DesignError:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def attach(self, netlist: Netlist) -> DatapathSimulator:
-        """A simulator of ``netlist`` with this error planted."""
+    def hooks(
+        self, netlist: Netlist
+    ) -> tuple[Injector, dict[str, ModuleOverride]]:
+        """``(injector, module_overrides)`` planting this error in any
+        simulator of ``netlist``; raises ``ValueError`` when the error does
+        not fit the netlist."""
         raise NotImplementedError
+
+    def attach(self, netlist: Netlist) -> DatapathSimulator:
+        """An interpretive simulator of ``netlist`` with this error
+        planted."""
+        injector, module_overrides = self.hooks(netlist)
+        return DatapathSimulator(
+            netlist, injector=injector, module_overrides=module_overrides
+        )
 
     def activation_constraint(self, frame: int) -> ActivationConstraint | None:
         """Bit constraint on the fault-free site value that activates the
@@ -84,14 +101,14 @@ class BusSSLError(DesignError):
         inject.sites = (self.net,)
         return inject
 
-    def attach(self, netlist: Netlist) -> DatapathSimulator:
+    def hooks(self, netlist: Netlist):
         if self.net not in netlist.nets:
             raise ValueError(f"error net {self.net!r} not in netlist")
         if self.bit >= netlist.net(self.net).width:
             raise ValueError(
                 f"bit {self.bit} outside width of net {self.net!r}"
             )
-        return DatapathSimulator(netlist, injector=self.injector())
+        return self.injector(), {}
 
     def activation_constraint(self, frame: int) -> ActivationConstraint:
         # The fault-free value must carry the opposite bit.
@@ -120,7 +137,7 @@ class ModuleSubstitutionError(DesignError):
 
     @property
     def site_net(self) -> str:
-        # Filled by enumerate_mse; attach() resolves it from the netlist.
+        # Filled by enumerate_mse; hooks() resolves it from the netlist.
         raise AttributeError("use site_net_in(netlist)")
 
     def site_net_in(self, netlist: Netlist) -> str:
@@ -129,14 +146,12 @@ class ModuleSubstitutionError(DesignError):
     def describe(self) -> str:
         return f"mse {self.module} ({self.module_type} substituted)"
 
-    def attach(self, netlist: Netlist) -> DatapathSimulator:
+    def hooks(self, netlist: Netlist):
         module = netlist.module(self.module)
         factory = _MSE_SUBSTITUTIONS.get(self.module_type)
         if factory is None:
             raise ValueError(f"no substitution for {self.module_type}")
-        return DatapathSimulator(
-            netlist, module_overrides={self.module: factory(module)}
-        )
+        return no_injection, {self.module: factory(module)}
 
 
 @dataclass(frozen=True)
@@ -155,7 +170,7 @@ class BusOrderError(DesignError):
     def describe(self) -> str:
         return f"boe {self.module} (inputs swapped)"
 
-    def attach(self, netlist: Netlist) -> DatapathSimulator:
+    def hooks(self, netlist: Netlist):
         module = netlist.module(self.module)
         if len(module.data_inputs) < 2:
             raise ValueError(f"{self.module} has fewer than two data inputs")
@@ -164,7 +179,7 @@ class BusOrderError(DesignError):
             reordered = [ins[1], ins[0], *ins[2:]]
             return module.evaluate(reordered, ctl)
 
-        return DatapathSimulator(netlist, module_overrides={self.module: swapped})
+        return no_injection, {self.module: swapped}
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,9 @@ class _MiniAdapter:
         if error is None:
             env = MiniEnv(processor, compiled=compiled)
         else:
-            bad = error.attach(processor.datapath)
-            env = MiniEnv(processor, injector=bad.injector,
-                          module_overrides=bad.module_overrides,
+            injector, module_overrides = error.hooks(processor.datapath)
+            env = MiniEnv(processor, injector=injector,
+                          module_overrides=module_overrides,
                           compiled=compiled)
         result = env.run(program, init_regs)
         outcome = {
@@ -160,9 +160,9 @@ class _MiniAdapter:
 def _batch_env(env_cls, processor, n_lanes, error):
     if error is None:
         return env_cls(processor, n_lanes)
-    bad = error.attach(processor.datapath)
-    return env_cls(processor, n_lanes, injector=bad.injector,
-                   module_overrides=bad.module_overrides)
+    injector, module_overrides = error.hooks(processor.datapath)
+    return env_cls(processor, n_lanes, injector=injector,
+                   module_overrides=module_overrides)
 
 
 def _raise_lane_failure(run) -> None:
@@ -203,9 +203,9 @@ class _DlxAdapter:
         if error is None:
             env = DlxEnv(processor, compiled=compiled)
         else:
-            bad = error.attach(processor.datapath)
-            env = DlxEnv(processor, injector=bad.injector,
-                         module_overrides=bad.module_overrides,
+            injector, module_overrides = error.hooks(processor.datapath)
+            env = DlxEnv(processor, injector=injector,
+                         module_overrides=module_overrides,
                          compiled=compiled)
         result = env.run(program, init_regs)
         return self._canonical(result), env.trace

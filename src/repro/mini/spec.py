@@ -117,9 +117,9 @@ class MiniEnv:
             ctl_preview = self.processor.controller.network.evaluate(
                 dict(self.sim.ctl_state)
             )
-            externals: dict[str, int | None] = {
-                name: None for name in self._external_names()
-            }
+            externals = dict.fromkeys(
+                self.processor.datapath.external_input_names
+            )
             for name in self.processor.controller.ctrl_signals:
                 externals[name] = ctl_preview.get(name)
             preview = self.sim.dp_sim.evaluate_partial(externals)
@@ -138,13 +138,6 @@ class MiniEnv:
             self.trace.cycles.append(self.sim.step(cpi, dpi))
         return SpecResult(writes=writes, registers=regs)
 
-    def _external_names(self):
-        return [
-            net.name
-            for net in self.processor.datapath.nets.values()
-            if net.is_external_input
-        ]
-
 
 def detects(
     processor: Processor,
@@ -155,11 +148,9 @@ def detects(
     """True iff the program distinguishes the erroneous implementation from
     the ISA specification (the Table-1 detection criterion)."""
     spec = MiniSpec().run(program, init_regs)
-    bad_sim = error.attach(processor.datapath)
+    injector, module_overrides = error.hooks(processor.datapath)
     env = MiniEnv(
-        processor,
-        injector=bad_sim.injector,
-        module_overrides=bad_sim.module_overrides,
+        processor, injector=injector, module_overrides=module_overrides,
     )
     impl = env.run(program, init_regs)
     return impl.writes != spec.writes

@@ -99,12 +99,8 @@ class ProcessorSimulator:
         processor = self.processor
         controller = processor.controller
 
-        dpi_full: dict[str, int | None] = {
-            net.name: None for net in processor.datapath.nets.values()
-            if net.is_external_input
-        }
-        for name, value in dpi.items():
-            dpi_full[name] = value
+        dpi_full = dict.fromkeys(processor.datapath.external_input_names)
+        dpi_full.update(dpi)
         for cpi_name, dpi_name in processor.cpi_dpi_bindings.items():
             if cpi_name in cpi and cpi[cpi_name] is not None:
                 dpi_full[dpi_name] = cpi[cpi_name]
@@ -131,7 +127,6 @@ class ProcessorSimulator:
             sts_known = new_sts
         else:  # pragma: no cover - defensive
             raise CosimError("controller/datapath fixpoint did not settle")
-        self._last_sts = sts_known
         return ctl_values, dp_values
 
     def step(
@@ -145,7 +140,7 @@ class ProcessorSimulator:
         """
         ctl_values, dp_values = self.resolve(cpi, dpi)
         self._check_concrete(ctl_values, dp_values)
-        self._clock(ctl_values, dp_values, cpi, self._last_sts)
+        self._clock(ctl_values, dp_values)
         return CycleTrace(datapath=dp_values, controller=ctl_values)
 
     def _check_concrete(self, ctl_values, dp_values) -> None:
@@ -158,12 +153,11 @@ class ProcessorSimulator:
                 f"CTRL signals unresolved after fixpoint: {unknown_ctrl}"
             )
 
-    def _clock(self, ctl_values, dp_values, cpi, sts_known) -> None:
-        controller = self.processor.controller
-        _, next_ctl = controller.simulate_cycle(
-            dict(self.ctl_state), {**dict(cpi), **sts_known}
+    def _clock(self, ctl_values, dp_values) -> None:
+        # The settled controller values already hold every CPR input.
+        self.ctl_state = self.processor.controller.next_state(
+            self.ctl_state, ctl_values
         )
-        self.ctl_state = next_ctl
         # Clock the datapath registers using the resolved values.
         next_dp: dict[str, int] = {}
         for reg in self.processor.datapath.registers:

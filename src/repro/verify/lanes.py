@@ -16,12 +16,12 @@ that lane alone.  Three design points make that hold:
   re-swept, but re-sweeping a settled lane is idempotent (same assignment
   -> same controller values -> same partial evaluation), so its values
   cannot drift from the scalar run's.
-* **Scalar controller, memoized.**  The controller is symbolic (domains,
-  not bit-vectors) and cheap; it stays scalar per lane.  Lanes of a batch
-  overwhelmingly share controller situations, so evaluations and clock
-  transitions are memoized on the exact assignment — the memo returns the
-  *same* dict the scalar path would compute.  Memoized dicts are shared
-  read-only; callers must not mutate them.
+* **Scalar controller.**  The controller is symbolic (domains, not
+  bit-vectors) and small; each lane runs the same generated controller
+  kernel as the scalar path (``ControlNetwork.evaluate``), once per
+  fixpoint sweep, and takes its next controller state from the values
+  that sweep settled (``PipelinedController.next_state``), exactly as
+  :meth:`ProcessorSimulator.step` does.
 * **Per-lane failure collection.**  Where the scalar co-simulator raises
   :class:`CosimError` (unresolved CTRL at the clock edge, unresolved
   register control, loading an unresolved value), ``step`` instead records
@@ -46,9 +46,6 @@ try:  # pragma: no cover - exercised by the no-numpy CI tier
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-#: Entry cap for the controller evaluation / clock memos.
-_MEMO_CAP = 65536
 
 
 class LaneProcessorSimulator:
@@ -76,11 +73,6 @@ class LaneProcessorSimulator:
             dict(controller.reset_state()) for _ in range(n_lanes)
         ]
         self.max_fixpoint_iters = max_fixpoint_iters
-        self._last_sts: list[dict] = [{} for _ in range(n_lanes)]
-        # Controller memos (assignment -> values / transition), shared by
-        # all lanes; see the module docstring for the sharing contract.
-        self._eval_memo: dict[tuple, dict] = {}
-        self._clock_memo: dict[tuple, dict] = {}
         nm = self.dp.batched.net_mask
         self._ctrl_slots = [
             (name, cd.index[name], nm[cd.index[name]])
@@ -89,10 +81,6 @@ class LaneProcessorSimulator:
         self._sts_slots = [
             (name, cd.index[name]) for name in controller.sts_signals
             if name in cd.index
-        ]
-        self._ext_names = [
-            net.name for net in processor.datapath.nets.values()
-            if net.is_external_input
         ]
         # Register clock plan: (reg, d_id, ctl_ids, width mask).
         self._reg_plan = [
@@ -106,32 +94,6 @@ class LaneProcessorSimulator:
         self.ctl_states = [
             dict(controller.reset_state()) for _ in range(self.n_lanes)
         ]
-        self._last_sts = [{} for _ in range(self.n_lanes)]
-
-    # ------------------------------------------------------------------
-    # Controller memos
-    # ------------------------------------------------------------------
-    def _ctl_eval(self, assignment: dict) -> dict:
-        key = tuple(sorted(assignment.items()))
-        values = self._eval_memo.get(key)
-        if values is None:
-            values = self.processor.controller.network.evaluate(assignment)
-            if len(self._eval_memo) < _MEMO_CAP:
-                self._eval_memo[key] = values
-        return values
-
-    def _ctl_clock(self, state: dict, inputs: dict) -> dict:
-        key = (
-            tuple(sorted(state.items())), tuple(sorted(inputs.items())),
-        )
-        next_state = self._clock_memo.get(key)
-        if next_state is None:
-            _, next_state = self.processor.controller.simulate_cycle(
-                dict(state), inputs
-            )
-            if len(self._clock_memo) < _MEMO_CAP:
-                self._clock_memo[key] = next_state
-        return next_state
 
     def _poke_ctrl(self, lane: int, ctl_values: Mapping) -> None:
         ext_v, ext_k = self.dp._ext_v, self.dp._ext_k
@@ -157,13 +119,15 @@ class LaneProcessorSimulator:
         Mirrors :meth:`ProcessorSimulator.resolve` per lane; the resolved
         datapath arrays stay staged in ``self.dp`` (read them with
         :meth:`datapath_dict` / :meth:`dense_datapath`).  Returns the
-        per-lane controller value dicts (shared memo entries — read-only).
+        per-lane controller value dicts.
         """
         processor = self.processor
+        evaluate = processor.controller.network.evaluate
+        ext_names = processor.datapath.external_input_names
         n = self.n_lanes
         frames = []
         for b in range(n):
-            dpi_full: dict = dict.fromkeys(self._ext_names)
+            dpi_full: dict = dict.fromkeys(ext_names)
             dpi_full.update(dpi_list[b])
             cpi = cpi_list[b]
             for cpi_name, dpi_name in processor.cpi_dpi_bindings.items():
@@ -180,7 +144,7 @@ class LaneProcessorSimulator:
                 assignment = dict(cpi_list[b])
                 assignment.update(self.ctl_states[b])
                 assignment.update(sts_known[b])
-                ctl_values[b] = self._ctl_eval(assignment)
+                ctl_values[b] = evaluate(assignment)
                 self._poke_ctrl(b, ctl_values[b])
             self.dp.run_partial()
             values, known = self.dp.values, self.dp.known
@@ -197,7 +161,6 @@ class LaneProcessorSimulator:
                 break
         else:  # pragma: no cover - defensive
             raise CosimError("controller/datapath fixpoint did not settle")
-        self._last_sts = sts_known
         return ctl_values
 
     def preview_shallow(self) -> list[dict]:
@@ -212,9 +175,10 @@ class LaneProcessorSimulator:
         for i, _ in self.cd.ext_pairs:
             ext_v[i][:] = 0
             ext_k[i][:] = False
+        evaluate = self.processor.controller.network.evaluate
         ctl_values = []
         for b in range(self.n_lanes):
-            preview = self._ctl_eval(dict(self.ctl_states[b]))
+            preview = evaluate(self.ctl_states[b])
             self._poke_ctrl(b, preview)
             ctl_values.append(preview)
         self.dp.run_partial()
@@ -237,7 +201,8 @@ class LaneProcessorSimulator:
         """
         ctl_values = self.resolve(cpi_list, dpi_list)
         failures: dict[int, str] = {}
-        ctrl_names = self.processor.controller.ctrl_signals
+        controller = self.processor.controller
+        ctrl_names = controller.ctrl_signals
 
         for b in range(self.n_lanes):
             unknown_ctrl = [
@@ -252,10 +217,9 @@ class LaneProcessorSimulator:
         for b in range(self.n_lanes):
             if b in failures:
                 continue  # scalar raised before clocking: freeze the lane
-            inputs = {**dict(cpi_list[b]), **self._last_sts[b]}
             try:
-                self.ctl_states[b] = self._ctl_clock(
-                    self.ctl_states[b], inputs
+                self.ctl_states[b] = controller.next_state(
+                    self.ctl_states[b], ctl_values[b]
                 )
             except ControlNetworkError as exc:
                 failures[b] = str(exc)

@@ -9,6 +9,13 @@ sequences on the two-stage toy, the MiniPipe controller, and the DLX
 controller, and additionally demand that CTRLJUST reaches bit-identical
 outcomes (status, assignment, CTI values, implied values, backtracks,
 decisions) through the incremental and full-sweep backends.
+
+The generated evaluate kernel (``CompiledNetwork.kernel``, what
+``ControlNetwork.evaluate`` runs without overrides) is held to the same
+sweep on random partial assignments of the four controllers the
+co-simulators run, including DLX with branch prediction, and
+``PipelinedController.next_state`` to the clock edge of
+``simulate_cycle``.
 """
 
 import random
@@ -19,8 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller.implication import CompiledNetwork
-from repro.controller.nodes import BufNode, InSetNode, NotNode
-from repro.controller.pipeline import PipelinedController, PipeRegister
+from repro.controller.network import ControlNetworkError
+from repro.controller.nodes import AndNode, BufNode, InSetNode, NotNode
+from repro.controller.pipeline import PipelinedController
 from repro.controller.signals import SignalKind, bit_signal, field_signal
 from repro.core.ctrljust import CtrlJust, JustStatus
 from repro.dlx.controller import build_dlx_controller
@@ -295,3 +303,158 @@ def test_deep_network_no_recursion_limit():
     assert session.value("0:deep_out") == (0 if inverted else 1)
     session.retract()
     assert session.value("0:deep_out") is None
+
+
+# ----------------------------------------------------------------------
+# Generated evaluate kernel vs the sweep
+# ----------------------------------------------------------------------
+_CONTROLLERS = {
+    "two_stage": build_two_stage,
+    "mini": build_minipipe_controller,
+    "dlx": build_dlx_controller,
+    "dlx_bp": lambda: build_dlx_controller(branch_prediction=True),
+}
+
+
+@lru_cache(maxsize=None)
+def _controller(which: str):
+    return _CONTROLLERS[which]()
+
+
+def _random_partial(network, rng):
+    """Each external signal missing, X or a random domain value; a few
+    driven names thrown in too (``evaluate`` must ignore them)."""
+    assignment = {}
+    for name in network.external_signals():
+        roll = rng.random()
+        if roll < 0.3:
+            continue
+        if roll < 0.45:
+            assignment[name] = None
+        else:
+            assignment[name] = rng.choice(network.signals[name].domain)
+    for name in rng.sample(sorted(network.drivers), 2):
+        assignment[name] = rng.choice(network.signals[name].domain)
+    return assignment
+
+
+def _assert_kernel_matches_sweep(network, assignment):
+    compiled = network.compiled()
+    expected = compiled.values_dict(compiled.sweep(assignment))
+    got = network.evaluate(assignment)
+    assert got == expected
+    assert list(got) == list(expected)  # same key order too
+
+
+@pytest.mark.parametrize("which", sorted(_CONTROLLERS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_sweep_on_random_partial_assignments(which, seed):
+    network = _controller(which).network
+    _assert_kernel_matches_sweep(
+        network, _random_partial(network, random.Random(seed))
+    )
+
+
+@pytest.mark.parametrize("which", sorted(_CONTROLLERS))
+def test_kernel_matches_sweep_on_every_domain_value(which):
+    # Every external signal at every domain value and at X, over an
+    # otherwise random partial background.
+    network = _controller(which).network
+    rng = random.Random(which)
+    for name in network.external_signals():
+        for value in network.signals[name].domain + (None,):
+            assignment = _random_partial(network, rng)
+            assignment[name] = value
+            _assert_kernel_matches_sweep(network, assignment)
+    _assert_kernel_matches_sweep(network, {})
+
+
+def test_kernel_matches_sweep_on_unrolled_network():
+    unrolled = _unrolled("dlx", 3)
+    rng = random.Random(3)
+    for _ in range(10):
+        _assert_kernel_matches_sweep(
+            unrolled.network, _random_partial(unrolled.network, rng)
+        )
+
+
+def test_kernel_is_built_lazily_and_rebuilt_after_edits():
+    ctl = build_two_stage()
+    network = ctl.network
+    compiled = network.compiled()
+    assert compiled._kernel is None  # compiling does not generate it
+    first = network.evaluate({"op": 2, "is_load_ex": 0})
+    kernel = network.compiled().kernel()
+    assert network.compiled().kernel() is kernel  # cached
+
+    # add_signal: the new external appears (as X) in the next evaluate.
+    ctl.add_signal(bit_signal("spare", SignalKind.CPI, stage=0))
+    assert network.compiled() is not compiled
+    second = network.evaluate({"op": 2, "is_load_ex": 0, "spare": 1})
+    assert network.compiled().kernel() is not kernel
+    assert second == {**first, "spare": 1}
+
+    # drive: the new node is computed by the rebuilt kernel.
+    kernel = network.compiled().kernel()
+    ctl.add_signal(bit_signal("spare_load"))
+    ctl.drive("spare_load", AndNode(["spare", "is_load"]))
+    third = network.evaluate({"op": 2, "is_load_ex": 0, "spare": 1})
+    assert network.compiled().kernel() is not kernel
+    assert third["spare_load"] == 1
+    _assert_kernel_matches_sweep(network, {"op": 2, "spare": 1})
+
+
+def _random_cycle(controller, rng):
+    """(state, inputs): every CPR at a random domain value; CPI and STS
+    inputs each missing, X or a random domain value."""
+    network = controller.network
+    state = {
+        cpr.q: rng.choice(network.signals[cpr.q].domain)
+        for cpr in controller.cprs
+    }
+    inputs = {}
+    for name in controller.cpi_signals + controller.sts_signals:
+        roll = rng.random()
+        if roll < 0.1:
+            continue
+        if roll < 0.15:
+            inputs[name] = None
+        else:
+            inputs[name] = rng.choice(network.signals[name].domain)
+    return state, inputs
+
+
+def _clock_outcome(fn):
+    try:
+        return fn()
+    except ControlNetworkError as exc:
+        return ("raised", str(exc))
+
+
+@pytest.mark.parametrize("which", sorted(_CONTROLLERS))
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_next_state_matches_simulate_cycle(which, seed):
+    controller = _controller(which)
+    state, inputs = _random_cycle(controller, random.Random(seed))
+    expected = _clock_outcome(
+        lambda: controller.simulate_cycle(dict(state), dict(inputs))[1]
+    )
+    values = controller.network.evaluate({**inputs, **state})
+    assert _clock_outcome(
+        lambda: controller.next_state(state, values)
+    ) == expected
+
+
+@pytest.mark.parametrize("which", sorted(_CONTROLLERS))
+def test_next_state_raises_like_simulate_cycle_on_x_d_input(which):
+    # No inputs at all: some loading CPR samples an X D input.
+    controller = _controller(which)
+    state = controller.reset_state()
+    with pytest.raises(ControlNetworkError) as expected:
+        controller.simulate_cycle(dict(state), {})
+    values = controller.network.evaluate(dict(state))
+    with pytest.raises(ControlNetworkError) as got:
+        controller.next_state(state, values)
+    assert str(got.value) == str(expected.value)

@@ -142,9 +142,9 @@ def build_two_stage():
 
 def test_two_stage_classification():
     ctl = build_two_stage()
-    assert ctl.cpi_signals == ["op"]
-    assert ctl.cti_signals == ["stall"]
-    assert ctl.ctrl_signals == ["write_en"]
+    assert ctl.cpi_signals == ("op",)
+    assert ctl.cti_signals == ("stall",)
+    assert ctl.ctrl_signals == ("write_en",)
     assert ctl.csi_signals == ["is_load_ex"]
 
 
