@@ -61,6 +61,9 @@ class CompiledNetwork:
         self.level = [0] * n
         self.node_of: list[object | None] = [None] * n
         self.inputs_of: list[tuple[int, ...]] = [()] * n
+        #: Precomputed ``eval3`` table per driven id, keyed by the input-
+        #: value tuple; None where it would exceed ``EVAL_TABLE_LIMIT``.
+        self.eval_table: list[dict | None] = [None] * n
         #: Memoized evaluator per driven id: callable(tuple of values).
         self.eval_of: list[object | None] = [None] * n
         #: Driven ids consuming each signal (the event-propagation edges).
@@ -80,14 +83,20 @@ class CompiledNetwork:
             )
             for i in dict.fromkeys(in_ids):
                 fanout[i].append(out)
-            self.eval_of[out] = _memoized_eval(
-                node, [self.domains[i] for i in in_ids]
+            table = node.eval3_table(
+                [self.domains[i] for i in in_ids], limit=EVAL_TABLE_LIMIT
+            )
+            self.eval_table[out] = table
+            self.eval_of[out] = (
+                table.__getitem__ if table is not None
+                else _lazy_memo(node.eval3)
             )
         self.fanout = [tuple(consumers) for consumers in fanout]
         self.external_ids = [i for i in range(n) if not self.is_driven[i]]
         self._backtrace_memo: list[dict | None] = [None] * n
         self._baseline: tuple[list, list] | None = None
         self._kernel = None
+        self._lane_kernel = None
 
     def baseline_state(self) -> tuple[list[int | None], list[int | None]]:
         """(values, computed) of the empty assignment, computed once.
@@ -174,6 +183,19 @@ class CompiledNetwork:
         exec(compile(source, f"<controller:{self.network.name}>", "exec"), env)
         return env["evaluate"]
 
+    def lane_kernel(self):
+        """The :class:`repro.controller.lanes.LaneKernel` of this network:
+        :meth:`kernel` over numpy lane arrays, one table lookup per node.
+
+        Built on first use and cached like :meth:`kernel` (it needs numpy,
+        which this module does not import).
+        """
+        if self._lane_kernel is None:
+            from repro.controller.lanes import LaneKernel
+
+            self._lane_kernel = LaneKernel(self)
+        return self._lane_kernel
+
     def compute_node(
         self, out: int, values: Sequence[int | None]
     ) -> int | None:
@@ -206,15 +228,10 @@ class CompiledNetwork:
         return options
 
 
-def _memoized_eval(node, domains: list[tuple[int, ...]]):
-    """An eval3 evaluator for ``node``: a full lookup table when the
-    three-valued input space is small, a lazy memo otherwise."""
-    table = node.eval3_table(domains, limit=EVAL_TABLE_LIMIT)
-    if table is not None:
-        return table.__getitem__
-
+def _lazy_memo(eval3):
+    """``eval3`` memoized over the input combinations actually visited
+    (the evaluator of a node too large to tabulate)."""
     memo: dict = {}
-    eval3 = node.eval3
 
     def evaluate(values: tuple):
         try:

@@ -137,6 +137,7 @@ class ControlNetwork:
         self,
         assignment: dict[str, int | None],
         overrides: dict[str, int] | None = None,
+        lanes: int | None = None,
     ) -> dict[str, int | None]:
         """Three-valued implication sweep.
 
@@ -154,8 +155,18 @@ class ControlNetwork:
         compiled network's generated straight-line kernel; with overrides
         it runs the flat-array :meth:`CompiledNetwork.sweep`, which is
         also the kernel's reference.
+
+        ``lanes=n`` evaluates ``n`` assignments at once on the lane kernel
+        (:meth:`CompiledNetwork.lane_kernel`): every assignment value is a
+        length-``n`` numpy array of codes (``LaneKernel.encode``), a
+        missing signal is X in every lane, and the result maps every
+        signal to its code array.  Lanes take no overrides.
         """
         compiled = self.compiled()
+        if lanes is not None:
+            if overrides:
+                raise ValueError("lane evaluation takes no overrides")
+            return compiled.lane_kernel().evaluate(assignment, lanes)
         if overrides:
             return compiled.values_dict(compiled.sweep(assignment, overrides))
         return compiled.kernel()(assignment)

@@ -41,6 +41,13 @@ class PipeRegister:
     clear: str | None = None
     clear_value: int = 0
 
+    def x_input_error(self) -> ControlNetworkError:
+        """The error of loading this register from an X D input."""
+        return ControlNetworkError(
+            f"CPR {self.q!r}: D input {self.d!r} is X during concrete "
+            "simulation (missing external input?)"
+        )
+
 
 class CprNode(ControlNode):
     """Three-valued clock-edge semantics of a CPR in the unrolled array.
@@ -258,10 +265,7 @@ class PipelinedController:
             else:
                 d_value = values[cpr.d]
                 if d_value is None:
-                    raise ControlNetworkError(
-                        f"CPR {cpr.q!r}: D input {cpr.d!r} is X during "
-                        "concrete simulation (missing external input?)"
-                    )
+                    raise cpr.x_input_error()
                 next_state[cpr.q] = d_value
         return next_state
 

@@ -14,7 +14,9 @@ the register file, the data memory and the fetch unit:
 
 The extracted event trace has exactly the specification's format, so
 ``detects`` compares implementation and specification directly — the
-paper's simulation-based detection criterion.
+paper's simulation-based detection criterion.  Given the specification's
+events, a run stops at the first committed event that differs from them:
+the verdict is already known there.
 """
 
 from __future__ import annotations
@@ -67,7 +69,16 @@ class DlxEnv:
         init_memory: dict[int, int] | None = None,
         drain: int = 8,
         max_cycles: int | None = None,
+        spec_events: Sequence[Event] | None = None,
     ) -> DlxSpecResult:
+        """Run ``program``; returns the committed events and final state.
+
+        With ``spec_events`` (the specification's event list) the run
+        stops right after the first committed event that differs from the
+        specification's event at that index, or that the specification
+        lacks.  The returned events then end with that event, and the
+        registers, memory and ``trace`` hold the state at the stop.
+        """
         regs = list(init_regs) if init_regs is not None else [0] * N_REGS
         regs = [to_unsigned(r, WIDTH) for r in regs]
         regs[0] = 0
@@ -93,6 +104,15 @@ class DlxEnv:
         # can rewind the fetch position to just after the branch.
         id_pos: int | None = None
         ex_pos: int | None = None
+
+        def commit(event: Event) -> bool:
+            """Record ``event``; True when it departs from the spec."""
+            events.append(event)
+            k = len(events) - 1
+            return spec_events is not None and (
+                k >= len(spec_events) or spec_events[k] != event
+            )
+
         while position < len(stream) and cycles < limit:
             cycles += 1
             ctl, dp = self._preview()
@@ -105,7 +125,8 @@ class DlxEnv:
                 value = dp["wb_value_o"]
                 if dest != 0 and value is not None:
                     regs[dest] = value
-                    events.append(("reg", dest, value))
+                    if commit(("reg", dest, value)):
+                        break
 
             # Memory-pin activity of the instruction in MEM.
             if (
@@ -114,7 +135,8 @@ class DlxEnv:
             ):
                 address = dp.get("dmem_addr_o")
                 if address is not None:
-                    events.append(("load", address, ctl["size_mem"]))
+                    if commit(("load", address, ctl["size_mem"])):
+                        break
 
             # Commit the store of the instruction in MEM.
             if ctl.get("memwrite_ctl") == 1:
@@ -124,9 +146,10 @@ class DlxEnv:
                 if address is not None and data is not None:
                     memory.write(address, data, size)
                     nbytes = _SIZE_BYTES[size]
-                    events.append(
+                    if commit(
                         ("mem", address, size, data & mask(8 * nbytes))
-                    )
+                    ):
+                        break
 
             stalled = ctl.get("stall") == 1
             instruction = stream[position]
@@ -192,14 +215,37 @@ def detects(
     init_memory: dict[int, int] | None = None,
 ) -> bool:
     """True iff the program distinguishes the erroneous implementation from
-    the ISA specification — the Table 1 detection criterion."""
+    the ISA specification — the Table 1 detection criterion.
+
+    The bad machine runs only up to its first committed event that departs
+    from the specification's events (``DlxEnv.run(spec_events=...)``).  A
+    bad machine that diverges and would raise :class:`CosimError` later
+    in the run therefore reports detected instead of raising.
+    """
     spec = DlxSpec().run(program, init_regs, init_memory)
+    return _diverges(
+        processor, program, error, init_regs, init_memory, spec.events
+    )
+
+
+def _diverges(
+    processor: Processor,
+    program: Sequence[Instruction],
+    error,
+    init_regs: Sequence[int] | None,
+    init_memory: dict[int, int] | None,
+    spec_events: list[Event],
+) -> bool:
+    """Whether the bad machine's events depart from ``spec_events``; the
+    run stops at the first event that does."""
     injector, module_overrides = error.hooks(processor.datapath)
     env = DlxEnv(
         processor, injector=injector, module_overrides=module_overrides,
     )
-    impl = env.run(program, init_regs, init_memory)
-    return impl.events != spec.events
+    impl = env.run(
+        program, init_regs, init_memory, spec_events=spec_events
+    )
+    return impl.events != spec_events
 
 
 def batch_detects(
@@ -219,7 +265,9 @@ def batch_detects(
     used purely as a *negative screen*: a fork that never touches a net the
     environment reads — the DPO pins, the STS nets, or ``mem_alu.y`` —
     leaves every stimulus and every commit identical to the golden run and
-    inherits the golden verdict.  Any touch is confirmed serially.
+    inherits the golden verdict.  Any touch is confirmed by a serial run of
+    the bad machine against the one specification run of the program,
+    stopped at its first divergent event (see :func:`detects`).
 
     ``golden`` optionally supplies a precomputed fault-free run as
     ``(result, trace, dense_cycles)`` — e.g. one lane of a batched
@@ -245,9 +293,10 @@ def batch_detects(
         if fork.kind == "clean":
             results.append(golden_detects)
         else:
-            results.append(
-                detects(processor, program, error, init_regs, init_memory)
-            )
+            results.append(_diverges(
+                processor, program, error, init_regs, init_memory,
+                spec.events,
+            ))
     if stats is not None:
         stats.append(sim.stats)
     return results

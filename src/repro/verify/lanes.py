@@ -3,8 +3,8 @@
 :class:`LaneProcessorSimulator` is the batch-axis counterpart of
 :class:`repro.verify.cosim.ProcessorSimulator`: it carries ``n_lanes``
 independent stimulus streams (one program per lane) through the machine in
-lockstep, one batched kernel call per fixpoint sweep instead of one scalar
-kernel call per lane.
+lockstep, with one batched datapath kernel call and one lane controller
+evaluation per fixpoint sweep instead of one scalar call of each per lane.
 
 Equivalence contract (enforced by ``tests/test_batched_differential.py``):
 per lane, every resolved value, every clocked state and every failure
@@ -16,26 +16,32 @@ that lane alone.  Three design points make that hold:
   re-swept, but re-sweeping a settled lane is idempotent (same assignment
   -> same controller values -> same partial evaluation), so its values
   cannot drift from the scalar run's.
-* **Scalar controller.**  The controller is symbolic (domains, not
-  bit-vectors) and small; each lane runs the same generated controller
-  kernel as the scalar path (``ControlNetwork.evaluate``), once per
-  fixpoint sweep, and takes its next controller state from the values
-  that sweep settled (``PipelinedController.next_state``), exactly as
-  :meth:`ProcessorSimulator.step` does.
+* **Lane controller kernel.**  Controller values live in lane arrays of
+  codes, each lane's index into the signal's domain with one extra code
+  for X (:mod:`repro.controller.lanes`), and so does the controller
+  state.  Each fixpoint iteration makes one ``ControlNetwork.evaluate``
+  call for all lanes: one lookup per node into a table built from the
+  entries the scalar kernel uses.  It writes the CTRL codes into the
+  datapath's external arrays and reads the STS nets back as codes.  The
+  clock edge reuses the settled codes: per CPR, array selects reproduce
+  ``PipelinedController.next_state`` (clear wins, then a low enable
+  holds, else D loads).  The per-lane value dicts that the environments
+  and traces read are decoded once per ``resolve``/``step`` call.
 * **Per-lane failure collection.**  Where the scalar co-simulator raises
-  :class:`CosimError` (unresolved CTRL at the clock edge, unresolved
-  register control, loading an unresolved value), ``step`` instead records
-  the lane's failure — message-identical to the scalar exception, in the
-  scalar check order — and clocks the lane safely (a failed register holds
-  its value).  The environments stop committing for a failed lane; its
-  later values are unobserved.
+  (:class:`CosimError` for an unresolved CTRL at the clock edge, an
+  unresolved register control or loading an unresolved value;
+  :class:`ControlNetworkError` for a CPR loading an X D input), ``step``
+  instead records the lane's failure — message-identical to the scalar
+  exception, in the scalar check order — and clocks the lane safely: its
+  controller state freezes, as the scalar raise leaves it, and a failed
+  register holds its value.  The environments stop committing for a
+  failed lane; its later values are unobserved.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.controller.network import ControlNetworkError
 from repro.datapath.batched import BatchedDatapathSimulator, require_numpy
 from repro.datapath.simulate import Injector, ModuleOverride, no_injection
 from repro.model.processor import Processor
@@ -69,46 +75,112 @@ class LaneProcessorSimulator:
         cd = self.dp.compiled
         self.cd = cd
         controller = processor.controller
-        self.ctl_states = [
-            dict(controller.reset_state()) for _ in range(n_lanes)
-        ]
+        self.kernel = kernel = controller.network.compiled().lane_kernel()
         self.max_fixpoint_iters = max_fixpoint_iters
         nm = self.dp.batched.net_mask
-        self._ctrl_slots = [
-            (name, cd.index[name], nm[cd.index[name]])
-            for name in controller.ctrl_signals if name in cd.index
+        self._ctrl_x = [
+            (name, kernel.x[kernel.index[name]])
+            for name in controller.ctrl_signals
         ]
-        self._sts_slots = [
-            (name, cd.index[name]) for name in controller.sts_signals
-            if name in cd.index
+        # CTRL -> datapath: (name, net id, code -> masked net value, X).
+        self._ctrl_slots = []
+        for name, x in self._ctrl_x:
+            i = cd.index.get(name)
+            if i is not None:
+                domain = kernel.domains[kernel.index[name]]
+                values = [value & nm[i] for value in domain] + [0]
+                self._ctrl_slots.append(
+                    (name, i, _np.array(values, _np.uint64), x)
+                )
+        # Datapath -> STS: (name, net id, net value -> code, X).
+        self._sts_slots = []
+        for name in controller.sts_signals:
+            i = cd.index.get(name)
+            if i is not None:
+                self._sts_slots.append((
+                    name, i, _net_codes(kernel, name, nm[i]),
+                    kernel.x[kernel.index[name]],
+                ))
+        self._sts_unknown = [
+            _np.full(n_lanes, x, _np.intp) for *_, x in self._sts_slots
         ]
+        self._cpr_plan = [_cpr_plan(kernel, cpr) for cpr in controller.cprs]
         # Register clock plan: (reg, d_id, ctl_ids, width mask).
         self._reg_plan = [
             (reg, cd.reg_d_ids[j], cd.reg_ctl_ids[j], mask(reg.width))
             for j, reg in enumerate(cd.registers)
         ]
+        self.reset()
 
     def reset(self) -> None:
         self.dp.reset()
-        controller = self.processor.controller
-        self.ctl_states = [
-            dict(controller.reset_state()) for _ in range(self.n_lanes)
-        ]
+        kernel = self.kernel
+        #: CPR output name -> lane array of codes.
+        self.ctl_state = {
+            q: _np.full(
+                self.n_lanes, kernel.code_of[kernel.index[q]][value],
+                _np.intp,
+            )
+            for q, value in self.processor.controller.reset_state().items()
+        }
 
-    def _poke_ctrl(self, lane: int, ctl_values: Mapping) -> None:
+    def _drive_ctrl(self, ctl: Mapping) -> None:
+        """Stage the CTRL codes as the datapath's CTRL externals."""
         ext_v, ext_k = self.dp._ext_v, self.dp._ext_k
-        for name, i, m in self._ctrl_slots:
-            value = ctl_values.get(name)
-            if value is None:
-                ext_v[i][lane] = 0
-                ext_k[i][lane] = False
-            else:
-                ext_v[i][lane] = value & m
-                ext_k[i][lane] = True
+        for name, i, values, x in self._ctrl_slots:
+            codes = ctl[name]
+            _np.take(values, codes, out=ext_v[i])
+            _np.not_equal(codes, x, out=ext_k[i])
 
     # ------------------------------------------------------------------
     # One cycle
     # ------------------------------------------------------------------
+    def _settle(
+        self,
+        cpi_list: Sequence[Mapping],
+        dpi_list: Sequence[Mapping],
+    ) -> dict:
+        """The controller/datapath fixpoint of one cycle on every lane,
+        without clocking; returns the settled controller code arrays."""
+        processor = self.processor
+        ext_names = processor.datapath.external_input_names
+        frames = []
+        for b in range(self.n_lanes):
+            dpi_full: dict = dict.fromkeys(ext_names)
+            dpi_full.update(dpi_list[b])
+            cpi = cpi_list[b]
+            for cpi_name, dpi_name in processor.cpi_dpi_bindings.items():
+                if cpi_name in cpi and cpi[cpi_name] is not None:
+                    dpi_full[dpi_name] = cpi[cpi_name]
+            frames.append(dpi_full)
+        self.dp.fill_external(frames, None)
+
+        controller = processor.controller
+        encode = self.kernel.encode
+        assignment = {
+            name: encode(name, [cpi.get(name) for cpi in cpi_list])
+            for name in controller.cpi_signals
+        }
+        assignment.update(self.ctl_state)
+        sts = self._sts_unknown
+        for _ in range(self.max_fixpoint_iters):
+            ctl = controller.network.evaluate(assignment, lanes=self.n_lanes)
+            self._drive_ctrl(ctl)
+            self.dp.run_partial()
+            values, known = self.dp.values, self.dp.known
+            new_sts = [
+                _np.where(known[i], codes[values[i]], x)
+                for _, i, codes, x in self._sts_slots
+            ]
+            if all(map(_np.array_equal, new_sts, sts)):
+                return ctl
+            sts = new_sts
+            for (name, *_), codes in zip(self._sts_slots, sts):
+                assignment[name] = codes
+        raise CosimError(  # pragma: no cover - defensive
+            "controller/datapath fixpoint did not settle"
+        )
+
     def resolve(
         self,
         cpi_list: Sequence[Mapping],
@@ -121,68 +193,27 @@ class LaneProcessorSimulator:
         :meth:`datapath_dict` / :meth:`dense_datapath`).  Returns the
         per-lane controller value dicts.
         """
-        processor = self.processor
-        evaluate = processor.controller.network.evaluate
-        ext_names = processor.datapath.external_input_names
-        n = self.n_lanes
-        frames = []
-        for b in range(n):
-            dpi_full: dict = dict.fromkeys(ext_names)
-            dpi_full.update(dpi_list[b])
-            cpi = cpi_list[b]
-            for cpi_name, dpi_name in processor.cpi_dpi_bindings.items():
-                if cpi_name in cpi and cpi[cpi_name] is not None:
-                    dpi_full[dpi_name] = cpi[cpi_name]
-            frames.append(dpi_full)
-        self.dp.fill_external(frames, None)
-
-        sts_known: list[dict] = [{} for _ in range(n)]
-        ctl_values: list[dict] = [{}] * n
-        values, known = None, None
-        for _ in range(self.max_fixpoint_iters):
-            for b in range(n):
-                assignment = dict(cpi_list[b])
-                assignment.update(self.ctl_states[b])
-                assignment.update(sts_known[b])
-                ctl_values[b] = evaluate(assignment)
-                self._poke_ctrl(b, ctl_values[b])
-            self.dp.run_partial()
-            values, known = self.dp.values, self.dp.known
-            settled = True
-            for b in range(n):
-                new_sts = {
-                    name: int(values[i][b])
-                    for name, i in self._sts_slots if known[i][b]
-                }
-                if new_sts != sts_known[b]:
-                    sts_known[b] = new_sts
-                    settled = False
-            if settled:
-                break
-        else:  # pragma: no cover - defensive
-            raise CosimError("controller/datapath fixpoint did not settle")
-        return ctl_values
+        return self.kernel.lane_dicts(self._settle(cpi_list, dpi_list))
 
     def preview_shallow(self) -> list[dict]:
         """State-only single-sweep preview (MiniEnv's commit peek).
 
-        Per lane: evaluate the controller on the pipe-register state alone,
-        feed only the CTRL values into one partial datapath evaluation —
-        exactly ``MiniEnv.run``'s pre-commit preview.  Leaves the preview
-        staged in ``self.dp``; returns the per-lane controller dicts.
+        Evaluate the controller on the pipe-register state alone and feed
+        only the CTRL values into one partial datapath evaluation — exactly
+        ``MiniEnv.run``'s pre-commit preview, on every lane.  Leaves the
+        preview staged in ``self.dp``; returns the per-lane controller
+        dicts.
         """
         ext_v, ext_k = self.dp._ext_v, self.dp._ext_k
         for i, _ in self.cd.ext_pairs:
             ext_v[i][:] = 0
             ext_k[i][:] = False
-        evaluate = self.processor.controller.network.evaluate
-        ctl_values = []
-        for b in range(self.n_lanes):
-            preview = evaluate(self.ctl_states[b])
-            self._poke_ctrl(b, preview)
-            ctl_values.append(preview)
+        ctl = self.processor.controller.network.evaluate(
+            self.ctl_state, lanes=self.n_lanes
+        )
+        self._drive_ctrl(ctl)
         self.dp.run_partial()
-        return ctl_values
+        return self.kernel.lane_dicts(ctl)
 
     def step(
         self,
@@ -199,33 +230,53 @@ class LaneProcessorSimulator:
         unknowns) so the batch keeps running; callers must stop observing
         a lane once it fails.
         """
-        ctl_values = self.resolve(cpi_list, dpi_list)
+        ctl = self._settle(cpi_list, dpi_list)
         failures: dict[int, str] = {}
-        controller = self.processor.controller
-        ctrl_names = controller.ctrl_signals
-
-        for b in range(self.n_lanes):
-            unknown_ctrl = [
-                name for name in ctrl_names
-                if ctl_values[b].get(name) is None
-            ]
-            if unknown_ctrl:
-                failures[b] = (
-                    f"CTRL signals unresolved after fixpoint: {unknown_ctrl}"
-                )
-
-        for b in range(self.n_lanes):
-            if b in failures:
-                continue  # scalar raised before clocking: freeze the lane
-            try:
-                self.ctl_states[b] = controller.next_state(
-                    self.ctl_states[b], ctl_values[b]
-                )
-            except ControlNetworkError as exc:
-                failures[b] = str(exc)
-
+        unresolved = [(name, ctl[name] == x) for name, x in self._ctrl_x]
+        for b in _np.flatnonzero(
+            _np.logical_or.reduce([m for _, m in unresolved])
+        ):
+            names = [name for name, m in unresolved if m[b]]
+            failures[int(b)] = (
+                f"CTRL signals unresolved after fixpoint: {names}"
+            )
+        self._clock_controller(ctl, failures)
         self._clock_datapath(failures)
-        return ctl_values, failures
+        return self.kernel.lane_dicts(ctl), failures
+
+    def _clock_controller(
+        self, ctl: Mapping, failures: dict[int, str]
+    ) -> None:
+        """``PipelinedController.next_state`` on every lane.
+
+        A lane loading an X D input fails with ``next_state``'s message
+        (first CPR in order).  Every failed lane keeps its whole state,
+        as the scalar raise (or the earlier CTRL check) leaves it.
+        """
+        state = self.ctl_state
+        new_state = {}
+        for q, d, load, x_d, hold, clear, message in self._cpr_plan:
+            current = state[q]
+            d_codes = ctl[d]
+            nxt = load[d_codes]
+            x_load = d_codes == x_d
+            if hold is not None:
+                held = ctl[hold[0]] == hold[1]
+                nxt = _np.where(held, current, nxt)
+                x_load &= ~held
+            if clear is not None:
+                cleared = ctl[clear[0]] == clear[1]
+                nxt = _np.where(cleared, clear[2], nxt)
+                x_load &= ~cleared
+            for b in _np.flatnonzero(x_load):
+                failures.setdefault(int(b), message)
+            new_state[q] = nxt
+        if failures:
+            frozen = _np.zeros(self.n_lanes, _np.bool_)
+            frozen[list(failures)] = True
+            for q, nxt in new_state.items():
+                new_state[q] = _np.where(frozen, state[q], nxt)
+        self.ctl_state = new_state
 
     def _clock_datapath(self, failures: dict[int, str]) -> None:
         """Vectorised register clocking with per-lane failure collection.
@@ -308,3 +359,34 @@ class LaneProcessorSimulator:
         """Set stimulus-register contents for one lane (masked)."""
         for name, value in state.items():
             self.dp.set_state(name, lane, value)
+
+
+def _net_codes(kernel, name: str, net_mask: int):
+    """Net value -> code of the STS signal ``name``, over every value its
+    net can hold."""
+    code_of = kernel.code_of[kernel.index[name]]
+    return _np.array(
+        [code_of[value] for value in range(net_mask + 1)], _np.intp
+    )
+
+
+def _cpr_plan(kernel, cpr) -> tuple:
+    """How :meth:`LaneProcessorSimulator._clock_controller` clocks ``cpr``:
+    ``(q, d, D code -> Q code, X code of D, (enable, code of 0) or None,
+    (clear, code of 1, Q code of clear_value) or None, X-D message)``.
+    An enable without 0 in its domain never holds, a clear without 1
+    never clears."""
+    q_code = kernel.code_of[kernel.index[cpr.q]]
+    d_id = kernel.index[cpr.d]
+    load = [q_code[value] for value in kernel.domains[d_id]] + [q_code[None]]
+    hold = clear = None
+    if cpr.enable is not None:
+        code = kernel.code_of[kernel.index[cpr.enable]].get(0)
+        if code is not None:
+            hold = (cpr.enable, code)
+    if cpr.clear is not None:
+        code = kernel.code_of[kernel.index[cpr.clear]].get(1)
+        if code is not None:
+            clear = (cpr.clear, code, q_code[cpr.clear_value])
+    return (cpr.q, cpr.d, _np.array(load, _np.intp), kernel.x[d_id], hold,
+            clear, str(cpr.x_input_error()))

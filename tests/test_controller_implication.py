@@ -15,7 +15,9 @@ The generated evaluate kernel (``CompiledNetwork.kernel``, what
 sweep on random partial assignments of the four controllers the
 co-simulators run, including DLX with branch prediction, and
 ``PipelinedController.next_state`` to the clock edge of
-``simulate_cycle``.
+``simulate_cycle``.  The lane kernel (``CompiledNetwork.lane_kernel``,
+what ``ControlNetwork.evaluate(..., lanes=n)`` runs) is held lane by lane
+to the scalar kernel on the same four controllers.
 """
 
 import random
@@ -31,6 +33,7 @@ from repro.controller.nodes import AndNode, BufNode, InSetNode, NotNode
 from repro.controller.pipeline import PipelinedController
 from repro.controller.signals import SignalKind, bit_signal, field_signal
 from repro.core.ctrljust import CtrlJust, JustStatus
+from repro.datapath.batched import HAS_NUMPY
 from repro.dlx.controller import build_dlx_controller
 from repro.mini.machine import build_minipipe_controller
 from tests.test_controller_network import build_two_stage
@@ -458,3 +461,118 @@ def test_next_state_raises_like_simulate_cycle_on_x_d_input(which):
     with pytest.raises(ControlNetworkError) as got:
         controller.next_state(state, values)
     assert str(got.value) == str(expected.value)
+
+
+# ----------------------------------------------------------------------
+# Lane kernel vs the scalar kernel
+# ----------------------------------------------------------------------
+requires_numpy = pytest.mark.skipif(
+    not HAS_NUMPY, reason="numpy absent (lane kernel unavailable)"
+)
+
+
+def _assert_lanes_match_scalar(network, assignments):
+    """One lane ``evaluate`` over ``assignments`` (one per lane) equals,
+    lane by lane, the scalar ``evaluate`` of that lane's assignment.
+
+    A name no lane assigns stays out of the lane assignment (the kernel
+    treats it as X); driven names are encoded too (both kernels ignore
+    them)."""
+    kernel = network.compiled().lane_kernel()
+    names = dict.fromkeys(name for a in assignments for name in a)
+    lanes = {
+        name: kernel.encode(name, [a.get(name) for a in assignments])
+        for name in names
+    }
+    got = kernel.lane_dicts(network.evaluate(lanes, lanes=len(assignments)))
+    assert len(got) == len(assignments)
+    for lane, assignment in zip(got, assignments):
+        expected = network.evaluate(assignment)
+        assert lane == expected
+        assert list(lane) == list(expected)  # same key order too
+
+
+@requires_numpy
+@pytest.mark.parametrize("width", [1, 7, 64])
+@pytest.mark.parametrize("which", sorted(_CONTROLLERS))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lane_kernel_matches_scalar_on_random_partial_assignments(
+    which, width, seed
+):
+    network = _controller(which).network
+    rng = random.Random(seed)
+    _assert_lanes_match_scalar(
+        network, [_random_partial(network, rng) for _ in range(width)]
+    )
+
+
+@requires_numpy
+@pytest.mark.parametrize("which", sorted(_CONTROLLERS))
+def test_lane_kernel_matches_scalar_on_every_domain_value(which):
+    # Per external signal, one lane per domain value and one at X, over
+    # otherwise random partial backgrounds.
+    network = _controller(which).network
+    rng = random.Random(which)
+    for name in network.external_signals():
+        assignments = []
+        for value in network.signals[name].domain + (None,):
+            assignment = _random_partial(network, rng)
+            assignment[name] = value
+            assignments.append(assignment)
+        _assert_lanes_match_scalar(network, assignments)
+    _assert_lanes_match_scalar(network, [{}, {}])
+
+
+@requires_numpy
+def test_lane_kernel_is_built_lazily_and_rebuilt_after_edits():
+    ctl = build_two_stage()
+    network = ctl.network
+    compiled = network.compiled()
+    network.evaluate({"op": 2})
+    assert compiled._lane_kernel is None  # the scalar path does not build it
+    _assert_lanes_match_scalar(network, [{"op": 2}, {"op": 1}])
+    lane_kernel = compiled._lane_kernel
+    assert lane_kernel is not None
+    assert network.compiled().lane_kernel() is lane_kernel  # cached
+
+    # add_signal: the new external appears in the rebuilt kernel.
+    ctl.add_signal(bit_signal("spare", SignalKind.CPI, stage=0))
+    assert network.compiled()._lane_kernel is None
+    _assert_lanes_match_scalar(network, [{"op": 2, "spare": 1}, {}])
+    lane_kernel = network.compiled().lane_kernel()
+    assert "spare" in lane_kernel.names
+
+    # drive: the new node is computed by the rebuilt kernel.
+    ctl.add_signal(bit_signal("spare_load"))
+    ctl.drive("spare_load", AndNode(["spare", "is_load"]))
+    assignments = [{"op": 2, "spare": 1}, {"op": 2, "spare": 0}]
+    _assert_lanes_match_scalar(network, assignments)
+    assert network.compiled().lane_kernel() is not lane_kernel
+    kernel = network.compiled().lane_kernel()
+    lanes = {
+        name: kernel.encode(name, [a[name] for a in assignments])
+        for name in ("op", "spare")
+    }
+    values = kernel.lane_dicts(network.evaluate(lanes, lanes=2))
+    assert [v["spare_load"] for v in values] == [1, 0]
+
+
+@requires_numpy
+def test_lane_kernel_rejects_values_outside_the_domain():
+    network = build_two_stage().network
+    kernel = network.compiled().lane_kernel()
+    with pytest.raises(ControlNetworkError, match="outside the domain"):
+        kernel.encode("op", [0, 99])
+    with pytest.raises(ValueError, match="overrides"):
+        network.evaluate({}, overrides={"is_load": 1}, lanes=2)
+
+
+def test_lane_kernel_needs_numpy(monkeypatch):
+    import repro.datapath.batched as batched
+
+    monkeypatch.setattr(batched, "_np", None)
+    network = build_two_stage().network
+    with pytest.raises(ImportError, match="optional"):
+        network.evaluate({}, lanes=2)
+    network.evaluate({})  # the scalar kernel needs no numpy

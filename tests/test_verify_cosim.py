@@ -1,6 +1,11 @@
 """Tests for the processor co-simulator and trace comparison."""
 
+import random
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BusSSLError
 from repro.mini import Instruction, build_minipipe, to_cpi
@@ -333,9 +338,11 @@ def test_dlx_step_evaluates_controller_once_per_fixpoint_iteration(
     assert events == ["evaluate", "datapath"] * iterations
 
 
-def test_dlx_lane_step_evaluates_controller_once_per_lane_and_iteration(
+def test_dlx_lane_step_evaluates_controller_once_per_fixpoint_iteration(
     monkeypatch,
 ):
+    # One lane evaluation covers every lane in each fixpoint iteration;
+    # the clock edge reuses the settled codes.
     from repro.datapath.batched import HAS_NUMPY
 
     if not HAS_NUMPY:
@@ -351,9 +358,187 @@ def test_dlx_lane_step_evaluates_controller_once_per_lane_and_iteration(
     events: list[str] = []
     _record_evaluations(monkeypatch, events)
     _record_sweeps(monkeypatch, sim.dp, "run_partial", events)
-    # Identical lanes: each still evaluates its own assignment.
     _, failures = sim.step([cpi] * n_lanes, [dpi] * n_lanes)
     assert failures == {}
     iterations = events.count("datapath")
     assert iterations >= 2
-    assert events == (["evaluate"] * n_lanes + ["datapath"]) * iterations
+    assert events == ["evaluate", "datapath"] * iterations
+
+
+def _lane_ctl_state(sim, lane):
+    """One lane's controller state, decoded from the simulator's codes."""
+    kernel = sim.kernel
+    return {
+        q: kernel.domains[kernel.index[q]][int(codes[lane])]
+        for q, codes in sim.ctl_state.items()
+    }
+
+
+def test_dlx_lane_x_d_input_fails_only_that_lane_like_the_scalar_step():
+    # Lane 1 presents an instruction without its 'rd' field: the scalar
+    # step raises from next_state.  The lane fails with the same text and
+    # keeps its controller state; the other lanes match their scalar runs.
+    from repro.datapath.batched import HAS_NUMPY
+
+    if not HAS_NUMPY:
+        pytest.skip("numpy absent (batched backend unavailable)")
+    from repro.controller.network import ControlNetworkError
+    from repro.dlx import build_dlx
+    from repro.verify.lanes import LaneProcessorSimulator
+
+    dlx = build_dlx()
+    first, second, third = _dlx_cycles()
+    no_rd = ({k: v for k, v in second[0].items() if k != "rd"}, second[1])
+    streams = [
+        [first, second, third],
+        [first, no_rd, third],
+        [second, third, first],
+    ]
+    sim = LaneProcessorSimulator(dlx, len(streams))
+    scalars = [ProcessorSimulator(dlx) for _ in streams]
+    for t in range(3):
+        ctl_values, failures = sim.step(
+            [stream[t][0] for stream in streams],
+            [stream[t][1] for stream in streams],
+        )
+        for b, (stream, scalar) in enumerate(zip(streams, scalars)):
+            if b == 1 and t >= 1:
+                continue
+            trace = scalar.step(*stream[t])
+            assert ctl_values[b] == trace.controller
+            assert sim.datapath_dict(b) == trace.datapath
+            assert _lane_ctl_state(sim, b) == scalar.ctl_state
+        if t == 1:
+            before = dict(scalars[1].ctl_state)
+            with pytest.raises(ControlNetworkError) as raised:
+                scalars[1].step(*no_rd)
+            assert str(raised.value).startswith(
+                "CPR 'rd_id': D input 'rd' is X"
+            )
+            assert failures == {1: str(raised.value)}
+            assert scalars[1].ctl_state == before
+            assert _lane_ctl_state(sim, 1) == before
+        else:
+            assert failures == {}
+
+
+@lru_cache(maxsize=None)
+def _machine(which: str):
+    from repro.dlx import build_dlx
+
+    return {
+        "mini": build_minipipe,
+        "dlx": build_dlx,
+        "dlx_bp": lambda: build_dlx(branch_prediction=True),
+    }[which]()
+
+
+@pytest.mark.parametrize("which", ["mini", "dlx", "dlx_bp"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lane_clock_matches_next_state(which, seed):
+    # The lane CPR clock against PipelinedController.next_state, lane by
+    # lane, on random states and random settled values: clear and a low
+    # enable in one cycle, X D inputs under a hold or a clear, X enables
+    # and clears.  A lane that raises fails with the message and keeps
+    # its state.
+    from repro.controller.network import ControlNetworkError
+    from repro.datapath.batched import HAS_NUMPY
+
+    if not HAS_NUMPY:
+        pytest.skip("numpy absent (batched backend unavailable)")
+    from repro.verify.lanes import LaneProcessorSimulator
+
+    processor = _machine(which)
+    controller = processor.controller
+    signals = controller.network.signals
+    rng = random.Random(seed)
+    n_lanes = 16
+    states = [
+        {cpr.q: rng.choice(signals[cpr.q].domain) for cpr in controller.cprs}
+        for _ in range(n_lanes)
+    ]
+    values = [
+        {
+            name: None if rng.random() < 0.2
+            else rng.choice(signal.domain)
+            for name, signal in signals.items()
+        }
+        for _ in range(n_lanes)
+    ]
+    sim = LaneProcessorSimulator(processor, n_lanes)
+    kernel = sim.kernel
+    sim.ctl_state = {
+        q: kernel.encode(q, [state[q] for state in states])
+        for q in states[0]
+    }
+    failures: dict[int, str] = {}
+    sim._clock_controller(
+        {
+            name: kernel.encode(name, [v[name] for v in values])
+            for name in signals
+        },
+        failures,
+    )
+    for b in range(n_lanes):
+        try:
+            expected = controller.next_state(states[b], values[b])
+        except ControlNetworkError as exc:
+            assert failures.get(b) == str(exc)
+            assert _lane_ctl_state(sim, b) == states[b]
+        else:
+            assert b not in failures
+            assert _lane_ctl_state(sim, b) == expected
+
+
+def test_dlx_detects_early_stop_matches_full_run():
+    # Matrix-style rows (seeded random programs, every error class): the
+    # run stopped at the first divergent event gives the full run's
+    # verdict, ends on an event the spec lacks at its index, and
+    # simulates fewer cycles.
+    from repro.baselines.random_gen import (
+        RandomDlxGenerator,
+        RandomProgramConfig,
+    )
+    from repro.dlx import build_dlx, detects
+    from repro.dlx.env import DlxEnv
+    from repro.dlx.spec import DlxSpec
+    from repro.errors.models import (
+        enumerate_boe,
+        enumerate_bus_ssl,
+        enumerate_mse,
+    )
+
+    dlx = build_dlx()
+    dp = dlx.datapath
+    errors = (enumerate_bus_ssl(dp, max_bits_per_net=4)
+              + enumerate_mse(dp) + enumerate_boe(dp))[::23]
+    generator = RandomDlxGenerator(RandomProgramConfig(length=12, seed=1))
+    cycles = {"full": 0, "stopped": 0}
+    hits = 0
+    for k, error in enumerate(errors):
+        program = generator.program(k % 4)
+        regs = generator.initial_registers(k % 4)
+        spec = DlxSpec().run(program, regs)
+        runs = {}
+        for mode, spec_events in (("full", None), ("stopped", spec.events)):
+            injector, module_overrides = error.hooks(dp)
+            env = DlxEnv(dlx, injector=injector,
+                         module_overrides=module_overrides)
+            events = env.run(program, regs, spec_events=spec_events).events
+            runs[mode] = (events, len(env.trace.cycles))
+            cycles[mode] += len(env.trace.cycles)
+        full_detects = runs["full"][0] != spec.events
+        assert detects(dlx, program, error, regs) == full_detects
+        stopped, n_stopped = runs["stopped"]
+        if full_detects:
+            hits += 1
+            k_last = len(stopped) - 1
+            assert stopped[:k_last] == spec.events[:k_last]
+            assert (k_last >= len(spec.events)
+                    or stopped[k_last] != spec.events[k_last])
+            assert n_stopped <= runs["full"][1]
+        else:
+            assert runs["stopped"] == runs["full"]
+    assert 0 < hits < len(errors)
+    assert cycles["stopped"] < cycles["full"]
