@@ -21,12 +21,15 @@ artifact).  ``REPRO_FULL=1`` widens the sample.
 
 import random
 import time
+from functools import partial
+from unittest import mock
 
 import pytest
 
 from benchmarks.conftest import full_run
 
 from repro.campaign.serialize import save_json
+from repro.core.ctrljust import CtrlJust
 from repro.core.tg import TestGenerator, TGStatus
 from repro.dlx.controller import build_dlx_controller
 
@@ -135,10 +138,13 @@ def _generate_all(dlx, errors, incremental: bool):
     generator = TestGenerator(
         dlx, exposure_comparator=dlx_exposure_comparator,
         deadline_seconds=20.0,
-        use_incremental_implication=incremental,
     )
+    # The full-sweep arm runs every CTRLJUST search TG makes on the
+    # reference implication backend.
+    backend = partial(CtrlJust, incremental=incremental)
     start = time.monotonic()
-    results = [generator.generate(error) for error in errors]
+    with mock.patch("repro.core.tg.CtrlJust", backend):
+        results = [generator.generate(error) for error in errors]
     return results, time.monotonic() - start
 
 

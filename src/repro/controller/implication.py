@@ -7,19 +7,20 @@ two layers:
 
 * :class:`CompiledNetwork` — a one-time compilation of a network: signal
   names interned to dense integer ids, driven nodes in topological *level*
-  order with their input-id tuples, a fanout adjacency list, and memoized
-  per-node ``eval3`` / ``backtrace_options`` lookup tables (small-domain
-  nodes are fully tabulated).  A full sweep over the compiled arrays is the
-  same fixpoint as ``ControlNetwork.evaluate``, just without rebuilding any
-  dictionaries.
+  order with their input-id tuples, a fanout adjacency list, one keyed
+  ``eval3`` lookup table per node (read through a C-level key function,
+  and shared by every copy of the node across unrolled frames and
+  windows) and a memoized ``backtrace_options``.  A full sweep over the
+  compiled arrays is the same fixpoint as ``ControlNetwork.evaluate``,
+  just without rebuilding any dictionaries.
 
 * :class:`ImplicationSession` — an incremental view of one assignment-
   under-construction.  ``assume(signal, value)`` propagates only through
-  the fanout cone of the changed signal (a level-ordered event queue, so
-  each node is re-evaluated at most once per assume) and records every
-  mutation on a trail; ``retract()`` undoes the most recent assume in
-  O(changed).  The justified / conflicting classification of overridden
-  (cut tertiary) signals is maintained incrementally alongside the values.
+  the fanout cone of the changed signal (per-level buckets, so each node
+  is re-evaluated at most once per assume) and records every mutation on
+  a trail; ``retract()`` undoes the most recent assume in O(changed).
+  The justified / conflicting classification of overridden (cut
+  tertiary) signals is maintained incrementally alongside the values.
 
 The full-sweep path in :mod:`repro.controller.network` stays available as
 the reference oracle; the differential tests drive both on random
@@ -28,13 +29,62 @@ assume/retract sequences and demand bit-identical results.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Mapping, Sequence
 
-#: Upper bound on the size of a precomputed eval3 table per node.  Nodes
-#: whose three-valued input space is larger fall back to calling ``eval3``
-#: (memoized lazily for the combinations actually visited).
+from repro.controller.network import ControlNetworkError
+
+#: Upper bound on the size of a precomputed eval3 table per node.  A node
+#: of several inputs whose three-valued input space is larger gets a table
+#: that fills itself from ``eval3`` with the combinations actually read.
 EVAL_TABLE_LIMIT = 4096
+
+
+class _FillingTable(dict):
+    """The keyed table of a node above ``EVAL_TABLE_LIMIT``: ``eval3``
+    memoized over the input tuples actually read."""
+
+    __slots__ = ("_eval3",)
+
+    def __init__(self, eval3) -> None:
+        super().__init__()
+        self._eval3 = eval3
+
+    def __missing__(self, key):
+        value = self[key] = self._eval3(key)
+        return value
+
+
+def _node_tables(node, domains: tuple) -> tuple[dict, dict | None]:
+    """``(keyed, full)`` ``eval3`` tables of ``node`` over its input
+    ``domains``, each axis extended with X.
+
+    ``keyed`` is indexed by what ``itemgetter(*input_ids)`` reads from a
+    value array: the bare value for a one-input node (tabulated in full
+    whatever its domain size), the value tuple otherwise.  ``full`` is
+    the tuple-keyed table of :attr:`CompiledNetwork.eval_table`, or None
+    above ``EVAL_TABLE_LIMIT``, where ``keyed`` fills itself on a miss.
+
+    A table depends only on the node's function and its input domains,
+    so it is built once per domain tuple and cached on the node; the
+    shallow clones an unrolled controller makes of each node share that
+    cache, so every frame and every window reads the same table objects.
+    """
+    tables = node.tables.get(domains)
+    if tables is None:
+        if len(domains) == 1:
+            keyed = {v: node.eval3((v,)) for v in (*domains[0], None)}
+            full = {(v,): value for v, value in keyed.items()}
+        else:
+            full = node.eval3_table(domains, limit=EVAL_TABLE_LIMIT)
+            keyed = _FillingTable(node.eval3) if full is None else full
+        tables = node.tables[domains] = (keyed, full)
+    return tables
+
+
+def _no_inputs(values) -> tuple:
+    """The key of a node without inputs (``itemgetter()`` takes none)."""
+    return ()
 
 
 class CompiledNetwork:
@@ -61,11 +111,15 @@ class CompiledNetwork:
         self.level = [0] * n
         self.node_of: list[object | None] = [None] * n
         self.inputs_of: list[tuple[int, ...]] = [()] * n
-        #: Precomputed ``eval3`` table per driven id, keyed by the input-
-        #: value tuple; None where it would exceed ``EVAL_TABLE_LIMIT``.
+        #: Per driven id, the key function over a value array: a C-level
+        #: ``itemgetter(*inputs_of[out])``, the bare value for one input.
+        self.key_of: list[object | None] = [None] * n
+        #: Per driven id, the ``eval3`` table that ``key_of[out]`` indexes
+        #: (see ``_node_tables``); node copies share one table object.
+        self.table_of: list[dict | None] = [None] * n
+        #: Tuple-keyed ``eval3`` table per driven id, the lane kernel's
+        #: source; None where it would exceed ``EVAL_TABLE_LIMIT``.
         self.eval_table: list[dict | None] = [None] * n
-        #: Memoized evaluator per driven id: callable(tuple of values).
-        self.eval_of: list[object | None] = [None] * n
         #: Driven ids consuming each signal (the event-propagation edges).
         self.fanout: list[tuple[int, ...]] = [()] * n
 
@@ -83,15 +137,13 @@ class CompiledNetwork:
             )
             for i in dict.fromkeys(in_ids):
                 fanout[i].append(out)
-            table = node.eval3_table(
-                [self.domains[i] for i in in_ids], limit=EVAL_TABLE_LIMIT
-            )
-            self.eval_table[out] = table
-            self.eval_of[out] = (
-                table.__getitem__ if table is not None
-                else _lazy_memo(node.eval3)
+            self.key_of[out] = itemgetter(*in_ids) if in_ids else _no_inputs
+            self.table_of[out], self.eval_table[out] = _node_tables(
+                node, tuple(self.domains[i] for i in in_ids)
             )
         self.fanout = [tuple(consumers) for consumers in fanout]
+        #: Number of distinct levels (the session's bucket count).
+        self.n_levels = 1 + max(self.level, default=0)
         self.external_ids = [i for i in range(n) if not self.is_driven[i]]
         self._backtrace_memo: list[dict | None] = [None] * n
         self._baseline: tuple[list, list] | None = None
@@ -136,11 +188,9 @@ class CompiledNetwork:
             out = self.index.get(name)
             if out is not None and self.is_driven[out]:
                 override_ids[out] = value
-        inputs_of, eval_of = self.inputs_of, self.eval_of
+        key_of, table_of = self.key_of, self.table_of
         for out in self.topo_ids:
-            computed = eval_of[out](
-                tuple(values[i] for i in inputs_of[out])
-            )
+            computed = table_of[out][key_of[out](values)]
             values[out] = override_ids.get(out, computed)
         return values
 
@@ -173,9 +223,13 @@ class CompiledNetwork:
         for i in self.external_ids:
             lines.append(f"    v{i} = get({names[i]!r})")
         for out in self.topo_ids:
-            env[f"e{out}"] = self.eval_of[out]
-            key = "".join(f"v{i}, " for i in self.inputs_of[out])
-            lines.append(f"    v{out} = e{out}(({key}))")
+            env[f"t{out}"] = self.table_of[out]
+            inputs = self.inputs_of[out]
+            if len(inputs) == 1:
+                key = f"v{inputs[0]}"
+            else:
+                key = "(" + "".join(f"v{i}, " for i in inputs) + ")"
+            lines.append(f"    v{out} = t{out}[{key}]")
         lines.append("    return {")
         lines.extend(f"        {name!r}: v{i}," for i, name in enumerate(names))
         lines.append("    }")
@@ -200,9 +254,7 @@ class CompiledNetwork:
         self, out: int, values: Sequence[int | None]
     ) -> int | None:
         """The node function of driven id ``out`` on the current values."""
-        return self.eval_of[out](
-            tuple(values[i] for i in self.inputs_of[out])
-        )
+        return self.table_of[out][self.key_of[out](values)]
 
     # ------------------------------------------------------------------
     # Memoized backtrace
@@ -228,24 +280,12 @@ class CompiledNetwork:
         return options
 
 
-def _lazy_memo(eval3):
-    """``eval3`` memoized over the input combinations actually visited
-    (the evaluator of a node too large to tabulate)."""
-    memo: dict = {}
-
-    def evaluate(values: tuple):
-        try:
-            return memo[values]
-        except KeyError:
-            result = memo[values] = eval3(values)
-            return result
-
-    return evaluate
-
-
-# Trail entry tags (first element of each tuple on the trail).
-_T_VALUE = 0  # (tag, id, previous effective value)
-_T_COMPUTED = 1  # (tag, id, previous computed value)
+# Trail entries.  A driven node without an override has equal effective
+# and computed values, so when propagation changes it the trail holds one
+# untagged ``(id, previous value)`` pair that restores both.  Every other
+# mutation is a tagged triple ``(tag, id, previous)``:
+_T_VALUE = 0  # (tag, id, previous effective value): externals and cuts
+_T_COMPUTED = 1  # (tag, id, previous computed value) of an overridden node
 _T_OVERRIDE = 2  # (tag, id, previous override value or _NO_OVERRIDE)
 _T_CLASS = 3  # (tag, id, previous classification)
 _NO_OVERRIDE = object()
@@ -294,6 +334,12 @@ class ImplicationSession:
         self._conflicting_ids: set[int] = set()
         self._trail: list[tuple] = []
         self._marks: list[int] = []
+        #: Propagation queue: driven ids waiting per level, and a flag per
+        #: id that is set while the id waits (all clear between assumes).
+        self._buckets: list[list[int]] = [
+            [] for _ in range(compiled.n_levels)
+        ]
+        self._pending = [False] * n
         if base_assignment:
             index = compiled.index
             for name, value in base_assignment.items():
@@ -381,25 +427,28 @@ class ImplicationSession:
     # Assume / retract
     # ------------------------------------------------------------------
     def assume(self, name: str, value: int) -> None:
-        """Decide ``name = value`` and propagate its implications."""
+        """Decide ``name = value`` and propagate its implications.
+
+        Raises :class:`ControlNetworkError`, leaving the session as it
+        was, when ``value`` is outside the signal's domain (X included).
+        """
         comp = self.compiled
         i = comp.index[name]
-        self._marks.append(len(self._trail))
+        if value not in comp.domains[i]:
+            raise ControlNetworkError(
+                f"value {value!r} is outside the domain of {name!r}"
+            )
         trail = self._trail
+        self._marks.append(len(trail))
         if comp.is_driven[i]:
             previous = self.overrides.get(i, _NO_OVERRIDE)
             trail.append((_T_OVERRIDE, i, previous))
             self.overrides[i] = value
             self._reclassify(i, value)
-            if self.values[i] != value:
-                trail.append((_T_VALUE, i, self.values[i]))
-                self.values[i] = value
-                self._propagate(comp.fanout[i])
-        else:
-            if self.values[i] != value:
-                trail.append((_T_VALUE, i, self.values[i]))
-                self.values[i] = value
-                self._propagate(comp.fanout[i])
+        if self.values[i] != value:
+            trail.append((_T_VALUE, i, self.values[i]))
+            self.values[i] = value
+            self._propagate(i)
 
     def retract(self) -> None:
         """Undo the most recent :meth:`assume` (values, classification)."""
@@ -407,77 +456,87 @@ class ImplicationSession:
             raise IndexError("retract without a matching assume")
         mark = self._marks.pop()
         trail = self._trail
+        undo = trail[mark:]
+        del trail[mark:]
         values, computed = self.values, self.computed
-        while len(trail) > mark:
-            entry = trail.pop()
-            tag, i = entry[0], entry[1]
+        for entry in reversed(undo):
+            if len(entry) == 2:
+                i, previous = entry
+                values[i] = computed[i] = previous
+                continue
+            tag, i, previous = entry
             if tag == _T_VALUE:
-                values[i] = entry[2]
+                values[i] = previous
             elif tag == _T_COMPUTED:
-                computed[i] = entry[2]
+                computed[i] = previous
             elif tag == _T_OVERRIDE:
-                if entry[2] is _NO_OVERRIDE:
+                if previous is _NO_OVERRIDE:
                     del self.overrides[i]
                 else:
-                    self.overrides[i] = entry[2]
+                    self.overrides[i] = previous
             else:  # _T_CLASS
-                self._set_class(i, entry[2])
+                self._set_class(i, previous)
 
     # ------------------------------------------------------------------
     # Event-driven propagation
     # ------------------------------------------------------------------
-    def _propagate(self, seeds: Iterable[int]) -> None:
-        """Re-evaluate the fanout cone of changed signals in level order.
+    def _propagate(self, changed: int) -> None:
+        """Re-evaluate the fanout cone of signal ``changed`` in level order.
 
-        Levels strictly increase along every edge, so processing the queue
-        in level order evaluates each node at most once per assume with
-        all of its (possibly changed) inputs already final.
+        Levels strictly increase along every edge, so draining the level
+        buckets in ascending order evaluates each node at most once per
+        assume with all of its (possibly changed) inputs already final.
+        The order within a level is immaterial: nodes of one level never
+        read each other.
 
-        This is the hottest loop of the whole test generator (hundreds of
-        thousands of node evaluations per CTRLJUST search), hence the
-        flattened style: heap entries are ``level * n + id`` packed ints
-        (cheaper to compare than tuples), and the per-node evaluation is
-        inlined rather than calling ``compute_node``.
+        This is the hottest loop of the whole test generator (millions of
+        node evaluations per campaign), hence the flattened style: the
+        per-node evaluation is inlined rather than calling
+        ``compute_node``, and a node whose computed value did not change
+        costs one table lookup and one comparison.
         """
         comp = self.compiled
-        level = comp.level
-        n = len(level)
-        inputs_of, eval_of, fanout = comp.inputs_of, comp.eval_of, comp.fanout
-        heappush, heappop = heapq.heappush, heapq.heappop
-        queue = [level[out] * n + out for out in seeds]
-        heapq.heapify(queue)
-        scheduled = set(queue)
-        trail = self._trail
-        trail_append = trail.append
+        level, fanout = comp.level, comp.fanout
+        key_of, table_of = comp.key_of, comp.table_of
+        buckets, pending = self._buckets, self._pending
         values, computed = self.values, self.computed
         overrides = self.overrides
-        while queue:
-            packed = heappop(queue)
-            scheduled.discard(packed)
-            out = packed % n
-            new_computed = eval_of[out](
-                tuple([values[i] for i in inputs_of[out]])
-            )
-            if new_computed != computed[out]:
-                trail_append((_T_COMPUTED, out, computed[out]))
-                computed[out] = new_computed
-            if overrides:
-                decided = overrides.get(out)
-            else:
-                decided = None
-            if decided is not None:
-                self._reclassify(out, decided)
-                effective = decided
-            else:
-                effective = new_computed
-            if effective != values[out]:
-                trail_append((_T_VALUE, out, values[out]))
-                values[out] = effective
+        trail_append = self._trail.append
+        top = 0
+        for out in fanout[changed]:  # deduplicated; nothing is pending
+            pending[out] = True
+            at = level[out]
+            buckets[at].append(out)
+            if at > top:
+                top = at
+        current = level[changed] + 1
+        while current <= top:
+            bucket = buckets[current]
+            current += 1
+            if not bucket:
+                continue
+            for out in bucket:
+                pending[out] = False
+                new = table_of[out][key_of[out](values)]
+                old = computed[out]
+                if new == old:
+                    continue
+                if out in overrides:
+                    # A cut keeps its decided value; only its class moves.
+                    trail_append((_T_COMPUTED, out, old))
+                    computed[out] = new
+                    self._reclassify(out, overrides[out])
+                    continue
+                trail_append((out, old))
+                computed[out] = values[out] = new
                 for consumer in fanout[out]:
-                    entry = level[consumer] * n + consumer
-                    if entry not in scheduled:
-                        scheduled.add(entry)
-                        heappush(queue, entry)
+                    if not pending[consumer]:
+                        pending[consumer] = True
+                        at = level[consumer]
+                        buckets[at].append(consumer)
+                        if at > top:
+                            top = at
+            bucket.clear()
 
     # ------------------------------------------------------------------
     # Justified / conflicting bookkeeping

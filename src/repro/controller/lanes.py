@@ -19,10 +19,11 @@ results over all input combinations, flattened in ``itertools.product``
 order over each input's domain followed by X: a node reading ``a`` and
 ``b`` reads entry ``a * (len(domain_b) + 1) + b``.  The entries are those
 of the scalar compiled network's ``eval3`` tables (``eval_table``); a node
-above ``EVAL_TABLE_LIMIT``, which the scalar network only memoizes
-lazily, is tabulated in full here from ``eval3`` itself, leaving the
-scalar memo untouched.  Each lane therefore computes exactly what
-:meth:`CompiledNetwork.kernel` computes for that lane's assignment.
+above ``EVAL_TABLE_LIMIT``, whose scalar table fills itself only with
+the combinations read, is tabulated in full here from ``eval3`` itself,
+leaving the scalar table untouched.  Each lane therefore computes
+exactly what :meth:`CompiledNetwork.kernel` computes for that lane's
+assignment.
 
 Like the scalar kernel, the evaluator is generated once per compiled
 network with ``compile``/``exec``: one statement per driven node in

@@ -27,6 +27,11 @@ class ControlNode:
 
     def __init__(self, inputs: Sequence[str]) -> None:
         self.inputs: list[str] = list(inputs)
+        #: Compiled ``eval3`` tables by input-domain tuple, filled by
+        #: :class:`repro.controller.implication.CompiledNetwork`.  A
+        #: shallow copy shares this dict on purpose: the per-frame clones
+        #: of an unrolled controller compute the same function.
+        self.tables: dict = {}
 
     def eval3(self, values: Sequence[int | None]) -> int | None:
         raise NotImplementedError

@@ -137,6 +137,7 @@ class PipelinedController:
         self.n_stages = n_stages
         self.network = ControlNetwork(name)
         self.cprs: list[PipeRegister] = []
+        self._clock_edges: dict[PipeRegister, CprNode] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -275,6 +276,21 @@ class PipelinedController:
     def unroll(self, n_frames: int) -> "UnrolledController":
         return UnrolledController(self, n_frames)
 
+    def clock_edge(self, cpr: PipeRegister) -> CprNode:
+        """``cpr``'s clock edge as a :class:`CprNode` over this cycle's
+        signals, built once: unrolling clones it into every frame, so all
+        frames of all windows share its compiled tables."""
+        node = self._clock_edges.get(cpr)
+        if node is None:
+            node = self._clock_edges[cpr] = CprNode(
+                d=cpr.d,
+                q_prev=cpr.q if cpr.enable is not None else None,
+                enable=cpr.enable,
+                clear=cpr.clear,
+                clear_value=cpr.clear_value,
+            )
+        return node
+
 
 def instance_name(frame: int, signal: str) -> str:
     """Name of a signal instance in the unrolled array."""
@@ -344,27 +360,8 @@ class UnrolledController:
                 if frame == 0:
                     self.network.drive(q_inst, ConstNode(cpr.reset))
                 else:
-                    prev = frame - 1
-                    node = CprNode(
-                        d=instance_name(prev, cpr.d),
-                        q_prev=(
-                            instance_name(prev, cpr.q)
-                            if cpr.enable is not None
-                            else None
-                        ),
-                        enable=(
-                            instance_name(prev, cpr.enable)
-                            if cpr.enable is not None
-                            else None
-                        ),
-                        clear=(
-                            instance_name(prev, cpr.clear)
-                            if cpr.clear is not None
-                            else None
-                        ),
-                        clear_value=cpr.clear_value,
-                    )
-                    self.network.drive(q_inst, node)
+                    node = self.controller.clock_edge(cpr)
+                    self.network.drive(q_inst, _clone_node(node, frame - 1))
 
     # ------------------------------------------------------------------
     # Decision-variable enumeration (pipeframe organization)

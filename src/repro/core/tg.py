@@ -173,9 +173,6 @@ class TestGenerator:
     #: Optional processor-specific divergence check ``(processor, good,
     #: bad) -> (cycle, net) | None``; defaults to raw DPO comparison.
     exposure_comparator: object | None = None
-    #: Event-driven incremental implication in CTRLJUST (the default);
-    #: ``False`` selects the full-sweep reference oracle.
-    use_incremental_implication: bool = True
     #: Event-driven incremental C/O propagation in DPTRACE (the default);
     #: ``False`` re-sweeps the window per decision — the reference oracle.
     use_incremental_dptrace: bool = True
@@ -784,7 +781,6 @@ class TestGenerator:
             engine = CtrlJust(
                 unrolled, max_backtracks=limit,
                 variant=justify_variant,
-                incremental=self.use_incremental_implication,
                 deadline=deadline_at,
                 refute_conflicts=refute_budget,
                 backjump=self.use_backjumping,

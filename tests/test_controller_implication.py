@@ -8,7 +8,11 @@ same assignment and overrides.  The tests below drive random operation
 sequences on the two-stage toy, the MiniPipe controller, and the DLX
 controller, and additionally demand that CTRLJUST reaches bit-identical
 outcomes (status, assignment, CTI values, implied values, backtracks,
-decisions) through the incremental and full-sweep backends.
+decisions, backjumps) through the incremental and full-sweep backends,
+also under the backjumping and refutation-probe settings campaigns use.
+Every frame of every unrolled window must read its source node's
+compiled table object, and an out-of-domain ``assume`` must leave the
+session unchanged.
 
 The generated evaluate kernel (``CompiledNetwork.kernel``, what
 ``ControlNetwork.evaluate`` runs without overrides) is held to the same
@@ -27,7 +31,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.controller.implication import CompiledNetwork
+from repro.controller.implication import (
+    CompiledNetwork,
+    ImplicationSession,
+)
 from repro.controller.network import ControlNetworkError
 from repro.controller.nodes import AndNode, BufNode, InSetNode, NotNode
 from repro.controller.pipeline import PipelinedController
@@ -74,12 +81,14 @@ def _assert_matches_oracle(unrolled, session, stack):
     assert session.depth == len(stack)
 
 
-def _random_walk(unrolled, rng, n_ops, check_every=1):
-    """Drive a random assume/retract sequence, checking against the
-    oracle every ``check_every`` operations and once at the end."""
+def _random_walk(unrolled, rng, n_ops, check_every=1, session=None):
+    """Drive a random assume/retract sequence on ``session`` (a fresh one
+    by default), checking against the oracle every ``check_every``
+    operations and once at the end."""
     decisions = unrolled.decision_instances()
     signals = unrolled.network.signals
-    session = unrolled.session()
+    if session is None:
+        session = unrolled.session()
     stack = []
     for op in range(n_ops):
         if stack and rng.random() < 0.4:
@@ -119,6 +128,50 @@ def test_dlx_session_matches_full_sweep(seed):
     _random_walk(
         _unrolled("dlx", 4), random.Random(seed), n_ops=16, check_every=4
     )
+
+
+def test_dlx_walk_reads_self_filling_and_one_input_tables():
+    # The walk's session runs on its own compilation of the network, whose
+    # key functions record the nodes the session evaluates; the oracle
+    # keeps the network's cached compilation.
+    unrolled = _unrolled("dlx", 6)
+    compiled = CompiledNetwork(unrolled.network)
+    session = ImplicationSession(compiled)
+    evaluated = set()
+
+    def recording(out, key):
+        def read_key(values):
+            evaluated.add(out)
+            return key(values)
+        return read_key
+
+    compiled.key_of = [
+        key if key is None else recording(out, key)
+        for out, key in enumerate(compiled.key_of)
+    ]
+    _random_walk(unrolled, random.Random(11), n_ops=30, check_every=10,
+                 session=session)
+    # Above EVAL_TABLE_LIMIT: no tuple-keyed table, a self-filling one.
+    assert any(compiled.eval_table[out] is None for out in evaluated)
+    assert any(len(compiled.inputs_of[out]) == 1 for out in evaluated)
+
+
+@pytest.mark.parametrize("value", [999, None])
+def test_assume_outside_the_domain_leaves_the_session_unchanged(value):
+    unrolled = _unrolled("dlx", 5)
+    session = unrolled.session()
+    session.assume("1:op", unrolled.network.signals["1:op"].domain[1])
+    before = session.snapshot()
+    with pytest.raises(ControlNetworkError, match="outside the domain"):
+        session.assume("0:op", value)
+    assert session.depth == 1
+    assert session.snapshot() == before
+    # Propagation still works after the rejected assume.
+    stack = [("1:op", before["1:op"]), ("0:op", 0)]
+    session.assume("0:op", 0)
+    _assert_matches_oracle(unrolled, session, stack)
+    session.retract()
+    assert session.snapshot() == before
 
 
 def test_assume_same_signal_twice_then_retract():
@@ -207,13 +260,15 @@ def _result_tuple(result):
         result.implied,
         result.backtracks,
         result.decisions,
+        result.backjumps,
     )
 
 
 def _assert_backends_identical(unrolled, objectives, **kwargs):
     fast = CtrlJust(unrolled, incremental=True, **kwargs).justify(objectives)
     slow = CtrlJust(unrolled, incremental=False, **kwargs).justify(objectives)
-    assert _result_tuple(fast) == _result_tuple(slow)
+    assert _result_tuple(fast) == _result_tuple(slow), \
+        (unrolled.n_frames, kwargs)
     return fast
 
 
@@ -247,6 +302,12 @@ def test_minipipe_backends_identical_random_objectives(seed):
     _assert_backends_identical(unrolled, objectives)
 
 
+#: CTRLJUST settings the DLX identity runs under: the defaults, and what
+#: campaigns run (backjumping, and the refutation probe with
+#: ``TestGenerator.refute_conflict_limit`` conflicts).
+_DLX_SEARCHES = ({}, {"backjump": True, "refute_conflicts": 24})
+
+
 @pytest.mark.parametrize("objectives", [
     [("4:regwrite_g_ctl", 1)],
     [("4:memwrite_ctl", 1)],
@@ -254,7 +315,12 @@ def test_minipipe_backends_identical_random_objectives(seed):
     [("4:regwrite_g_ctl", 1), ("3:stall", 1)],
 ])
 def test_dlx_backends_identical(objectives):
-    _assert_backends_identical(_unrolled("dlx", 5), objectives)
+    # The smallest and the largest window TG unrolls for DLX.
+    for n_frames in (6, 9):
+        for search in _DLX_SEARCHES:
+            _assert_backends_identical(
+                _unrolled("dlx", n_frames), objectives, **search
+            )
 
 
 def test_backtrack_budget_enforced_inside_loop():
@@ -406,6 +472,55 @@ def test_kernel_is_built_lazily_and_rebuilt_after_edits():
     assert network.compiled().kernel() is not kernel
     assert third["spare_load"] == 1
     _assert_kernel_matches_sweep(network, {"op": 2, "spare": 1})
+
+
+def test_unrolled_windows_share_node_tables():
+    ctl = build_dlx_controller()
+    source = ctl.network.compiled()
+    windows = {n: ctl.unroll(n).compiled() for n in (6, 9)}
+    for name in ctl.network.drivers:
+        table = source.table_of[source.index[name]]
+        for n, compiled in windows.items():
+            for frame in range(n):
+                inst = compiled.index[f"{frame}:{name}"]
+                assert compiled.table_of[inst] is table, (n, frame, name)
+    # Every frame's clock edge of one register reads one table as well.
+    for cpr in ctl.cprs:
+        tables = {
+            id(compiled.table_of[compiled.index[f"{frame}:{cpr.q}"]])
+            for n, compiled in windows.items()
+            for frame in range(1, n)
+        }
+        assert len(tables) == 1, cpr.q
+
+
+def test_edits_rebuild_the_compiled_network_around_shared_tables():
+    ctl = build_two_stage()
+    network = ctl.network
+    compiled = network.compiled()
+    tables = {
+        name: compiled.table_of[compiled.index[name]]
+        for name in network.drivers
+    }
+    ctl.add_signal(bit_signal("spare", SignalKind.CPI, stage=0))
+    after_signal = network.compiled()
+    assert after_signal is not compiled
+    ctl.add_signal(bit_signal("spare_load"))
+    ctl.drive("spare_load", AndNode(["spare", "is_load"]))
+    rebuilt = network.compiled()
+    assert rebuilt is not after_signal
+    # Unchanged nodes keep their tables; the new node is compiled too.
+    for name, table in tables.items():
+        assert rebuilt.table_of[rebuilt.index[name]] is table
+    assert network.evaluate({"op": 2, "spare": 1})["spare_load"] == 1
+    _assert_kernel_matches_sweep(network, {"op": 2, "spare": 1})
+    # A window unrolled after the edits computes the new node.
+    unrolled = ctl.unroll(3)
+    session = unrolled.session()
+    session.assume("1:op", 2)
+    session.assume("1:spare", 1)
+    assert session.value("1:spare_load") == 1
+    _assert_matches_oracle(unrolled, session, [("1:op", 2), ("1:spare", 1)])
 
 
 def _random_cycle(controller, rng):

@@ -1,7 +1,10 @@
 """Unit-level tests for the overall TG driver."""
 
+from functools import partial
+
 import pytest
 
+from repro.core.ctrljust import CtrlJust
 from repro.core.tg import TestGenerator, TGStatus
 from repro.errors import BusSSLError, ModuleSubstitutionError
 from repro.mini import build_minipipe
@@ -98,12 +101,16 @@ def test_tg_golden_cache_shared_across_errors(processor):
     assert second.golden_hits >= 1
 
 
-def test_tg_full_sweep_backend_matches_incremental(processor):
-    for error in (BusSSLError("alu_mux.y", 2, 1), BusSSLError("eq", 0, 0)):
-        fast = TestGenerator(processor).generate(error)
-        slow = TestGenerator(
-            processor, use_incremental_implication=False
-        ).generate(error)
+def test_tg_full_sweep_backend_matches_incremental(processor, monkeypatch):
+    errors = (BusSSLError("alu_mux.y", 2, 1), BusSSLError("eq", 0, 0))
+    fast_results = [TestGenerator(processor).generate(e) for e in errors]
+    # The full-sweep oracle: every CTRLJUST search TG runs, on the
+    # reference implication backend.
+    monkeypatch.setattr(
+        "repro.core.tg.CtrlJust", partial(CtrlJust, incremental=False)
+    )
+    for error, fast in zip(errors, fast_results):
+        slow = TestGenerator(processor).generate(error)
         assert slow.status is fast.status
         assert slow.backtracks == fast.backtracks
         assert slow.attempts == fast.attempts
