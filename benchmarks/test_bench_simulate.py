@@ -27,14 +27,17 @@ as a CI artifact).  ``REPRO_FULL=1`` widens the samples.
 """
 
 import time
+from functools import partial
+from unittest import mock
 
 import pytest
 
 from benchmarks.conftest import full_run
 
 from repro.campaign.serialize import save_json
-from repro.core.tg import TestGenerator, TGStatus
+from repro.core.tg import _FORK_UNDECIDED, TestGenerator, TGStatus
 from repro.datapath import CompiledDatapathSimulator, DatapathSimulator
+from repro.verify.cosim import GoldenTraceCache, ProcessorSimulator
 
 _RESULTS: dict = {}
 
@@ -158,10 +161,17 @@ def _generate_all(dlx, errors, compiled: bool):
     generator = TestGenerator(
         dlx, exposure_comparator=dlx_exposure_comparator,
         deadline_seconds=20.0,
-        use_compiled_datapath=compiled,
     )
+    simulator = ProcessorSimulator
+    if not compiled:
+        # The interpretive arm: both halves of every exposure check on
+        # the interpretive simulator, and no fork screen in front.
+        generator._golden = GoldenTraceCache(compiled=False)
+        generator._fork_exposure = lambda error, good: _FORK_UNDECIDED
+        simulator = partial(ProcessorSimulator, compiled=False)
     start = time.monotonic()
-    results = [generator.generate(error) for error in errors]
+    with mock.patch("repro.core.tg.ProcessorSimulator", simulator):
+        results = [generator.generate(error) for error in errors]
     return results, time.monotonic() - start
 
 

@@ -34,12 +34,15 @@ Results land in ``BENCH_tg.json`` (uploaded as a CI artifact).
 
 import random
 import time
+from functools import partial
+from unittest import mock
 
 import pytest
 
 from benchmarks.conftest import full_run
 
 from repro.campaign.serialize import save_json
+from repro.core.dptrace import DPTrace
 from repro.model.pathsession import AnalyzerSession, _session_meta
 
 _RESULTS: dict = {}
@@ -147,12 +150,16 @@ def _run_campaign(accelerated: bool):
     from repro.campaign import DlxCampaign
 
     campaign = DlxCampaign(deadline_seconds=10.0)
+    tracer = DPTrace
     if not accelerated:
+        # The baseline arm: no learning, and every DPTRACE selection on
+        # the full-recompute path.
         campaign.generator.use_learned_nogoods = False
-        campaign.generator.use_incremental_dptrace = False
+        tracer = partial(DPTrace, incremental=False)
     errors = campaign.default_errors()[::12]
     start = time.monotonic()
-    report = campaign.run(errors, error_simulation=True)
+    with mock.patch("repro.core.tg.DPTrace", tracer):
+        report = campaign.run(errors, error_simulation=True)
     seconds = time.monotonic() - start
     return campaign, report, seconds
 

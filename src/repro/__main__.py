@@ -32,13 +32,6 @@ Campaign flags (``table1`` and ``minipipe``):
   DPRELAX / cosim) as ``error-profile`` events plus one
   ``profile-summary``, visible in the progress feed and the ``--json``
   report
-* ``--restarts``      EVSIDS activity ordering + Luby restarts inside
-  CTRLJUST (off by default; outcomes may only improve — see
-  ``docs/PERFORMANCE.md``)
-* ``--deadline-bank`` adaptive deadline banking: easy errors deposit
-  unspent CPU budget, deadline-aborted errors are re-queued once with a
-  doubled deadline paid from the bank, and dispatch becomes
-  hardest-last (off by default)
 * ``--remote URL``    submit the campaign to a running ``repro serve``
   instance instead of executing locally; progress streams back live and
   ``--json`` receives the server's (identical) run report
@@ -104,8 +97,6 @@ def _run_campaign_command(args, target: str, title: str | None) -> int:
         checkpoint_path=args.checkpoint,
         resume=args.resume,
         profile=args.profile,
-        restarts=args.restarts,
-        deadline_bank=args.deadline_bank,
     )
     events = EventStream()
     log = EventLog()
@@ -358,15 +349,6 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", action="store_true",
                         help="record per-phase TG timings in the event "
                              "stream / --json report")
-    parser.add_argument("--restarts", action="store_true",
-                        help="EVSIDS activity ordering + Luby restarts in "
-                             "CTRLJUST (default off; knobs-off runs are "
-                             "byte-identical)")
-    parser.add_argument("--deadline-bank", action="store_true",
-                        help="bank unspent per-error CPU budget and "
-                             "re-queue deadline-aborted errors once with "
-                             "a doubled deadline; dispatch becomes "
-                             "hardest-last (default off)")
     parser.add_argument("--remote", metavar="URL", default=None,
                         help="submit to a running campaign service "
                              "(repro serve) instead of running locally; "

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from repro.campaign.runner import ErrorOutcome
+from repro.campaign.runner import ErrorOutcome, outcome_from_dict
 
 RECORD_KIND = "campaign-checkpoint"
 
@@ -47,7 +47,7 @@ class CheckpointRecord:
         if data.get("kind") != RECORD_KIND:
             raise ValueError("not a campaign checkpoint record")
         return CheckpointRecord(
-            outcome=ErrorOutcome(**data["outcome"]),
+            outcome=outcome_from_dict(data["outcome"]),
             test=data.get("test"),
         )
 

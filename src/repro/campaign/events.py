@@ -23,16 +23,7 @@ wall-clock time):
 ``error-finished``
     ``error``, ``index``, ``detected``, ``failure_stage``, ``test_length``,
     ``backtracks``, ``final_backtracks``, ``attempts``, ``seconds``,
-    ``cpu_seconds`` (process CPU time the attempt consumed) and
-    ``deadline_grant`` (the CPU deadline the attempt ran under — the
-    base deadline, or the doubled grant on a banked retry).
-``error-requeued``
-    ``error``, ``index``, ``grant_seconds`` (extra budget withdrawn from
-    the deadline bank), ``total_deadline`` (base + grant the retry runs
-    under) and ``balance_seconds`` (bank balance after the withdrawal).
-    Emitted only with ``--deadline-bank``, between the main queue
-    draining and the retry's second ``error-finished`` (which replaces
-    the aborted outcome in the report).
+    ``cpu_seconds`` (process CPU time the attempt consumed).
 ``error-profile``
     ``error``, ``index``, ``phase_seconds`` (CPU seconds per TG phase:
     dptrace / ctrljust / dprelax / cosim), ``golden_hits``,
@@ -45,11 +36,10 @@ wall-clock time):
     session replaced), and the CDCL refuter counters ``conflicts``,
     ``learned_clauses``, ``backjumps``, ``clause_hits`` and
     ``refuted_unjustifiable`` (windows proven unjustifiable instead of
-    search-exhausted; see ``repro.core.clauses``), plus ``restarts``
-    (Luby restarts the error's searches performed, 0 with restart mode
-    off) and ``deadline_hit`` (the attempt was cut short by its CPU
-    deadline and is taint-excluded from learning and banking).  Emitted
-    only when profiling is enabled (``--profile``).
+    search-exhausted; see ``repro.core.clauses``), plus ``deadline_hit``
+    (the attempt was cut short by its CPU deadline and is taint-excluded
+    from learning).  Emitted only when profiling is enabled
+    (``--profile``).
 ``profile-summary``
     The same fields as ``error-profile`` (minus ``error``/``index``),
     summed over every error.  One per profiled campaign, before
@@ -104,13 +94,12 @@ from typing import Any, Callable
 
 #: Version of the serialized event wire format.  Bump on breaking payload
 #: changes; additive fields do not require a bump.
-EVENT_SCHEMA_VERSION = 1
+EVENT_SCHEMA_VERSION = 2
 
 EVENT_KINDS = frozenset({
     "campaign-started",
     "error-started",
     "error-finished",
-    "error-requeued",
     "error-profile",
     "profile-summary",
     "test-dropped-others",
@@ -278,14 +267,6 @@ class ProgressRenderer:
                 status = f"aborted ({data['failure_stage']})"
             self._line(f"[{self._done:>4}/{self._total}] {data['error']}: "
                        f"{status} in {data['seconds']:.1f}s")
-        elif event.kind == "error-requeued":
-            # The retry's error-finished replaces the aborted outcome,
-            # so back the counter off one to keep [done/total] honest.
-            self._done = max(0, self._done - 1)
-            self._line(f"[{self._done:>4}/{self._total}] {data['error']}: "
-                       f"re-queued with {data['grant_seconds']:.1f}s banked "
-                       f"budget ({data['total_deadline']:.1f}s total, "
-                       f"{data['balance_seconds']:.1f}s left in bank)")
         elif event.kind == "test-dropped-others":
             dropped = data["dropped"]
             self._done += len(dropped)
@@ -318,9 +299,6 @@ class ProgressRenderer:
                     f"{data['learned_clauses']} clause(s) learned, "
                     f"{data['backjumps']} backjump(s), "
                     f"{data['clause_hits']} certificate hit(s)")
-            if data.get("restarts"):
-                self._line(f"profile: restarts: {data['restarts']} "
-                           f"Luby restart(s)")
         elif event.kind == "campaign-interrupted":
             resume = (" (resumable via --resume)"
                       if data.get("resumable") else "")

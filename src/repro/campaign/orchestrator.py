@@ -26,7 +26,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
-from repro.campaign.banking import DeadlineBank, EffortPredictor
 from repro.campaign.checkpoint import CampaignCheckpoint
 from repro.campaign.events import CampaignEvent, EventStream
 from repro.campaign.runner import (
@@ -42,21 +41,16 @@ from repro.errors.models import DesignError
 CAMPAIGN_TARGETS = ("dlx", "mini")
 
 
-def build_campaign(
-    target: str, deadline_seconds: float, restarts: bool = False
-) -> CampaignBase:
+def build_campaign(target: str, deadline_seconds: float) -> CampaignBase:
     """The campaign driver for a named test vehicle."""
     if target == "dlx":
-        campaign = DlxCampaign(deadline_seconds=deadline_seconds)
-    elif target == "mini":
-        campaign = MiniCampaign(deadline_seconds=deadline_seconds)
-    else:
-        raise ValueError(
-            f"unknown campaign target {target!r} (expected one of "
-            f"{', '.join(CAMPAIGN_TARGETS)})"
-        )
-    campaign.generator.use_restarts = restarts
-    return campaign
+        return DlxCampaign(deadline_seconds=deadline_seconds)
+    if target == "mini":
+        return MiniCampaign(deadline_seconds=deadline_seconds)
+    raise ValueError(
+        f"unknown campaign target {target!r} (expected one of "
+        f"{', '.join(CAMPAIGN_TARGETS)})"
+    )
 
 
 @dataclass(frozen=True)
@@ -72,16 +66,6 @@ class OrchestratorConfig:
     #: Emit per-error ``error-profile`` events (TG phase timings) and one
     #: aggregated ``profile-summary`` into the event stream / JSON report.
     profile: bool = False
-    #: Restart-capable CTRLJUST (EVSIDS activity ordering, phase saving,
-    #: Luby restarts — see ``repro.core.ctrljust``); activity snapshots
-    #: pool across workers like no-goods.  Off by default: may only
-    #: improve outcomes on deadline-capped errors.
-    restarts: bool = False
-    #: Adaptive deadline banking (see ``repro.campaign.banking``):
-    #: easy errors deposit unspent CPU budget, deadline-aborted errors
-    #: are re-queued once with one extra base deadline, and dispatch is
-    #: easiest-first via the effort predictor.  Off by default.
-    deadline_bank: bool = False
 
     def __post_init__(self) -> None:
         if self.target not in CAMPAIGN_TARGETS:
@@ -101,35 +85,28 @@ class OrchestratorConfig:
 _WORKER_CAMPAIGN: CampaignBase | None = None
 
 
-def _worker_init(
-    target: str, deadline_seconds: float, restarts: bool = False
-) -> None:
+def _worker_init(target: str, deadline_seconds: float) -> None:
     global _WORKER_CAMPAIGN
-    _WORKER_CAMPAIGN = build_campaign(target, deadline_seconds, restarts)
+    _WORKER_CAMPAIGN = build_campaign(target, deadline_seconds)
 
 
-def _worker_run(item: tuple[int, DesignError, list, list, list, float]):
-    """Run one error in the worker; pool learned no-goods, refutation
-    certificates and activity snapshots both ways.
+def _worker_run(item: tuple[int, DesignError, list, list]):
+    """Run one error in the worker; pool learned no-goods and refutation
+    certificates both ways.
 
     The coordinator ships every record it knows with the task; the worker
     merges them (idempotent) before searching, and returns only what it
     learned locally since its last report (``export_records`` drains the
-    fresh list; merged foreign records never re-export).  ``grant`` is a
-    non-zero total CPU deadline for banked-retry tasks: the worker runs
-    just this error under the raised budget and then restores its base
-    deadline.
+    fresh list; merged foreign records never re-export).
     """
     from repro.campaign.serialize import (
-        activity_records_from_wire,
-        activity_records_to_wire,
         clause_records_from_wire,
         clause_records_to_wire,
         nogood_records_from_wire,
         nogood_records_to_wire,
     )
 
-    index, error, records, clause_records, activity_records, grant = item
+    index, error, records, clause_records = item
     generator = _WORKER_CAMPAIGN.generator
     nogoods = generator.nogoods
     clauses = generator.clauses
@@ -137,27 +114,13 @@ def _worker_run(item: tuple[int, DesignError, list, list, list, float]):
         nogoods.merge_records(nogood_records_from_wire(records))
     if clause_records:
         clauses.merge_records(clause_records_from_wire(clause_records))
-    if activity_records:
-        generator.activity.merge_records(
-            activity_records_from_wire(activity_records)
-        )
-    saved_deadline = generator.deadline_seconds
-    if grant:
-        generator.deadline_seconds = grant
-    try:
-        outcome, realized = _WORKER_CAMPAIGN._run_error_with_test(error)
-    finally:
-        generator.deadline_seconds = saved_deadline
+    outcome, realized = _WORKER_CAMPAIGN._run_error_with_test(error)
     test = None
     if realized is not None:
         test = _WORKER_CAMPAIGN.serialize_realized(realized)
     learned = nogood_records_to_wire(nogoods.export_records())
     learned_clauses = clause_records_to_wire(clauses.export_records())
-    learned_activity = activity_records_to_wire(
-        generator.activity.export_records()
-    )
-    return (index, vars(outcome).copy(), test, learned, learned_clauses,
-            learned_activity)
+    return index, vars(outcome).copy(), test, learned, learned_clauses
 
 
 def campaign_run_to_dict(
@@ -201,18 +164,9 @@ class CampaignOrchestrator:
         self.config = config
         self.events = events if events is not None else EventStream()
         if campaign is None:
-            campaign = build_campaign(
-                config.target, config.deadline_seconds, config.restarts
-            )
-        else:
-            # A pre-built (e.g. warm service) campaign follows this run's
-            # restart knob, exactly like its deadline is re-armed per
-            # request by the cache registry.
-            campaign.generator.use_restarts = config.restarts
+            campaign = build_campaign(config.target, config.deadline_seconds)
         self.campaign = campaign
         self._stop = threading.Event()
-        self._bank: DeadlineBank | None = None
-        self._predictor: EffortPredictor | None = None
 
     def default_errors(self, **kwargs) -> list[DesignError]:
         return self.campaign.default_errors(**kwargs)
@@ -245,15 +199,6 @@ class CampaignOrchestrator:
             for index, error in enumerate(errors)
             if error.describe() not in completed
         ]
-        if config.deadline_bank:
-            self._bank = DeadlineBank()
-            self._predictor = EffortPredictor(self.campaign)
-            # Easiest-first dispatch (hardest-last completion): cheap
-            # detections run — and, with dropping, retire siblings —
-            # before the deadline-pinned stragglers get their turn.
-            pending.sort(
-                key=lambda ie: (self._predictor.predict(ie[1]), ie[0])
-            )
         self.events.emit(
             "campaign-started",
             target=config.target,
@@ -278,8 +223,6 @@ class CampaignOrchestrator:
             if checkpoint is not None:
                 checkpoint.close()
         report.total_seconds = time.monotonic() - start
-        if self._bank is not None:
-            report.bank = self._bank.stats()
         if self._stop.is_set():
             report.interrupted = True
             self.events.emit(
@@ -305,10 +248,9 @@ class CampaignOrchestrator:
     ) -> set[str]:
         """Seed ``report`` with checkpointed outcomes; return their keys.
 
-        Last record wins per error: a banked retry appends a *second*
-        record for its error (append-then-replace semantics), and the
-        retry outcome is the final one.  Ordinary runs write one record
-        per error, for which last-wins equals the historical first-wins.
+        Last record wins per error.  A run writes one record per error,
+        but checkpoints from older versions that re-ran an error hold a
+        second record for it, and the re-run outcome is the final one.
         """
         if not self.config.resume:
             return set()
@@ -335,10 +277,6 @@ class CampaignOrchestrator:
         checkpoint: CampaignCheckpoint | None,
     ) -> int:
         index_of = {error.describe(): index for index, error in pending}
-        error_of = {error.describe(): error for _, error in pending}
-        #: (index, error, outcome) triples eligible for a banked retry,
-        #: processed in original-index order after the queue drains.
-        retry_candidates: list = []
 
         def on_started(error: DesignError) -> None:
             self.events.emit(
@@ -353,19 +291,6 @@ class CampaignOrchestrator:
             if realized is not None and checkpoint is not None:
                 test = self.campaign.serialize_realized(realized)
             self._write_checkpoint(checkpoint, outcome, test)
-            if self._bank is not None:
-                error = error_of[outcome.error]
-                self._bank_account(
-                    outcome, error, index_of[outcome.error],
-                    retry_candidates,
-                )
-                if len(remaining) > 1:
-                    # Refresh hardest-last ordering with what this
-                    # completion taught the predictor.
-                    remaining.sort(
-                        key=lambda e: (self._predictor.predict(e),
-                                       index_of[e.describe()])
-                    )
 
         def on_dropped(outcome, dropped, seconds) -> None:
             self.events.emit(
@@ -388,58 +313,7 @@ class CampaignOrchestrator:
             on_dropped=on_dropped,
             should_stop=self._stop.is_set,
         )
-        if (
-            self._bank is not None
-            and retry_candidates
-            and not self._stop.is_set()
-        ):
-            self._retry_serial(retry_candidates, report, checkpoint)
         return len(remaining)
-
-    def _retry_serial(
-        self,
-        candidates: list,
-        report: CampaignReport,
-        checkpoint: CampaignCheckpoint | None,
-    ) -> None:
-        """Re-run deadline-aborted errors once with banked time (jobs=1).
-
-        The retry outcome *replaces* the original in the report (and is
-        appended to the checkpoint, where last-record-wins on resume).
-        Grants are conservative: nothing a retry leaves unspent is
-        re-deposited, so the bank can never mint budget.
-        """
-        base = self.config.deadline_seconds
-        generator = self.campaign.generator
-        for index, error, outcome in sorted(candidates, key=lambda c: c[0]):
-            if self._stop.is_set():
-                return
-            if not self._bank.try_grant(outcome.error, base):
-                continue
-            total = base * 2
-            self.events.emit(
-                "error-requeued",
-                error=outcome.error,
-                index=index,
-                grant_seconds=base,
-                total_deadline=total,
-                balance_seconds=self._bank.balance,
-            )
-            saved = generator.deadline_seconds
-            generator.deadline_seconds = total
-            try:
-                retry, realized = self.campaign._run_error_with_test(error)
-            finally:
-                generator.deadline_seconds = saved
-            position = next(
-                i for i, o in enumerate(report.outcomes) if o is outcome
-            )
-            report.outcomes[position] = retry
-            self._emit_finished(retry, index)
-            test = None
-            if realized is not None and checkpoint is not None:
-                test = self.campaign.serialize_realized(realized)
-            self._write_checkpoint(checkpoint, retry, test)
 
     # ------------------------------------------------------------------
     # Parallel path (jobs>1): sharded pool with coordinator-side dropping
@@ -451,8 +325,6 @@ class CampaignOrchestrator:
         checkpoint: CampaignCheckpoint | None,
     ) -> int:
         from repro.campaign.serialize import (
-            activity_records_from_wire,
-            activity_records_to_wire,
             clause_records_from_wire,
             clause_records_to_wire,
             nogood_records_from_wire,
@@ -461,35 +333,19 @@ class CampaignOrchestrator:
 
         config = self.config
         queue: deque[tuple[int, DesignError]] = deque(pending)
-        #: The coordinator's pooled no-good, certificate and activity
-        #: stores: everything any worker has reported so far, fanned back
-        #: out with each dispatch.  They ride on the coordinator
-        #: campaign's own generator so a later in-process run (or serial
-        #: fallback) keeps the learning.
+        #: The coordinator's pooled no-good and certificate stores:
+        #: everything any worker has reported so far, fanned back out
+        #: with each dispatch.  They ride on the coordinator campaign's
+        #: own generator so a later in-process run (or serial fallback)
+        #: keeps the learning.
         pooled = self.campaign.generator.nogoods
         pooled_clauses = self.campaign.generator.clauses
-        pooled_activity = self.campaign.generator.activity
-        #: (index, error, outcome, position-in-report) eligible for a
-        #: banked retry once the normal queue drains.
-        retry_candidates: list = []
         with ProcessPoolExecutor(
             max_workers=config.jobs,
             initializer=_worker_init,
-            initargs=(config.target, config.deadline_seconds,
-                      config.restarts),
+            initargs=(config.target, config.deadline_seconds),
         ) as pool:
             in_flight: dict = {}
-
-            def shipped_records() -> tuple[list, list, list]:
-                known = nogood_records_to_wire(pooled.all_records())
-                known_clauses = clause_records_to_wire(
-                    pooled_clauses.all_records()
-                )
-                known_activity = (
-                    activity_records_to_wire(pooled_activity.all_records())
-                    if config.restarts else []
-                )
-                return known, known_clauses, known_activity
 
             def dispatch() -> None:
                 if self._stop.is_set():
@@ -499,25 +355,14 @@ class CampaignOrchestrator:
                     self.events.emit(
                         "error-started", error=error.describe(), index=index
                     )
-                    known, known_clauses, known_activity = shipped_records()
+                    known = nogood_records_to_wire(pooled.all_records())
+                    known_clauses = clause_records_to_wire(
+                        pooled_clauses.all_records()
+                    )
                     future = pool.submit(
-                        _worker_run,
-                        (index, error, known, known_clauses,
-                         known_activity, 0.0),
+                        _worker_run, (index, error, known, known_clauses)
                     )
                     in_flight[future] = (index, error)
-
-            def merge_learned(learned, fresh_clauses, fresh_activity) -> None:
-                if learned:
-                    pooled.merge_records(nogood_records_from_wire(learned))
-                if fresh_clauses:
-                    pooled_clauses.merge_records(
-                        clause_records_from_wire(fresh_clauses)
-                    )
-                if fresh_activity:
-                    pooled_activity.merge_records(
-                        activity_records_from_wire(fresh_activity)
-                    )
 
             dispatch()
             while in_flight:
@@ -528,12 +373,18 @@ class CampaignOrchestrator:
                 for future in sorted(done, key=lambda f: in_flight[f][0]):
                     index, error = in_flight.pop(future)
                     try:
-                        (
-                            _, outcome_dict, test, learned, fresh_clauses,
-                            fresh_activity,
-                        ) = future.result()
+                        _, outcome_dict, test, learned, fresh_clauses = (
+                            future.result()
+                        )
                         outcome = ErrorOutcome(**outcome_dict)
-                        merge_learned(learned, fresh_clauses, fresh_activity)
+                        if learned:
+                            pooled.merge_records(
+                                nogood_records_from_wire(learned)
+                            )
+                        if fresh_clauses:
+                            pooled_clauses.merge_records(
+                                clause_records_from_wire(fresh_clauses)
+                            )
                     except Exception:
                         # A lost worker aborts the error, not the campaign.
                         outcome, test = ErrorOutcome(
@@ -544,27 +395,6 @@ class CampaignOrchestrator:
                     report.outcomes.append(outcome)
                     self._emit_finished(outcome, index)
                     self._write_checkpoint(checkpoint, outcome, test)
-                    if self._bank is not None:
-                        position = len(report.outcomes) - 1
-                        before = len(retry_candidates)
-                        self._bank_account(
-                            outcome, error, index, retry_candidates
-                        )
-                        if len(retry_candidates) > before:
-                            retry_candidates[-1] = (
-                                index, error, outcome, position
-                            )
-                        if len(queue) > 1:
-                            # Refresh hardest-last ordering of the
-                            # undispatched tail.
-                            ordered = sorted(
-                                queue,
-                                key=lambda ie: (
-                                    self._predictor.predict(ie[1]), ie[0]
-                                ),
-                            )
-                            queue.clear()
-                            queue.extend(ordered)
                     if (
                         config.error_simulation
                         and test is not None
@@ -574,49 +404,6 @@ class CampaignOrchestrator:
                             outcome, test, queue, report, checkpoint
                         )
                 dispatch()
-            if (
-                self._bank is not None
-                and retry_candidates
-                and not self._stop.is_set()
-            ):
-                # Banked retries, dispatched through the still-open pool
-                # one at a time (they are rare) in original-index order.
-                # The retry outcome replaces the original record; the
-                # checkpoint gets a second record (last-wins on resume).
-                base = config.deadline_seconds
-                for index, error, outcome, position in sorted(
-                    retry_candidates, key=lambda c: c[0]
-                ):
-                    if self._stop.is_set():
-                        break
-                    if not self._bank.try_grant(outcome.error, base):
-                        continue
-                    self.events.emit(
-                        "error-requeued",
-                        error=outcome.error,
-                        index=index,
-                        grant_seconds=base,
-                        total_deadline=base * 2,
-                        balance_seconds=self._bank.balance,
-                    )
-                    known, known_clauses, known_activity = shipped_records()
-                    future = pool.submit(
-                        _worker_run,
-                        (index, error, known, known_clauses,
-                         known_activity, base * 2),
-                    )
-                    try:
-                        (
-                            _, outcome_dict, test, learned, fresh_clauses,
-                            fresh_activity,
-                        ) = future.result()
-                        retry = ErrorOutcome(**outcome_dict)
-                        merge_learned(learned, fresh_clauses, fresh_activity)
-                    except Exception:
-                        continue  # keep the original aborted outcome
-                    report.outcomes[position] = retry
-                    self._emit_finished(retry, index)
-                    self._write_checkpoint(checkpoint, retry, test)
             # An interrupt stops dispatching; in-flight errors above ran
             # to completion and were checkpointed, the queued tail is
             # reported as never attempted.
@@ -661,37 +448,6 @@ class CampaignOrchestrator:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _bank_account(
-        self,
-        outcome: ErrorOutcome,
-        error: DesignError,
-        index: int,
-        retry_candidates: list,
-    ) -> None:
-        """Deadline-bank bookkeeping for one finished (non-dropped) error.
-
-        Deadline-aborted TG outcomes become retry candidates; everything
-        else deposits its unspent CPU budget.  Worker-crash outcomes do
-        neither (their CPU usage is unknown), and the taint rule holds:
-        a ``deadline_hit`` outcome never deposits.
-        """
-        if outcome.failure_stage == "worker":
-            return
-        self._predictor.observe(error, outcome.backtracks)
-        if (
-            not outcome.detected
-            and outcome.failure_stage == "tg"
-            and outcome.deadline_hit
-        ):
-            retry_candidates.append((index, error, outcome))
-        else:
-            self._bank.deposit(
-                outcome.error,
-                outcome.deadline_grant,
-                outcome.cpu_seconds,
-                tainted=outcome.deadline_hit,
-            )
-
     def _emit_finished(self, outcome: ErrorOutcome, index: int) -> None:
         self.events.emit(
             "error-finished",
@@ -705,7 +461,6 @@ class CampaignOrchestrator:
             attempts=outcome.attempts,
             seconds=outcome.seconds,
             cpu_seconds=outcome.cpu_seconds,
-            deadline_grant=outcome.deadline_grant,
         )
         if self.config.profile:
             self.events.emit(
@@ -729,7 +484,6 @@ class CampaignOrchestrator:
                 backjumps=outcome.backjumps,
                 clause_hits=outcome.clause_hits,
                 refuted_unjustifiable=outcome.refuted_unjustifiable,
-                restarts=outcome.restarts,
                 deadline_hit=outcome.deadline_hit,
             )
 
@@ -764,7 +518,6 @@ class CampaignOrchestrator:
             refuted_unjustifiable=sum(
                 o.refuted_unjustifiable for o in outcomes
             ),
-            restarts=sum(o.restarts for o in outcomes),
         )
 
     def _write_checkpoint(

@@ -66,21 +66,35 @@ class ErrorOutcome:
     backjumps: int = 0
     clause_hits: int = 0
     refuted_unjustifiable: int = 0
-    #: Luby restarts taken by restart-capable CTRLJUST searches (always 0
-    #: with the ``restarts`` knob off).
-    restarts: int = 0
     #: CPU seconds this error actually consumed (``time.process_time``
     #: delta around TG + realization + ISA check), next to the wall-clock
-    #: ``seconds`` — what the deadline bank's deposits are computed from.
+    #: ``seconds``.
     cpu_seconds: float = 0.0
-    #: The CPU deadline this error ran under (base deadline, or base +
-    #: banked grant on a re-queued attempt) — makes banking decisions
-    #: auditable from the ``--json`` run report.
-    deadline_grant: float = 0.0
     #: The TG abort was forced by the CPU deadline: the outcome is
-    #: time-bound (taint) — never deposits to the deadline bank, and is
-    #: the re-queue trigger when banking is on.
+    #: time-bound (taint).
     deadline_hit: bool = False
+
+
+#: Outcome fields of the removed restart search and deadline bank.
+#: Checkpoints and reports written before the removal still carry them.
+_RETIRED_OUTCOME_KEYS = frozenset({"restarts", "deadline_grant"})
+
+
+def outcome_from_dict(data: dict[str, Any]) -> ErrorOutcome:
+    """Decode a serialized outcome (``vars(outcome)``).
+
+    Drops exactly the retired restart and banking fields, so older
+    checkpoints and reports still load; any other unknown field raises
+    ``ValueError``.
+    """
+    fields = {
+        key: value for key, value in data.items()
+        if key not in _RETIRED_OUTCOME_KEYS
+    }
+    unknown = sorted(set(fields) - set(ErrorOutcome.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown outcome field(s): {', '.join(unknown)}")
+    return ErrorOutcome(**fields)
 
 
 @dataclass
@@ -93,10 +107,6 @@ class CampaignReport:
     #: before the error list was exhausted; the outcomes cover only the
     #: completed prefix.
     interrupted: bool = False
-    #: Deadline-bank accounting (see ``repro.campaign.banking``); present
-    #: only when the orchestrator ran with ``deadline_bank=True``, so
-    #: knobs-off report dictionaries keep their exact historical shape.
-    bank: dict | None = None
 
     @property
     def n_errors(self) -> int:
@@ -177,7 +187,6 @@ def _outcome_from_result(error: DesignError, result) -> ErrorOutcome:
         backjumps=result.backjumps,
         clause_hits=result.clause_hits,
         refuted_unjustifiable=result.refuted_unjustifiable,
-        restarts=result.restarts,
         deadline_hit=result.deadline_hit,
     )
 
@@ -365,7 +374,6 @@ class DlxCampaign(CampaignBase):
         cpu_start = time.process_time()
         result = self.generator.generate(error)
         outcome = _outcome_from_result(error, result)
-        outcome.deadline_grant = self.generator.deadline_seconds or 0.0
         realized = None
         if result.status is not TGStatus.DETECTED:
             outcome.failure_stage = "tg"
@@ -459,7 +467,6 @@ class MiniCampaign(CampaignBase):
         cpu_start = time.process_time()
         result = self.generator.generate(error)
         outcome = _outcome_from_result(error, result)
-        outcome.deadline_grant = self.generator.deadline_seconds or 0.0
         realized = None
         if result.status is not TGStatus.DETECTED:
             outcome.failure_stage = "tg"

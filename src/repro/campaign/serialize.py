@@ -20,7 +20,7 @@ import os
 import tempfile
 from typing import Any
 
-from repro.campaign.runner import CampaignReport, ErrorOutcome
+from repro.campaign.runner import CampaignReport, outcome_from_dict
 from repro.core.tg import TestCase
 
 
@@ -136,10 +136,8 @@ def nogood_records_to_wire(records) -> list:
     worker <-> coordinator transport; see ``repro.core.nogoods``).
 
     Each row is ``[key, blamed, backtracks, [conflicts, learned,
-    backjumps, clause_hits, refuted, restarts]]`` — the CDCL column
-    replays the refuter's effort counters on a foreign hit (the trailing
-    ``restarts`` column is absent in rows recorded with restart mode
-    off; readers treat it as 0).
+    backjumps, clause_hits, refuted]]`` — the CDCL column replays the
+    refuter's effort counters on a foreign hit.
     """
     return [
         [_nogood_encode(key), _nogood_encode(blamed), backtracks,
@@ -201,45 +199,23 @@ def clause_records_from_wire(data) -> list:
     ]
 
 
-def activity_records_to_wire(records) -> list:
-    """EVSIDS activity snapshots as JSON-able lists (same transport as
-    the no-goods; see :class:`repro.core.clauses.SearchActivity`).
-
-    A record is ``(base_signal_name, score, phase_or_None)`` — already
-    frame-collapsed, so unlike the no-good and clause rows there is no
-    frame offset to normalize.
-    """
-    return [[name, score, phase] for name, score, phase in records]
-
-
-def activity_records_from_wire(data) -> list:
-    """Inverse of :func:`activity_records_to_wire`."""
-    return [(name, score, phase) for name, score, phase in data]
-
-
 def report_to_dict(report: CampaignReport) -> dict[str, Any]:
-    out = {
+    return {
         "kind": "campaign-report",
         "total_seconds": report.total_seconds,
         "interrupted": report.interrupted,
         "outcomes": [vars(o).copy() for o in report.outcomes],
     }
-    # Only banked runs carry the account summary, so knobs-off report
-    # dictionaries keep their exact historical shape.
-    if report.bank is not None:
-        out["bank"] = dict(report.bank)
-    return out
 
 
 def report_from_dict(data: dict[str, Any]) -> CampaignReport:
     if data.get("kind") != "campaign-report":
         raise ValueError("not a serialized campaign report")
     return CampaignReport(
-        outcomes=[ErrorOutcome(**o) for o in data["outcomes"]],
+        outcomes=[outcome_from_dict(o) for o in data["outcomes"]],
         total_seconds=data["total_seconds"],
         # Absent in reports written before interruption existed.
         interrupted=data.get("interrupted", False),
-        bank=data.get("bank"),
     )
 
 
@@ -249,9 +225,6 @@ def report_from_dict(data: dict[str, Any]) -> CampaignReport:
 TIMING_KEYS = frozenset({
     "wall_time", "seconds", "total_seconds", "wall_seconds",
     "phase_seconds", "phase_cpu_seconds", "cpu_seconds",
-    # The deadline-bank account is CPU-time-derived through and through
-    # (balances are sums of measured unspent seconds).
-    "bank", "balance_seconds",
 })
 
 #: Cache-traffic counters.  Outcomes are cache-transparent (hits replay
@@ -271,9 +244,6 @@ CACHE_TRAFFIC_KEYS = frozenset({
     # `final_backtracks` (the successful attempt's effort) untouched.
     "conflicts", "learned_clauses", "backjumps", "clause_hits",
     "refuted_unjustifiable", "backtracks",
-    # Restart counts follow the same logic: a warm certificate refutes a
-    # window a cold restart-capable search would restart through.
-    "restarts",
 })
 
 

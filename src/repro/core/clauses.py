@@ -45,11 +45,6 @@ Soundness and transparency contract (enforced by differential tests):
   on/off counter identity intact.
 * Deadline-tainted probes (``deadline_hit``) never store certificates,
   mirroring the PathCache taint rule.
-* :class:`SearchActivity` is the one deliberate exception to purity: with
-  ``restarts`` enabled the chronological search orders decisions by
-  cross-question EVSIDS scores, so its *effort* (not its verdicts) depends
-  on what ran before.  That is why restart mode is opt-in and the
-  knobs-off paths never consult the store.
 """
 
 from __future__ import annotations
@@ -138,9 +133,6 @@ class Refutation:
     conflicts: int = 0
     learned: int = 0
     backjumps: int = 0
-    #: Luby restarts taken (restart-scheduled probes only; always 0 with
-    #: ``restart_unit=0``).  Learned clauses survive every restart.
-    restarts: int = 0
     #: The probe hit the caller's deadline: never learn from it.
     deadline_hit: bool = False
 
@@ -161,22 +153,11 @@ class CdclRefuter:
         objectives,
         conflict_limit: int = 400,
         deadline: float | None = None,
-        restart_unit: int = 0,
     ) -> None:
         self.compiled = network.compiled()
         self.objectives = list(objectives)
         self.conflict_limit = conflict_limit
         self.deadline = deadline
-        #: Conflicts per Luby unit; 0 disables restart scheduling.  With
-        #: restarts on, the probe unwinds to the assumptions after
-        #: ``restart_unit * luby(k)`` conflicts while KEEPING every
-        #: learned clause (and the variable activity it carries), so each
-        #: epoch resumes against a stronger clause set — the standard SAT
-        #: discipline that lets one large conflict budget close proofs a
-        #: single monolithic descent thrashes on.
-        self.restart_unit = restart_unit
-        self._restart_index = 1
-        self._restarted_at = 0
         self.session = ImplicationSession(self.compiled)
         index = self.compiled.index
         #: (id, value) objective literals; driven ones are session cuts.
@@ -253,20 +234,6 @@ class CdclRefuter:
                 conflict = self._resolve_conflict(conflict)
                 if self.stats.refuted:
                     return self.stats
-                if (
-                    conflict is None
-                    and self.restart_unit
-                    and self.stats.conflicts - self._restarted_at
-                    >= self.restart_unit * luby(self._restart_index)
-                ):
-                    # Luby restart: back to the level-0 assumptions.  The
-                    # learned clauses stay in ``self.clauses``/``watch``
-                    # and keep pruning, and ``self.activity`` keeps its
-                    # bumps, so the next epoch decides differently.
-                    self._backjump(0)
-                    self.stats.restarts += 1
-                    self._restart_index += 1
-                    self._restarted_at = self.stats.conflicts
                 continue
             if self._satisfied():
                 return self.stats  # a model exists: nothing to refute
@@ -540,162 +507,6 @@ class CdclRefuter:
 
 
 # ----------------------------------------------------------------------
-# Restart schedule and activity state (the chronological search's side)
-# ----------------------------------------------------------------------
-def luby(i: int) -> int:
-    """The i-th term (1-based) of the Luby restart sequence.
-
-    1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, ... — the universally
-    optimal schedule for restarting a Las Vegas search with unknown
-    runtime distribution (Luby, Sinclair, Zuckerman 1993).  The
-    chronological CTRLJUST search multiplies this by its restart unit to
-    pace Luby restarts.
-    """
-    if i < 1:
-        raise ValueError("luby index is 1-based")
-    x = i - 1
-    size, seq = 1, 0
-    while size < x + 1:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != x:
-        size = (size - 1) >> 1
-        seq -= 1
-        x %= size
-    return 1 << seq
-
-
-class ActivityRun:
-    """One search's working copy of a :class:`SearchActivity` store.
-
-    The chronological search bumps and decays on this private copy; the
-    caller commits it back to the shared store only when the run was not
-    deadline-tainted (the restart-taint rule: a run cut short by its CPU
-    budget never teaches the shared ordering, mirroring
-    ``LearnedNogoods.record_blame``).
-    """
-
-    #: EVSIDS geometric decay: each conflict's increment grows by 1/DECAY,
-    #: which is equivalent to decaying every existing score.
-    DECAY = 0.95
-    RESCALE = 1e100
-
-    __slots__ = ("scores", "phases", "inc", "touched", "bumps")
-
-    def __init__(self, store: "SearchActivity") -> None:
-        self.scores = dict(store.scores)
-        self.phases = dict(store.phases)
-        self.inc = store.inc
-        self.touched: set[str] = set()
-        self.bumps = 0
-
-    def bump(self, name: str) -> None:
-        score = self.scores.get(name, 0.0) + self.inc
-        self.scores[name] = score
-        self.touched.add(name)
-        self.bumps += 1
-        if score > self.RESCALE:
-            scale = 1.0 / self.RESCALE
-            self.scores = {k: v * scale for k, v in self.scores.items()}
-            self.inc *= scale
-
-    def decay(self) -> None:
-        self.inc /= self.DECAY
-
-    def score(self, name: str) -> float:
-        return self.scores.get(name, 0.0)
-
-    def save_phase(self, name: str, value: int) -> None:
-        self.phases[name] = value
-        self.touched.add(name)
-
-    def phase(self, name: str):
-        return self.phases.get(name)
-
-
-@dataclass
-class SearchActivity:
-    """Cross-question EVSIDS activity scores and saved phases.
-
-    Keys are frame-collapsed *base* signal names (``alu_op``, not
-    ``f2.alu_op``), so what one window learns about a signal's conflict
-    involvement transfers to every other window — and pooling snapshots
-    across orchestrator workers needs no frame normalization at all.
-
-    Lives on :class:`~repro.core.tg.TestGenerator` next to the no-good
-    and clause stores, and follows the same export/merge transport idiom
-    (:meth:`export_records` drains a fresh set; merged foreign records
-    never re-export).  Unlike those stores this one is *not*
-    outcome-transparent — it deliberately reorders the restart-capable
-    search — which is why everything it feeds sits behind the
-    ``restarts`` knob, off by default.
-    """
-
-    scores: dict = field(default_factory=dict)
-    phases: dict = field(default_factory=dict)
-    inc: float = 1.0
-    bumps: int = 0
-    merged: int = 0
-    _fresh: set = field(default_factory=set)
-
-    def begin(self) -> ActivityRun:
-        return ActivityRun(self)
-
-    def commit(self, run: ActivityRun) -> None:
-        """Adopt a (non-tainted) run's working copy wholesale."""
-        self.scores = run.scores
-        self.phases = run.phases
-        self.inc = run.inc
-        self.bumps += run.bumps
-        self._fresh |= run.touched
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def stats(self) -> dict[str, int]:
-        """Occupancy/traffic counters (read by the campaign service)."""
-        return {
-            "signals": len(self.scores),
-            "bumps": self.bumps,
-            "merged": self.merged,
-        }
-
-    # ------------------------------------------------------------------
-    # Worker pooling (orchestrator transport; see serialize.py)
-    # ------------------------------------------------------------------
-    def export_records(self) -> list:
-        """Signals touched since the last export, as ``(name, score,
-        phase_or_None)`` tuples sorted by name (canonical order)."""
-        fresh, self._fresh = self._fresh, set()
-        return [
-            (name, self.scores.get(name, 0.0), self.phases.get(name))
-            for name in sorted(fresh)
-        ]
-
-    def all_records(self) -> list:
-        """Every signal's snapshot, for seeding a fresh worker."""
-        return [
-            (name, self.scores.get(name, 0.0), self.phases.get(name))
-            for name in sorted(set(self.scores) | set(self.phases))
-        ]
-
-    def merge_records(self, records) -> int:
-        """Fold foreign snapshots in: scores max-merge (both sides'
-        evidence survives), phases overwrite (freshest hint wins).
-        Merged entries never re-export (the coordinator is the hub)."""
-        changed = 0
-        for name, score, phase in records:
-            if score > self.scores.get(name, 0.0):
-                self.scores[name] = score
-                changed += 1
-            if phase is not None and self.phases.get(name) != phase:
-                self.phases[name] = phase
-                changed += 1
-        self.merged += changed
-        return changed
-
-
-# ----------------------------------------------------------------------
 # Persistent certificate database
 # ----------------------------------------------------------------------
 @dataclass
@@ -714,18 +525,6 @@ class ClauseDB:
     smallest literal), so the cost is proportional to the query size, not
     the store size — the watched-literal scheme adapted to subset tests.
 
-    ``lookup(..., transfer=True)`` additionally matches certificates
-    proven at a *different* window size.  Time-frame expansion is causal:
-    frame ``k`` of an ``n``-frame unrolling is the identical network (and
-    reset state) as frame ``k`` of any other unrolling that reaches frame
-    ``k``, and later frames never constrain earlier ones — so a set of
-    objectives confined to frames ``< n`` is justifiable in an ``n``-frame
-    window iff it is justifiable in any other window containing those
-    frames.  A core proven anywhere therefore refutes supersets at every
-    window size that spans its frames.  The knobs-off callers never pass
-    ``transfer`` (the restart knob gates it), keeping their lookup —
-    and with it every knobs-off artifact — byte-identical.
-
     Eviction is deterministic (worst ``(lbd, size)`` first, oldest among
     ties) and ignores hit recency on purpose: the store's contents must be
     a pure function of the insertion sequence so differential arms that
@@ -738,9 +537,6 @@ class ClauseDB:
     _certs: dict = field(default_factory=dict)
     #: (n_frames, witness item) -> [cert key, ...] in insertion order.
     _witness: dict = field(default_factory=dict)
-    #: witness item -> [cert key, ...] across window sizes, for
-    #: ``transfer`` lookups; maintained in step with ``_witness``.
-    _any_witness: dict = field(default_factory=dict)
     _fresh: list = field(default_factory=list)
     _seq: int = 0
 
@@ -765,31 +561,13 @@ class ClauseDB:
     # ------------------------------------------------------------------
     # Lookup / insert
     # ------------------------------------------------------------------
-    def lookup(self, n_frames: int, items: CertItems,
-               transfer: bool = False):
-        """The first stored certificate subsumed by ``items``, or None.
-
-        ``transfer=True`` also matches certificates proven at other
-        window sizes whose literal frames all fit inside ``n_frames``
-        (sound by causality — see the class docstring); restart-mode
-        callers only.
-        """
+    def lookup(self, n_frames: int, items: CertItems):
+        """The first stored certificate subsumed by ``items``, or None."""
         query = frozenset(items)
         for lit in sorted(query):
             for key in self._witness.get((n_frames, lit), ()):
                 _, cert = key
                 if cert <= query:
-                    self.hits += 1
-                    return cert
-            if not transfer:
-                continue
-            for key in self._any_witness.get(lit, ()):
-                cert_frames, cert = key
-                if cert_frames == n_frames:
-                    continue  # same-window bucket already checked
-                if cert <= query and all(
-                    frame < n_frames for (frame, _), _ in cert
-                ):
                     self.hits += 1
                     return cert
         self.misses += 1
@@ -806,7 +584,6 @@ class ClauseDB:
         self._certs[key] = (len(cert), lbd, self._seq)
         self._seq += 1
         self._witness.setdefault((n_frames, min(cert)), []).append(key)
-        self._any_witness.setdefault(min(cert), []).append(key)
         self._fresh.append(key)
         self.added += 1
         while len(self._certs) > self.max_certs:
@@ -825,11 +602,6 @@ class ClauseDB:
             bucket.remove(worst)
             if not bucket:
                 del self._witness[(n_frames, min(cert))]
-        bucket = self._any_witness.get(min(cert))
-        if bucket:
-            bucket.remove(worst)
-            if not bucket:
-                del self._any_witness[min(cert)]
         self.evicted += 1
 
     # ------------------------------------------------------------------
@@ -868,7 +640,6 @@ class ClauseDB:
             self._witness.setdefault(
                 (n_frames, min(key[1])), []
             ).append(key)
-            self._any_witness.setdefault(min(key[1]), []).append(key)
             self.added += 1
             added += 1
             while len(self._certs) > self.max_certs:

@@ -44,49 +44,6 @@ every SUCCESS assignment and every FAILURE verdict — is identical to
 the chronological search; only the backtrack counts shrink.  Conflicts
 whose cause the engine cannot see (a backtrace dead-end) degrade that
 level to chronological unwinding rather than guess.
-
-With ``restarts=True`` the engine becomes restart-capable and
-effort-aware (SAT practice applied to PODEM).  The design rests on a
-measured fact about this workload — justification runtimes are heavy
-tailed: every justification that succeeds at all succeeds within a few
-dozen backtracks (max 41 over every detected DLX error, max 3 on MINI,
-against a 2000-backtrack give-up budget), while failing questions burn
-the entire budget.  Restart mode therefore replaces the monolithic
-chronological run with a Luby epoch schedule under a *reduced* total
-budget (``restart_backtracks``):
-
-* **Epoch 1** is the exact chronological search, capped at
-  ``restart_unit`` backtracks — by construction it finds every
-  early-success answer identically to ``restarts=False`` (same
-  decisions, same assignment), and every conflict bumps EVSIDS
-  activity scores on the conflict site's (frame-collapsed) signals
-  (:class:`~repro.core.clauses.SearchActivity`).  Observation only:
-  the scores never steer epoch 1.
-* **Epochs 2+** engage only when epoch 1 *gives up* — a FAILURE that
-  is neither an ``exhausted`` proof nor ``deadline_hit`` — and re-run
-  the question with objective selection and backtrace options
-  activity-ordered, decision values preferring saved phases, and the
-  stack unwound on a Luby schedule (:func:`~repro.core.clauses.luby`)
-  until the total budget is spent.  The ClauseDB certificates, learned
-  no-goods and phase hints all survive each restart, so every epoch
-  resumes smarter.
-
-SUCCESS answers and completed proofs pass through untouched, and
-``exhausted`` proofs found at any budget remain valid because every
-branch still enumerates its whole domain.  The wager is one-directional
-on outcomes: diversified epochs can only *add* answers past what the
-chronological prefix finds, while give-ups — the only place the budget
-cut bites — stop burning 2000 backtracks per question.  The
-bench-enforced monotonicity gate (detected count may not drop with the
-knob on) keeps the wager honest.  The CDCL refutation probe is
-restart-scheduled too: with restarts on it keeps learned clauses
-across Luby epochs, and an optional *escalated* probe
-(``escalate_refute``) can re-attack a give-up with an enlarged budget.
-A restart or retry that comes due past the CPU deadline is a *taint*
-event: the run keeps the last pre-deadline give-up verdict but teaches
-nothing — no activity commit, and the callers' centralized
-deadline-taint rule in ``nogoods.record_blame`` already refuses
-tainted learning.
 """
 
 from __future__ import annotations
@@ -98,7 +55,6 @@ from dataclasses import dataclass, field
 from repro.controller.implication import ImplicationSession
 from repro.controller.pipeline import UnrolledController
 from repro.controller.signals import SignalKind
-from repro.core.clauses import SearchActivity, luby
 
 
 #: Explanations a search may spend per backjump it has produced (plus one
@@ -154,10 +110,6 @@ class JustResult:
     learned_clauses: int = 0
     backjumps: int = 0
     clause_hits: int = 0
-    #: Luby restarts performed by the restart-capable machinery (phase-2
-    #: search plus restart-scheduled refutation probe); always 0 with
-    #: ``restarts=False``.
-    restarts: int = 0
 
     def sts_requirements(
         self, unrolled: UnrolledController
@@ -284,11 +236,6 @@ class CtrlJust:
         deadline: float | None = None,
         refute_conflicts: int = 0,
         backjump: bool = False,
-        restarts: bool = False,
-        activity: SearchActivity | None = None,
-        restart_unit: int = 64,
-        restart_backtracks: int = 80,
-        escalate_refute: int = 0,
     ) -> None:
         self.unrolled = unrolled
         self.network = unrolled.network
@@ -308,41 +255,6 @@ class CtrlJust:
         #: module docstring): identical decisions and verdicts, fewer
         #: backtracks.  Works with both implication backends.
         self.backjump = backjump
-        #: Restart-capable mode (see the module docstring): a
-        #: chronological first epoch capped at ``restart_unit``
-        #: backtracks, then activity-ordered Luby epochs up to the
-        #: reduced ``restart_backtracks`` total; restart-scheduled
-        #: refutation probe.  SUCCESS and completed proofs pass through
-        #: untouched; default off.
-        self.restarts = restarts
-        #: Shared cross-question activity store; a private throwaway one
-        #: is used when restarts are on but no store is supplied.
-        self.activity = activity
-        #: Epoch pacing: the chronological first epoch is capped at
-        #: ``restart_unit`` backtracks, and in the driven epochs restart
-        #: k fires after ``restart_unit * luby(k)`` conflicts since the
-        #: last restart (also the escalated refutation probe's
-        #: schedule).
-        self.restart_unit = restart_unit
-        #: Total backtrack budget of a restart-mode justification (all
-        #: epochs combined) — deliberately far below ``max_backtracks``:
-        #: successes come early or never (see the module docstring), so
-        #: the cut lands almost entirely on give-ups.
-        self.restart_backtracks = restart_backtracks
-        #: Conflict budget of the *escalated* refutation probe: a second,
-        #: Luby-restart-scheduled CDCL probe that runs only after the
-        #: chronological search gives up (so the cost lands exclusively
-        #: on questions that already burned their whole search budget).
-        #: 0 disables escalation; only meaningful with ``restarts``.
-        self.escalate_refute = escalate_refute
-        #: Working activity copy of the in-flight restart-capable search
-        #: (``None`` whenever restarts are off).
-        self._act_run = None
-        #: True while the phase-2 (activity-driven) search is running —
-        #: the gate for every ordering decision the scores steer.
-        self._drive = False
-        self._last_restarts = 0
-        self._base_names: dict[str, str] = {}
         #: Diversification index: rotates backtrace option order so retries
         #: explore different (equally valid) justifications, e.g. a
         #: different store opcode for the same memwrite objective.
@@ -370,8 +282,6 @@ class CtrlJust:
         for inst, value in objectives:
             signal = self.network.signal(inst)
             signal.validate_value(value)
-        self._act_run = None
-        self._drive = False
         refutation = None
         if self.refute_conflicts and objectives and not pre_assignment:
             from repro.core.clauses import CdclRefuter
@@ -380,7 +290,6 @@ class CtrlJust:
                 self.network, objectives,
                 conflict_limit=self.refute_conflicts,
                 deadline=self.deadline,
-                restart_unit=self.restart_unit if self.restarts else 0,
             ).run()
             if refutation.refuted and not refutation.deadline_hit:
                 return JustResult(
@@ -391,7 +300,6 @@ class CtrlJust:
                     conflicts=refutation.conflicts,
                     learned_clauses=refutation.learned,
                     backjumps=refutation.backjumps,
-                    restarts=refutation.restarts,
                 )
             if refutation.deadline_hit:
                 return JustResult(
@@ -400,122 +308,20 @@ class CtrlJust:
                     conflicts=refutation.conflicts,
                     learned_clauses=refutation.learned,
                     backjumps=refutation.backjumps,
-                    restarts=refutation.restarts,
                 )
-        # Epoch 1: the exact chronological search — the full budget with
-        # restarts off; capped at the Luby unit with restarts on
-        # (activity observation only — every early success is found
-        # identically, and the cap is what makes give-ups cheap).
-        total = self.restart_backtracks if self.restarts else None
-        result = self._search(
-            objectives, pre_assignment,
-            limit=min(self.restart_unit, total) if self.restarts else None,
-        )
-        result.restarts = self._last_restarts
-        tainted = False
-        if (
-            self.restarts
-            and result.status is JustStatus.FAILURE
-            and not result.exhausted
-            and not result.deadline_hit
-        ):
-            # The chronological search *gave up* (budget burnt, no
-            # proof).  Escalation first: a Luby-restart-scheduled CDCL
-            # probe with a budget large enough to actually close hard
-            # unjustifiability proofs — give-ups are where those hide,
-            # and a completed core retires the question (and, via the
-            # caller's ClauseDB, its whole superset family) outright.
-            if (
-                self.escalate_refute
-                and objectives
-                and not pre_assignment
-            ):
-                from repro.core.clauses import CdclRefuter
-
-                big = CdclRefuter(
-                    self.network, objectives,
-                    conflict_limit=self.escalate_refute,
-                    deadline=self.deadline,
-                    restart_unit=self.restart_unit,
-                ).run()
-                result.conflicts += big.conflicts
-                result.learned_clauses += big.learned
-                result.backjumps += big.backjumps
-                result.restarts += big.restarts
-                if big.refuted and not big.deadline_hit:
-                    result.refuted = True
-                    result.core = big.core
-                    result.core_lbd = big.lbd
-                elif big.deadline_hit:
-                    # Restart-taint rule: keep the (pre-deadline)
-                    # give-up verdict, skip phase 2, teach nothing.
-                    tainted = True
-            if (
-                not tainted
-                and not result.refuted
-                and total - result.backtracks > 0
-            ):
-                # Epochs 2+: spend the rest of the restart budget
-                # activity-ordered with Luby restarts — a SUCCESS or an
-                # exhausted proof replaces the give-up, and another
-                # give-up changes nothing but arrives far cheaper than
-                # the chronological budget would have.
-                retry = self._search(
-                    objectives, pre_assignment, drive=True,
-                    limit=total - result.backtracks,
-                )
-                retry.restarts = self._last_restarts + result.restarts
-                retry.backtracks += result.backtracks
-                retry.decisions += result.decisions
-                retry.backjumps += result.backjumps
-                retry.conflicts += result.conflicts
-                retry.learned_clauses += result.learned_clauses
-                if retry.deadline_hit:
-                    # Restart-taint rule: the retry ran past the CPU
-                    # threshold — keep phase 1's give-up verdict, count
-                    # the effort, teach nothing.
-                    tainted = True
-                    result.backtracks = retry.backtracks
-                    result.decisions = retry.decisions
-                    result.backjumps = retry.backjumps
-                    result.restarts = retry.restarts
-                else:
-                    result = retry
-        if self._act_run is not None:
-            # A deadline-tainted run never teaches the shared ordering —
-            # its bumps and phases are dropped with the working copy.
-            if (
-                self.activity is not None
-                and not result.deadline_hit
-                and not tainted
-            ):
-                self.activity.commit(self._act_run)
-            self._act_run = None
-        self._drive = False
+        result = self._search(objectives, pre_assignment)
         if refutation is not None:
             result.conflicts += refutation.conflicts
             result.learned_clauses += refutation.learned
             result.backjumps += refutation.backjumps
-            result.restarts += refutation.restarts
         return result
 
     def _search(
         self,
         objectives: list[tuple[str, int]],
         pre_assignment: dict[str, int] | None = None,
-        drive: bool = False,
-        limit: int | None = None,
     ) -> JustResult:
-        """The PODEM branch-and-bound (chronological unwind by default).
-
-        With ``restarts`` on, ``drive=False`` is the observation epoch:
-        the search is bit-identical to knobs-off (up to ``limit``) but
-        bumps activity at every conflict.  ``drive=True`` is the driven
-        phase: the scores (and saved phases) steer objective selection,
-        backtrace option order and value choice, and the stack restarts
-        on the Luby schedule.  ``limit`` caps backtracks for this call
-        (``max_backtracks`` when ``None``).
-        """
+        """The PODEM branch-and-bound (chronological unwind by default)."""
         assignment: dict[str, int] = dict(pre_assignment or {})
         cti_values: dict[str, int] = {}
         stack: list[JustDecision] = []
@@ -538,28 +344,7 @@ class CtrlJust:
         #: chronologically from then on — deterministic, and sound at any
         #: cutoff point.
         explained = 0
-        #: Restart-capable mode (all ``None``/0 when the knob is off —
-        #: every use below is gated on ``act_run``).  The working
-        #: activity copy is shared between the two phases of one
-        #: ``justify`` call, so phase 2 starts with phase 1's bumps.
-        act_run = None
-        names = None
-        since_restart = 0
-        restart_index = 1
-        restart_budget = 0
-        self._last_restarts = 0
-        self._drive = drive
-        if limit is None:
-            limit = self.max_backtracks
-        if self.restarts:
-            if self._act_run is None:
-                store = self.activity if self.activity is not None \
-                    else SearchActivity()
-                self._act_run = store.begin()
-            act_run = self._act_run
-            names = self.network.compiled().names
-            if drive:
-                restart_budget = self.restart_unit * luby(restart_index)
+        limit = self.max_backtracks
         if self.incremental:
             state = _IncrementalState(self.network.compiled(), assignment)
         else:
@@ -580,7 +365,6 @@ class CtrlJust:
             #: Signal ids the current conflict is observed at; ``None``
             #: for a backtrace dead-end (no explainable site).
             seeds = state.conflicting_ids if conflict and cbj else None
-            mismatch_inst = None
             open_objectives: list[tuple[str, int]] = []
             if not conflict:
                 for inst, want in objectives:
@@ -589,7 +373,6 @@ class CtrlJust:
                         open_objectives.append((inst, want))
                     elif got != want:
                         conflict = True
-                        mismatch_inst = inst
                         if cbj:
                             seeds = (index[inst],)
                         break
@@ -600,10 +383,6 @@ class CtrlJust:
                     if not state.is_justified(inst)
                 ]
                 if not open_objectives and not unjustified:
-                    if act_run is not None:
-                        for d in stack:  # trail-replay hints
-                            act_run.save_phase(self._base_name(d.signal),
-                                               d.value)
                     return JustResult(
                         JustStatus.SUCCESS,
                         assignment=dict(assignment),
@@ -614,13 +393,8 @@ class CtrlJust:
                         backjumps=backjumps,
                     )
                 # Select an objective and backtrace to a decision.
-                candidates = open_objectives + unjustified
-                if drive and act_run is not None and len(candidates) > 1:
-                    candidates.sort(
-                        key=lambda ow: -act_run.score(self._base_name(ow[0]))
-                    )
                 decision = None
-                for inst, want in candidates:
+                for inst, want in open_objectives + unjustified:
                     decision = self._backtrace(inst, want, values, assignment,
                                                cti_values)
                     if decision is not None:
@@ -634,48 +408,6 @@ class CtrlJust:
                     decision_count += 1
                     continue
                 conflict = True  # no way to make progress (seeds stay None)
-            if act_run is not None:
-                # EVSIDS: bump the conflict site's (frame-collapsed)
-                # signals plus the top decision, then decay.
-                for i in state.conflicting_ids:
-                    act_run.bump(self._base_name(names[i]))
-                if mismatch_inst is not None:
-                    act_run.bump(self._base_name(mismatch_inst))
-                if stack:
-                    act_run.bump(self._base_name(stack[-1].signal))
-                act_run.decay()
-                since_restart += 1
-                if drive and since_restart >= restart_budget:
-                    if (
-                        self.deadline is not None
-                        and time.process_time() > self.deadline
-                    ):
-                        # Restart-taint: a restart due past the CPU
-                        # threshold is a deadline event — return the
-                        # tainted FAILURE instead of restarting.
-                        return JustResult(JustStatus.FAILURE,
-                                          backtracks=backtracks,
-                                          decisions=decision_count,
-                                          backjumps=backjumps,
-                                          deadline_hit=True)
-                    while stack:
-                        last = stack.pop()
-                        act_run.save_phase(self._base_name(last.signal),
-                                           last.value)
-                        self._unapply(last, assignment, cti_values, state)
-                        backtracks += 1
-                        if backtracks > limit:
-                            return JustResult(JustStatus.FAILURE,
-                                              backtracks=backtracks,
-                                              decisions=decision_count,
-                                              backjumps=backjumps)
-                    blame.clear()
-                    sig_ids.clear()
-                    self._last_restarts += 1
-                    restart_index += 1
-                    restart_budget = self.restart_unit * luby(restart_index)
-                    since_restart = 0
-                    continue
             if cbj and stack and blame[-1] is not None:
                 # Charge the conflict's support set to the top decision.
                 if seeds and explained < _EXPLAIN_ALLOWANCE * (backjumps + 1):
@@ -866,19 +598,9 @@ class CtrlJust:
                 domain = self.network.signal(inst).domain
                 if target not in domain:
                     continue  # infeasible: try the next option
-                alternatives = [v for v in domain if v != target]
-                if (
-                    self._drive and self._act_run is not None
-                    and len(alternatives) > 1
-                ):
-                    # Phase saving: retry the value this signal last
-                    # held before the target's other alternatives.
-                    saved = self._act_run.phase(self._base_name(inst))
-                    if saved is not None and saved in alternatives:
-                        alternatives.remove(saved)
-                        alternatives.insert(0, saved)
                 return JustDecision(
-                    inst, target, alternatives, is_cti=inst in self._cti
+                    inst, target, [v for v in domain if v != target],
+                    is_cti=inst in self._cti,
                 )
             node = drivers.get(inst)
             if node is None:
@@ -890,16 +612,6 @@ class CtrlJust:
             if self.variant and len(options) > 1:
                 shift = self.variant % len(options)
                 options = options[shift:] + options[:shift]
-            if self._drive and self._act_run is not None and len(options) > 1:
-                # Activity-ordered backtrace: walk toward the inputs
-                # most implicated in recent conflicts first (stable, so
-                # ties keep the variant-rotated order).
-                run = self._act_run
-                inputs = node.inputs
-                options = sorted(
-                    options,
-                    key=lambda o: -run.score(self._base_name(inputs[o[0]])),
-                )
             stack.append(
                 iter([(node.inputs[index], want) for index, want in options])
             )
@@ -908,11 +620,3 @@ class CtrlJust:
     def _open(self, inst: str, assignment, cti_values) -> bool:
         return inst not in assignment and inst not in cti_values
 
-    def _base_name(self, inst: str) -> str:
-        """Frame-collapsed signal name — the activity/phase key, so one
-        window's conflicts inform every other window (and worker)."""
-        name = self._base_names.get(inst)
-        if name is None:
-            name = self.unrolled.frame_and_signal(inst)[1]
-            self._base_names[inst] = name
-        return name

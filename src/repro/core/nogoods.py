@@ -144,15 +144,7 @@ class LearnedNogoods:
         a search (or blame pass) cut short by the deadline never learns,
         because its blamed set is best-effort and wall-clock dependent —
         the same rule :meth:`cached_justify` and :meth:`PathCache.store`
-        apply.  The rule covers restarts too: a Luby restart that comes
-        due past the CPU threshold surfaces as ``deadline_hit`` (the
-        restart-capable search returns the tainted FAILURE instead of
-        restarting and drops its activity bumps uncommitted — see
-        ``CtrlJust``), so tainted attempts never learn clauses or
-        no-goods here, never teach the shared
-        :class:`~repro.core.clauses.SearchActivity` ordering, and never
-        deposit unspent budget into a campaign's deadline bank
-        (``repro.campaign.banking``).
+        apply.
         """
         if deadline_hit:
             return

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.controller.pipeline import UnrolledController
-from repro.core.clauses import ClauseDB, SearchActivity
+from repro.core.clauses import ClauseDB
 from repro.core.ctrljust import CtrlJust, JustResult, JustStatus
 from repro.core.dprelax import DiscreteRelaxer
 from repro.core.dptrace import DPTrace, TraceStatus
@@ -140,12 +140,8 @@ class TGResult:
     backjumps: int = 0
     clause_hits: int = 0
     refuted_unjustifiable: int = 0
-    #: Luby restarts taken by restart-capable CTRLJUST searches (always 0
-    #: with ``use_restarts=False``).
-    restarts: int = 0
     #: The abort was forced by the per-error CPU deadline.  Tainted
-    #: results never learn (see ``nogoods.record_blame``) and never
-    #: deposit unspent budget into a campaign's deadline bank.
+    #: results never learn (see ``nogoods.record_blame``).
     deadline_hit: bool = False
 
 
@@ -173,9 +169,6 @@ class TestGenerator:
     #: Optional processor-specific divergence check ``(processor, good,
     #: bad) -> (cycle, net) | None``; defaults to raw DPO comparison.
     exposure_comparator: object | None = None
-    #: Event-driven incremental C/O propagation in DPTRACE (the default);
-    #: ``False`` re-sweeps the window per decision — the reference oracle.
-    use_incremental_dptrace: bool = True
     #: Cross-error search memoization: learned no-goods, memoized
     #: justification answers and the per-window path-set cache.  All
     #: three are outcome-transparent (keys capture everything the
@@ -205,60 +198,6 @@ class TestGenerator:
     #: separate from ``use_clause_learning`` to preserve that toggle's
     #: byte-identical on/off contract.
     use_backjumping: bool = True
-    #: Restart-capable CTRLJUST (see ``repro.core.ctrljust``): a
-    #: chronological first epoch that only observes activity, then
-    #: restart-driven (EVSIDS + phase saving + Luby) epochs for
-    #: give-ups under the reduced ``restart_backtracks`` total — with
-    #: the activity store shared across errors (and pooled across
-    #: orchestrator workers like no-goods), plus cross-window
-    #: certificate transfer in the ClauseDB.  Unlike every other search
-    #: knob this one may change *outcomes* — only for the better, which
-    #: the bench's monotonicity gate enforces — so it defaults off and
-    #: the off path is byte-identical.
-    use_restarts: bool = False
-    #: Total CTRLJUST backtrack budget per justification under
-    #: ``use_restarts`` — deliberately far below
-    #: ``ctrljust_backtrack_limit``.  Measured on the tier-1 machines:
-    #: every justification behind a detected error succeeds within 41
-    #: backtracks (DLX) / 3 (MINI), comfortably inside the 64-backtrack
-    #: chronological first epoch, while give-ups burn whatever budget
-    #: they are given.  The cut is what turns deadline-capped
-    #: undetectable errors into sub-deadline natural aborts.
-    restart_backtracks: int = 80
-    #: DPTRACE<->CTRLJUST round cap per attempt under ``use_restarts``
-    #: (``max_rounds`` governs knobs-off).  Measured on the tier-1
-    #: machines: no detecting attempt ever needs more than 3 rounds, so
-    #: the late rounds only multiply the cost of hopeless attempts —
-    #: DPTRACE re-selection, justification and blame alike.
-    restart_max_rounds: int = 4
-    #: Justify-variant rotations per (window, activation frame) under
-    #: ``use_restarts`` (``justify_variants`` governs knobs-off).
-    #: Measured on the tier-1 machines: every detection lands at
-    #: variant 0 — the rotation only re-runs hopeless attempts — and
-    #: restart mode already diversifies inside the search (activity
-    #: order, saved phases, Luby epochs), which is strictly richer than
-    #: rotating the static option order.
-    restart_justify_variants: int = 1
-    #: *Escalated* refutation-probe conflict budget under
-    #: ``use_restarts`` (0 disables, the default).  Measured on the
-    #: deadline-dominating DLX families: escalated probes refute a few
-    #: small blame prefixes cheaply (sub-second 1-UIP proofs that
-    #: cross-window transfer then amortizes), but futile probes on hard
-    #: satisfiable questions cost seconds each — a net loss end-to-end,
-    #: so escalation is opt-in for offline proof mining, not the
-    #: campaign default.
-    restart_refute_conflicts: int = 0
-    #: Escalated probes fire only on blame prefixes this small.  CDCL is
-    #: tractable on tiny objective sets and measurably futile on large
-    #: ones at any affordable budget; a tiny core subset-matches into
-    #: every containing question at every window (cross-window cert
-    #: transfer), so small-question proofs carry all the leverage.
-    restart_refute_max_items: int = 3
-    #: Run exposure checks on the compiled datapath kernels, screening the
-    #: bad-machine co-simulation with a cone fork against the golden trace
-    #: (:mod:`repro.datapath.faultsim`).  ``False`` restores the fully
-    #: interpretive path — the differential oracle.
-    use_compiled_datapath: bool = True
 
     _analyzers: dict[int, object] = field(default_factory=dict, repr=False)
     _unrolled: dict[int, UnrolledController] = field(
@@ -288,11 +227,6 @@ class TestGenerator:
     #: across errors like ``nogoods`` and shipped between orchestrator
     #: workers / kept warm by the campaign service.
     clauses: ClauseDB = field(default_factory=ClauseDB, repr=False)
-    #: Cross-error EVSIDS activity scores + saved phases for the
-    #: restart-capable search; only consulted when ``use_restarts``.
-    activity: SearchActivity = field(
-        default_factory=SearchActivity, repr=False
-    )
     #: Questions whose refutation probe already gave up (SAT or budget
     #: exhausted), mapped to the probe's recorded effort counters.  The
     #: refuter is deterministic, so re-probing the same objective set —
@@ -301,19 +235,12 @@ class TestGenerator:
     #: replays the counters instead.  Deadline-cut probes are never
     #: recorded (wall-clock dependence).
     _refute_futile: dict = field(default_factory=dict, repr=False)
-    #: Questions whose *escalated* (restart-scheduled, large-budget)
-    #: probe already failed to refute; keyed like ``_refute_futile``.
-    #: Only populated with ``use_restarts``.
-    _escalate_futile: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.min_frames is None:
             self.min_frames = self.processor.n_stages + 1
         if self.max_frames is None:
             self.max_frames = self.processor.n_stages + 4
-        # The golden half of the exposure check follows the same backend
-        # switch as the bad-machine co-simulation.
-        self._golden.compiled = self.use_compiled_datapath
 
     # ------------------------------------------------------------------
     # Cached per-window structures
@@ -358,12 +285,7 @@ class TestGenerator:
                     ):
                         return result
                     result.attempts += 1
-                    variants = (
-                        min(self.restart_justify_variants,
-                            self.justify_variants)
-                        if self.use_restarts else self.justify_variants
-                    )
-                    for jv in range(variants):
+                    for jv in range(self.justify_variants):
                         if (
                             deadline_at is not None
                             and time.process_time() > deadline_at
@@ -434,11 +356,7 @@ class TestGenerator:
         control_side_acc: set = set()
         last_good = None  # (trace, just, implied_ctrl)
         variant = 0
-        rounds = (
-            min(self.restart_max_rounds, self.max_rounds)
-            if self.use_restarts else self.max_rounds
-        )
-        for round_index in range(rounds):
+        for round_index in range(self.max_rounds):
             if deadline_at is not None and time.process_time() > deadline_at:
                 break
             trace = self._select_paths(
@@ -467,10 +385,8 @@ class TestGenerator:
                 if (
                     nogood is not None
                     and self.use_clause_learning
-                    and self.clauses.lookup(
-                        n_frames, accumulated_items,
-                        transfer=self.use_restarts,
-                    ) is not None
+                    and self.clauses.lookup(n_frames, accumulated_items)
+                    is not None
                 ):
                     # Certificates outrank the blame replay, exactly as
                     # they precede the memo inside ``_justify``: a
@@ -492,8 +408,6 @@ class TestGenerator:
                 result.backjumps += recorded_cdcl[2]
                 result.clause_hits += recorded_cdcl[3]
                 result.refuted_unjustifiable += recorded_cdcl[4]
-                if len(recorded_cdcl) > 5:
-                    result.restarts += recorded_cdcl[5]
                 for item in blamed:
                     discouraged.add(item)
                 accumulated = {}
@@ -516,7 +430,6 @@ class TestGenerator:
             result.learned_clauses += just.learned_clauses
             result.backjumps += just.backjumps
             result.clause_hits += just.clause_hits
-            result.restarts += just.restarts
             if just.refuted:
                 result.refuted_unjustifiable += 1
             if just.status is not JustStatus.SUCCESS:
@@ -541,7 +454,7 @@ class TestGenerator:
                         cdcl=(
                             just.conflicts, just.learned_clauses,
                             just.backjumps, just.clause_hits,
-                            int(just.refuted), just.restarts,
+                            int(just.refuted),
                         ),
                         deadline_hit=tainted or just.deadline_hit,
                     )
@@ -694,7 +607,6 @@ class TestGenerator:
             max_backtracks=self.dptrace_backtrack_limit,
             discouraged=discouraged,
             variant=variant,
-            incremental=self.use_incremental_dptrace,
             deadline=deadline_at,
         )
         phase_start = time.process_time()
@@ -732,10 +644,7 @@ class TestGenerator:
         recompute side and break the on/off outcome identity.
         """
         if self.use_clause_learning:
-            cert = self.clauses.lookup(
-                unrolled.n_frames, key_items,
-                transfer=self.use_restarts,
-            )
+            cert = self.clauses.lookup(unrolled.n_frames, key_items)
             if cert is not None:
                 return JustResult(
                     JustStatus.FAILURE, refuted=True, clause_hits=1,
@@ -755,27 +664,6 @@ class TestGenerator:
         )
         if recorded is not None:
             refute_budget = 0
-        escalate_budget = 0
-        if (
-            self.use_restarts
-            and self.use_clause_learning
-            and not learn_certs
-            and len(key_items) <= self.restart_refute_max_items
-            and key_items not in self._escalate_futile
-        ):
-            # The escalated (Luby-restart-scheduled) probe only ever
-            # fires after a chronological give-up, and only on *small*
-            # blame prefixes: tiny objective sets are where CDCL proofs
-            # are tractable, and their cores subset-match into every
-            # larger question that contains them — at every window, via
-            # cross-window transfer — so one cheap proof retires a whole
-            # question family.  Large questions are measurably futile at
-            # any affordable budget.  One futile escalation per question
-            # is enough — the probe is window-independent (the unrolled
-            # frames below the objectives are identical in every
-            # window) and deterministic, so neither the variant retry
-            # loop nor a wider window may re-pay it.
-            escalate_budget = self.restart_refute_conflicts
 
         def compute():
             engine = CtrlJust(
@@ -784,24 +672,8 @@ class TestGenerator:
                 deadline=deadline_at,
                 refute_conflicts=refute_budget,
                 backjump=self.use_backjumping,
-                restarts=self.use_restarts,
-                activity=self.activity if self.use_restarts else None,
-                restart_backtracks=self.restart_backtracks,
-                escalate_refute=escalate_budget,
             )
             result = engine.justify(objectives)
-            if (
-                escalate_budget
-                and result.status is JustStatus.FAILURE
-                and not result.refuted
-                and not result.exhausted
-                and not result.deadline_hit
-            ):
-                # A give-up that came back unrefuted means the escalated
-                # probe (if it ran) was futile — don't re-pay it on the
-                # next variant.  (Counters are not replayed: restart
-                # mode has no on/off effort-identity gate.)
-                self._escalate_futile[key_items] = True
             if recorded is not None:
                 # Replay the skipped probe's effort so counters match a
                 # recompute exactly (the same contract as a no-good hit).
@@ -827,13 +699,7 @@ class TestGenerator:
             )
             result = self.nogoods.cached_justify(key, compute)
         if (
-            (
-                learn_certs
-                or (
-                    self.use_restarts
-                    and (result.refuted or result.exhausted)
-                )
-            )
+            learn_certs
             and self.use_clause_learning
             and not result.deadline_hit
         ):
@@ -972,17 +838,15 @@ class TestGenerator:
             )
         except CosimError:
             return None
-        if self.use_compiled_datapath:
-            verdict = self._fork_exposure(error, good)
-            if verdict is not _FORK_UNDECIDED:
-                return verdict
+        verdict = self._fork_exposure(error, good)
+        if verdict is not _FORK_UNDECIDED:
+            return verdict
         try:
             injector, module_overrides = error.hooks(self.processor.datapath)
             bad_cosim = ProcessorSimulator(
                 self.processor,
                 injector=injector,
                 module_overrides=module_overrides,
-                compiled=self.use_compiled_datapath,
             )
             bad_cosim.set_stimulus_state(test.stimulus_state)
             bad = bad_cosim.run(test.cpi_frames, test.dpi_frames)

@@ -52,7 +52,6 @@ def generator_cache_counters(generator) -> dict[str, dict[str, int]]:
         "golden": generator._golden.stats(),
         "path": generator._path_cache.stats(),
         "clause": generator.clauses.stats(),
-        "activity": generator.activity.stats(),
     }
 
 
@@ -62,13 +61,12 @@ def _store_sizes(generator) -> dict[str, int]:
         "golden_traces": len(generator._golden),
         "path_entries": len(generator._path_cache),
         "clause_records": len(generator.clauses),
-        "activity_signals": len(generator.activity),
     }
 
 
 #: Store-size counters: meaningful as absolutes, not as request deltas.
 _OCCUPANCY_KEYS = frozenset({
-    "entries", "records", "justify_entries", "signals",
+    "entries", "records", "justify_entries",
 })
 
 

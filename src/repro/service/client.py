@@ -185,8 +185,6 @@ def run_remote_campaign(args, target: str, title: str | None) -> int:
         "jobs": args.jobs,
         "dropping": args.dropping,
         "profile": args.profile,
-        "restarts": args.restarts,
-        "deadline_bank": args.deadline_bank,
     }
     try:
         submitted = client.submit_campaign(**request)

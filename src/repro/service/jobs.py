@@ -43,6 +43,17 @@ TERMINAL_STATUSES = frozenset({
 DEFAULT_DEADLINES = {"dlx": 20.0, "mini": 10.0}
 DEFAULT_SAMPLES = {"dlx": 6, "mini": 1}
 
+#: Every ``POST /v1/campaigns`` field anything reads: the run knobs
+#: (:func:`campaign_config_from_request`), the error selection
+#: (:func:`select_campaign_errors`) and the server's own ``tenant``,
+#: ``resume`` and ``checkpoint``.  Any other field is rejected, so a
+#: misspelt or retired knob cannot silently run with its default.
+CAMPAIGN_REQUEST_FIELDS = frozenset({
+    "target", "deadline", "jobs", "dropping", "profile",
+    "errors", "sample",
+    "tenant", "resume", "checkpoint",
+})
+
 
 def new_job_id(kind: str) -> str:
     return f"{kind}-{uuid.uuid4().hex[:12]}"
@@ -182,8 +193,14 @@ def campaign_config_from_request(
     """Validate a ``POST /v1/campaigns`` body into an orchestrator config.
 
     Mirrors the CLI flag set exactly — same knobs, same defaults — so a
-    request dict and an argv produce the same run.
+    request dict and an argv produce the same run.  A field outside
+    :data:`CAMPAIGN_REQUEST_FIELDS` answers 400.
     """
+    unknown = sorted(set(request) - CAMPAIGN_REQUEST_FIELDS)
+    if unknown:
+        raise HttpError(
+            400, f"unknown campaign request field(s): {', '.join(unknown)}"
+        )
     target = request.get("target", "dlx")
     if target not in CAMPAIGN_TARGETS:
         raise HttpError(400, f"unknown campaign target {target!r}")
@@ -202,8 +219,6 @@ def campaign_config_from_request(
             checkpoint_path=checkpoint_path,
             resume=resume,
             profile=bool(request.get("profile", False)),
-            restarts=bool(request.get("restarts", False)),
-            deadline_bank=bool(request.get("deadline_bank", False)),
         )
     except ValueError as exc:
         raise HttpError(400, str(exc)) from None

@@ -137,10 +137,6 @@ class CampaignServer:
         self._requests_by_endpoint: dict[str, int] = {}
         self.rejected_draining = 0
         self._phase_cpu: dict[str, float] = {}
-        #: Lifetime restart-search / deadline-bank totals across finished
-        #: campaign jobs (additive, like _phase_cpu).
-        self._restarts_total = 0
-        self._bank_totals: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -451,11 +447,6 @@ class CampaignServer:
                 self._phase_cpu[phase] = (
                     self._phase_cpu.get(phase, 0.0) + seconds
                 )
-            self._restarts_total += outcome.get("restarts", 0) or 0
-        for key, value in (run["report"].get("bank") or {}).items():
-            if key == "balance_seconds":
-                continue  # a per-campaign snapshot, not additive
-            self._bank_totals[key] = self._bank_totals.get(key, 0) + value
         if run["report"].get("interrupted"):
             job.status = "interrupted"
             job.resumable = job.checkpoint_path is not None
@@ -537,8 +528,6 @@ class CampaignServer:
                 "utilization": busy / self.config.max_workers,
             },
             "phase_cpu_seconds": dict(sorted(self._phase_cpu.items())),
-            "restarts": self._restarts_total,
-            "deadline_bank": dict(sorted(self._bank_totals.items())),
             "caches": self.registry.stats(),
             "batched": _batched_counters(),
             "events": {

@@ -71,3 +71,12 @@ def test_record_dict_roundtrip():
     rebuilt = CheckpointRecord.from_dict(record.to_dict())
     assert rebuilt.outcome == record.outcome
     assert rebuilt.test == record.test
+
+
+def test_retired_outcome_fields_are_dropped_and_others_rejected():
+    data = CheckpointRecord(_outcome("e1")).to_dict()
+    data["outcome"].update(restarts=0, deadline_grant=10.0)
+    assert CheckpointRecord.from_dict(data).outcome == _outcome("e1")
+    data["outcome"]["mystery"] = 1
+    with pytest.raises(ValueError, match="mystery"):
+        CheckpointRecord.from_dict(data)

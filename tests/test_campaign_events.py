@@ -7,6 +7,7 @@ import pytest
 
 from repro.campaign.events import (
     EVENT_KINDS,
+    EVENT_SCHEMA_VERSION,
     CampaignEvent,
     EventLog,
     EventStream,
@@ -38,7 +39,7 @@ def test_event_to_dict_roundtrip_shape():
     data = event.to_dict()
     assert data == {
         "kind": "checkpoint-written",
-        "schema_version": 1,
+        "schema_version": EVENT_SCHEMA_VERSION,
         "seq": 7,
         "wall_time": 12.5,
         "data": {"path": "x"},

@@ -5,6 +5,8 @@ orchestration itself: serial equivalence, shard merging, coordinator-side
 fault dropping, checkpoint/resume, and the emitted event stream.
 """
 
+import json
+
 import pytest
 
 from repro.campaign import MiniCampaign
@@ -170,6 +172,55 @@ def test_resume_skips_completed_and_reproduces_report(tmp_path):
     }
 
 
+#: A checkpoint line exactly as written before the restart search and the
+#: deadline bank were removed: its outcome still carries ``restarts`` and
+#: ``deadline_grant``.
+LEGACY_RECORD = (
+    '{"kind":"campaign-checkpoint","outcome":{"error":"bus-ssl alu_mux.y[0]'
+    ' stuck-at-0","detected":true,"test_length":4,"nontrivial_instructions":1,'
+    '"backtracks":4,"final_backtracks":2,"attempts":2,"seconds":0.044,'
+    '"failure_stage":"","dropped_by":"","phase_seconds":{"dptrace":0.019,'
+    '"ctrljust":0.003,"dprelax":0.001,"cosim":0.015},"golden_hits":0,'
+    '"golden_misses":1,"exposure_forks":1,"exposure_fork_decided":1,'
+    '"nogood_hits":0,"nogood_misses":2,"justify_cache_hits":1,'
+    '"path_cache_hits":0,"path_cache_misses":3,"dptrace_sweeps_avoided":6,'
+    '"conflicts":2,"learned_clauses":2,"backjumps":0,"clause_hits":0,'
+    '"refuted_unjustifiable":0,"restarts":0,"cpu_seconds":0.044,'
+    '"deadline_grant":10.0,"deadline_hit":false},"test":{"kind":"mini-test",'
+    '"program":[{"op":"NOP","rs1":0,"rs2":0,"rd":0,"imm":0},{"op":"ADD",'
+    '"rs1":0,"rs2":1,"rd":3,"imm":0},{"op":"NOP","rs1":0,"rs2":0,"rd":0,'
+    '"imm":0},{"op":"NOP","rs1":0,"rs2":0,"rd":0,"imm":0}],'
+    '"init_regs":[1,0,0,0]}}'
+)
+
+
+def test_resume_from_legacy_checkpoint(tmp_path):
+    """An older checkpoint resumes without re-running its error.  Its
+    last record per error wins, as when a deadline-aborted error was
+    re-run with a larger budget and recorded twice."""
+    first = json.loads(LEGACY_RECORD)
+    first["outcome"].update(
+        detected=False, failure_stage="tg", test_length=0,
+        nontrivial_instructions=0, deadline_hit=True,
+    )
+    first["test"] = None
+    path = tmp_path / "cp.jsonl"
+    path.write_text(json.dumps(first) + "\n" + LEGACY_RECORD + "\n")
+    events = EventStream()
+    log = EventLog()
+    events.subscribe(log)
+    report = CampaignOrchestrator(
+        _mini_config(jobs=1, checkpoint_path=str(path), resume=True),
+        events=events,
+    ).run(ERRORS[:1])
+    assert log.of_kind("error-started") == []
+    assert log.of_kind("campaign-started")[0].data["resumed"] == 1
+    [outcome] = report.outcomes
+    assert outcome.error == ERRORS[0].describe()
+    assert outcome.detected
+    assert (outcome.test_length, outcome.backtracks) == (4, 4)
+
+
 def test_resume_with_complete_checkpoint_does_no_work(tmp_path):
     path = str(tmp_path / "cp.jsonl")
     config = _mini_config(jobs=1, checkpoint_path=path)
@@ -254,9 +305,8 @@ def test_interrupt_parallel_run_leaves_tail_unattempted(tmp_path):
 def test_worker_entry_points_in_process():
     """The pool worker functions themselves, run in-process."""
     _worker_init("mini", 10.0)
-    (index, outcome_dict, test, learned, learned_clauses,
-     learned_activity) = _worker_run(
-        (7, ERRORS[0], [], [], [], 0.0)
+    index, outcome_dict, test, learned, learned_clauses = _worker_run(
+        (7, ERRORS[0], [], [])
     )
     assert index == 7
     assert outcome_dict["detected"]
@@ -265,7 +315,6 @@ def test_worker_entry_points_in_process():
     assert len(test["program"]) == outcome_dict["test_length"]
     assert isinstance(learned, list)
     assert isinstance(learned_clauses, list)
-    assert isinstance(learned_activity, list)
 
 
 def test_campaign_run_to_dict_shape():

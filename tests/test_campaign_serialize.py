@@ -89,6 +89,15 @@ def test_report_roundtrip():
     assert rebuilt.table1() == report.table1()
 
 
+def test_report_with_retired_outcome_fields_loads():
+    data = report_to_dict(CampaignReport(
+        outcomes=[ErrorOutcome("e1", True, test_length=6)],
+        total_seconds=3.0,
+    ))
+    data["outcomes"][0].update(restarts=0, deadline_grant=20.0)
+    assert report_from_dict(data).outcomes[0].test_length == 6
+
+
 def test_report_roundtrip_with_dropped_outcomes():
     """A report containing fault-dropped outcomes survives the round trip
     with the dropping provenance intact."""

@@ -2,8 +2,8 @@
 
 The compiled backend (:mod:`repro.datapath.compiled`) is an optimisation,
 not a second semantics: every consumer switches backends through a
-``compiled=`` / ``use_compiled_datapath=`` knob, and this suite pins the
-two implementations together —
+``compiled=`` knob, and this suite pins the two implementations
+together —
 
 * hypothesis-driven whole-run equivalence on MiniPipe (fault-free and
   with injected errors), cycle-by-cycle over the full co-simulation
@@ -16,6 +16,8 @@ two implementations together —
 * the TestGenerator fork screen: identical results with the screen on
   and off, with the fork counters proving the screen actually ran.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -222,15 +224,24 @@ def test_conformance_matrix_batch_matches_serial():
 # ----------------------------------------------------------------------
 # TestGenerator exposure fork screen
 # ----------------------------------------------------------------------
-def test_tg_fork_screen_matches_interpretive(minipipe):
+def test_tg_fork_screen_matches_interpretive(minipipe, monkeypatch):
+    from repro.core.tg import _FORK_UNDECIDED
+    from repro.verify.cosim import GoldenTraceCache, ProcessorSimulator
+
     errors = enumerate_bus_ssl(minipipe.datapath, stages={1, 2})[:6]
-    fast = TestGenerator(minipipe, deadline_seconds=10.0,
-                         use_compiled_datapath=True)
-    slow = TestGenerator(minipipe, deadline_seconds=10.0,
-                         use_compiled_datapath=False)
+    fast = TestGenerator(minipipe, deadline_seconds=10.0)
+    fast_results = [fast.generate(error) for error in errors]
+    # The interpretive oracle: both halves of every exposure check on the
+    # interpretive simulator, and no fork screen in front of them.
+    monkeypatch.setattr(
+        "repro.core.tg.ProcessorSimulator",
+        partial(ProcessorSimulator, compiled=False),
+    )
+    slow = TestGenerator(minipipe, deadline_seconds=10.0)
+    slow._golden = GoldenTraceCache(compiled=False)
+    slow._fork_exposure = lambda error, good: _FORK_UNDECIDED
     screened = 0
-    for error in errors:
-        a = fast.generate(error)
+    for error, a in zip(errors, fast_results):
         b = slow.generate(error)
         assert a.status == b.status
         if a.status is TGStatus.DETECTED:

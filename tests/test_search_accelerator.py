@@ -19,12 +19,12 @@ against the interpretive oracles:
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clauses import SearchActivity, luby
 from repro.core.ctrljust import CtrlJust, JustResult, JustStatus
 from repro.core.dptrace import DPTrace, TraceResult, TraceStatus
 from repro.core.nogoods import (
@@ -156,38 +156,35 @@ def _generate_all(processor, errors, **knobs):
     return generator, results
 
 
-def test_tg_learning_on_off_identical_mini(mini):
+def _generate_all_unaccelerated(monkeypatch, processor, errors):
+    """The oracle arm: learning off, and every DPTRACE selection TG runs
+    on the full-recompute path instead of the incremental session."""
+    monkeypatch.setattr(
+        "repro.core.tg.DPTrace", partial(DPTrace, incremental=False)
+    )
+    return _generate_all(processor, errors, use_learned_nogoods=False)
+
+
+def test_tg_learning_on_off_identical_mini(mini, monkeypatch):
     """Learning/caching changes wall clock only, never an outcome."""
     errors = enumerate_bus_ssl(mini.datapath, stages={1, 2})[::8]
     assert len(errors) >= 10
-    accel, on = _generate_all(
-        mini, errors,
-        use_learned_nogoods=True, use_incremental_dptrace=True,
-    )
-    _, off = _generate_all(
-        mini, errors,
-        use_learned_nogoods=False, use_incremental_dptrace=False,
-    )
+    accel, on = _generate_all(mini, errors)
+    _, off = _generate_all_unaccelerated(monkeypatch, mini, errors)
     assert on == off
     # The accelerators actually engaged (else this test proves nothing).
     assert accel._sweeps_avoided > 0
     assert accel.nogoods.justify_misses > 0
 
 
-def test_tg_learning_on_off_identical_dlx_spot():
+def test_tg_learning_on_off_identical_dlx_spot(monkeypatch):
     """Two DLX spot checks: one detected, one justification-heavy."""
     from repro.dlx.machine import build_dlx
 
     processor = build_dlx()
     errors = enumerate_bus_ssl(processor.datapath, stages={2})[:2]
-    _, on = _generate_all(
-        processor, errors,
-        use_learned_nogoods=True, use_incremental_dptrace=True,
-    )
-    _, off = _generate_all(
-        processor, errors,
-        use_learned_nogoods=False, use_incremental_dptrace=False,
-    )
+    _, on = _generate_all(processor, errors)
+    _, off = _generate_all_unaccelerated(monkeypatch, processor, errors)
     assert on == off
 
 
@@ -342,123 +339,15 @@ def test_nogood_records_roundtrip_and_pooling():
 
 
 # ---------------------------------------------------------------------------
-# Restart-driven search: EVSIDS activity + Luby restarts (PR 9)
+# Unrolling
 # ---------------------------------------------------------------------------
-def test_luby_sequence():
-    assert [luby(i) for i in range(1, 16)] == [
-        1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
-    ]
-    with pytest.raises(ValueError):
-        luby(0)
-
-
-def test_tg_restarts_off_is_default_identity_mini(mini):
-    """The restarts knob defaults off, and off is byte-identical to the
-    pre-knob generator: full result rows including every backtrack
-    statistic, with zero restarts recorded anywhere."""
-    errors = enumerate_bus_ssl(mini.datapath, stages={1, 2})[::8]
-    assert len(errors) >= 10
-    _, default_rows = _generate_all(mini, errors)
-    _, off_rows = _generate_all(mini, errors, use_restarts=False)
-    assert default_rows == off_rows
-
-
-def test_tg_restarts_off_is_default_identity_dlx_spot():
-    from repro.dlx.machine import build_dlx
-
-    processor = build_dlx()
-    errors = enumerate_bus_ssl(processor.datapath, stages={2})[:2]
-    _, default_rows = _generate_all(processor, errors)
-    _, off_rows = _generate_all(processor, errors, use_restarts=False)
-    assert default_rows == off_rows
-
-
-def test_tg_restarts_on_monotone_outcomes_mini(mini):
-    """Restarts may change *effort*, never flip a detection to an abort:
-    the detected set with restarts on contains the knobs-off one (on this
-    ample-deadline workload they are equal)."""
-    errors = enumerate_bus_ssl(mini.datapath, stages={1, 2})[::8]
-    accel, on = _generate_all(mini, errors, use_restarts=True)
-    _, off = _generate_all(mini, errors, use_restarts=False)
-    detected_on = {
-        error for (error, status, *_rest) in on
-        if status is TGStatus.DETECTED
-    }
-    detected_off = {
-        error for (error, status, *_rest) in off
-        if status is TGStatus.DETECTED
-    }
-    assert detected_on >= detected_off
-    # The activity machinery actually engaged on this workload.
-    assert accel.activity.stats()["bumps"] > 0
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.data())
-def test_restarts_agree_with_chronological_search(mini, data):
-    """SAT/UNSAT agreement: activity-ordered search with (aggressive)
-    Luby restarts answers every justification question exactly like the
-    chronological search — restarts revisit the same complete space."""
-    unrolled = mini.controller.unroll(N_FRAMES)
-    ctrls = sorted(mini.controller.ctrl_signals)
-    n = data.draw(st.integers(1, 3))
-    objectives = []
-    seen = set()
-    for _ in range(n):
-        frame = data.draw(st.integers(1, N_FRAMES - 1))
-        ctrl = data.draw(st.sampled_from(ctrls))
-        if (frame, ctrl) in seen:
-            continue
-        seen.add((frame, ctrl))
-        value = data.draw(st.integers(0, 1))
-        objectives.append((unrolled.instance(frame, ctrl), value))
-    chrono = CtrlJust(unrolled).justify(list(objectives))
-    # Budget-matched: restart mode normally runs under a reduced total
-    # (``restart_backtracks``), so give-up verdicts can differ by
-    # design.  With the budgets equal, the aggressive Luby schedule
-    # revisits the same complete space and must agree on every verdict.
-    restarting = CtrlJust(
-        unrolled, restarts=True, restart_unit=1,
-        restart_backtracks=1000,
-    ).justify(list(objectives))
-    assert restarting.status is chrono.status
-    assert restarting.deadline_hit is chrono.deadline_hit is False
-
-
-def test_clause_transfer_cross_window():
-    """Cross-window certificate transfer: a core whose literal frames
-    all fit below a window refutes there regardless of the window it
-    was learned at — and only when ``transfer`` is requested, so the
-    knobs-off lookup path is untouched."""
-    from repro.core.clauses import ClauseDB
-
-    db = ClauseDB()
-    core = (((1, "op"), 1), ((2, "phase"), 0))
-    db.add(6, core, lbd=2)
-    query = core + (((3, "stall"), 1),)
-    # Same window: hits with or without transfer.
-    assert db.lookup(6, query) == frozenset(core)
-    # Other window, no transfer: the knobs-off miss.
-    assert db.lookup(8, query, transfer=False) is None
-    # Other window, transfer on: frames {1, 2} fit below 8 — hit.
-    assert db.lookup(8, query, transfer=True) == frozenset(core)
-    # A window too small for the cert's frames never matches.
-    assert db.lookup(2, query, transfer=True) is None
-    # Eviction keeps the transfer index consistent.
-    small = ClauseDB(max_certs=1)
-    small.add(6, core, lbd=2)
-    small.add(7, (((1, "op"), 0),), lbd=1)
-    assert small.evicted == 1
-    assert small.lookup(9, query, transfer=True) is None
-
-
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_justifiability_is_window_independent(mini, data):
-    """The causality fact behind cross-window transfer: frames below
-    the objectives are identical in every unrolling, so a question
-    confined to frames < n answers the same at window n and n + 1
-    (complete chronological search, ample budget)."""
+    """Unrolling is causal: frames below the objectives are identical
+    in every unrolling, so a question confined to frames < n answers
+    the same at window n and n + 1 (complete chronological search,
+    ample budget)."""
     ctrls = sorted(mini.controller.ctrl_signals)
     small = mini.controller.unroll(N_FRAMES)
     large = mini.controller.unroll(N_FRAMES + 1)
@@ -476,111 +365,3 @@ def test_justifiability_is_window_independent(mini, data):
         [(large.instance(f, c), v) for f, c, v in sorted(picked)]
     )
     assert at_small.status is at_large.status
-
-
-def test_restart_taint_never_commits_activity(mini):
-    """The deadline-taint rule covers restart mode: an attempt cut short
-    by the CPU deadline surfaces as a tainted FAILURE and leaves the
-    shared activity store untouched (no bumps, no phases, no signals)."""
-    unrolled = mini.controller.unroll(N_FRAMES)
-    store = SearchActivity()
-    past = time.process_time() - 1.0
-    ctrl = sorted(mini.controller.ctrl_signals)[0]
-    objectives = [(unrolled.instance(1, ctrl), 1)]
-    just = CtrlJust(
-        unrolled, deadline=past, restarts=True, activity=store
-    ).justify(objectives)
-    assert just.status is JustStatus.FAILURE
-    assert just.deadline_hit is True
-    assert store.stats() == {"signals": 0, "bumps": 0, "merged": 0}
-    assert store.export_records() == []
-    # ... and record_blame refuses tainted learning under the same rule.
-    nogoods = LearnedNogoods()
-    key = justify_key(4, (((1, "op"), 1),), 0, 100)
-    nogoods.record_blame(key, [], 5, deadline_hit=True)
-    assert len(nogoods) == 0
-
-
-def test_activity_records_roundtrip_and_pooling():
-    from repro.campaign.serialize import (
-        activity_records_from_wire,
-        activity_records_to_wire,
-    )
-
-    store = SearchActivity()
-    run = store.begin()
-    run.bump("alu_op")
-    run.bump("alu_op")
-    run.bump("wb_sel")
-    run.save_phase("wb_sel", 1)
-    store.commit(run)
-    assert store.stats()["bumps"] == 3
-
-    wire = activity_records_to_wire(store.export_records())
-    # Exported records drain: nothing left to report.
-    assert store.export_records() == []
-    decoded = activity_records_from_wire(wire)
-
-    other = SearchActivity()
-    low = other.begin()
-    low.bump("alu_op")
-    low.save_phase("wb_sel", 0)
-    other.commit(low)
-    other.export_records()  # drain the locally-learned rows
-    assert other.merge_records(decoded) > 0
-    # Scores max-merge (the foreign double bump wins), phases overwrite.
-    assert other.scores["alu_op"] == store.scores["alu_op"]
-    assert other.phases["wb_sel"] == 1
-    # Merged (foreign) records do not re-export.
-    assert other.export_records() == []
-
-
-def test_deadline_bank_invariants():
-    from repro.campaign.banking import DeadlineBank
-
-    bank = DeadlineBank()
-    # Overruns clamp at zero; tainted outcomes never deposit.
-    assert bank.deposit("a", 10.0, 12.0) == 0.0
-    assert bank.deposit("b", 10.0, 4.0, tainted=True) == 0.0
-    assert bank.balance == 0.0
-    # Grants require funds: the balance can never go negative.
-    assert not bank.try_grant("c", 5.0)
-    assert bank.deposit("d", 10.0, 2.0) == 8.0
-    assert not bank.try_grant("c", 9.0)
-    assert bank.try_grant("c", 5.0)
-    assert bank.balance == pytest.approx(3.0)
-    # At most one grant per error, ever.
-    assert not bank.try_grant("c", 1.0)
-    stats = bank.stats()
-    assert stats["deposits"] == 1 and stats["grants"] == 1
-    assert stats["balance_seconds"] >= 0.0
-
-
-def test_bank_jobs1_vs_jobs2_identical_outcomes():
-    """Banking is a scheduling policy: serial and sharded runs of the
-    same banked campaign end with the same per-error verdicts."""
-    from repro.campaign.orchestrator import (
-        CampaignOrchestrator,
-        OrchestratorConfig,
-        build_campaign,
-    )
-
-    errors = build_campaign("mini", 10.0).default_errors()[::16]
-    reports = []
-    for jobs in (1, 2):
-        config = OrchestratorConfig(
-            target="mini", jobs=jobs, deadline_seconds=10.0,
-            deadline_bank=True,
-        )
-        reports.append(CampaignOrchestrator(config).run(errors))
-    verdicts = [
-        sorted(
-            (o.error, o.detected, o.failure_stage) for o in report.outcomes
-        )
-        for report in reports
-    ]
-    assert verdicts[0] == verdicts[1]
-    assert all(report.bank is not None for report in reports)
-    assert all(
-        report.bank["balance_seconds"] >= 0.0 for report in reports
-    )

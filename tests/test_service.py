@@ -15,6 +15,7 @@ import asyncio
 
 import pytest
 
+from repro.campaign.events import EVENT_SCHEMA_VERSION
 from repro.campaign.serialize import canonical_campaign_run, load_json
 from repro.service import (
     CampaignServer,
@@ -112,7 +113,9 @@ def test_http_campaign_matches_cli_and_warms_caches(tmp_path, capsys):
         assert [e["kind"] for e in events1] == [
             e["kind"] for e in status1["result"]["events"]
         ]
-        assert all(e["schema_version"] == 1 for e in events1)
+        assert all(
+            e["schema_version"] == EVENT_SCHEMA_VERSION for e in events1
+        )
         seqs = [e["seq"] for e in events1]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
 
@@ -161,6 +164,13 @@ def test_healthz_metrics_and_errors(tmp_path):
         with pytest.raises(ServiceError) as excinfo:
             client.submit_campaign(target="mini", jobs=0)
         assert excinfo.value.status == 400
+        # Fields nothing reads are refused rather than silently ignored:
+        # a retired knob and a misspelt one.
+        for field in ({"restarts": True}, {"droping": True}):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_campaign(target="mini", **field)
+            assert excinfo.value.status == 400
+            assert next(iter(field)) in excinfo.value.body["error"]
         with pytest.raises(ServiceError) as excinfo:
             client.submit_campaign(target="mini",
                                    resume="campaign-doesnotexist")
