@@ -80,9 +80,6 @@ class ControlNetwork:
             )
         return names
 
-    def domains_of(self, node: ControlNode) -> list[tuple[int, ...]]:
-        return [self.signals[name].domain for name in node.inputs]
-
     def topological_order(self) -> list[str]:
         """Driven signal names in dependency order; detects cycles.
 

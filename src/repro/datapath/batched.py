@@ -25,12 +25,14 @@ Lane layout and masking rules
 * Externals are masked to the net width in Python **before** array fill —
   numpy 2 refuses negative ints in uint64 arrays — matching the scalar
   backends, which mask externals at emission.
-* Three-valued (partial) kernels keep the **stored-0 invariant**: a lane
-  whose net is unknown stores value 0 (``np.where(known, expr, 0)``), which
-  mirrors the scalar partial kernels' 0-substitution and keeps downstream
-  vectorised arithmetic well-defined.
+* The kernels are three-valued, like the scalar ones, and keep the
+  **stored-0 invariant**: a lane whose net is unknown stores value 0
+  (``np.where(known, expr, 0)``), which mirrors the scalar kernels'
+  0-substitution and keeps downstream vectorised arithmetic well-defined.
+* The kernels only evaluate: the lane co-simulator
+  (:mod:`repro.verify.lanes`) clocks the registers itself.
 * Injectors and module overrides are scalar Python callables; the hooked
-  kernels apply them elementwise at the few hooked sites only, so fault-free
+  kernel applies them elementwise at the few hooked sites only, so fault-free
   lanes pay nothing.  Injected values are masked to the net width, the
   semantics all backends share.
 
@@ -126,30 +128,13 @@ def counters_delta(before: Mapping[str, int]) -> dict:
     return {key: now[key] - before.get(key, 0) for key in _COUNTER_KEYS}
 
 
-def reset_counters() -> None:
-    with _counters_lock:
-        for key in _COUNTER_KEYS:
-            _counters[key] = 0
-
-
 # ---------------------------------------------------------------------------
 # Elementwise fallbacks for hooked sites and module types without a
 # vectorised expression.  These mirror compiled._pp / module.evaluate lane
 # by lane and are deliberately slow — they only run at hooked positions.
 # ---------------------------------------------------------------------------
-def _el(module, in_ids, ctl_ids, values, n, override, m):
-    """Elementwise concrete evaluation (eval/step kernels)."""
-    out = _np.zeros(n, _np.uint64)
-    fn = module.evaluate if override is None else override
-    for b in range(n):
-        inputs = [int(values[i][b]) for i in in_ids]
-        controls = [int(values[i][b]) for i in ctl_ids]
-        out[b] = fn(inputs, controls) & m
-    return out
-
-
 def _pl(module, in_ids, ctl_ids, values, known, n, override, m):
-    """Elementwise three-valued evaluation (partial kernels).
+    """Elementwise three-valued evaluation.
 
     Mirrors ``compiled._pp``: all controls known -> needed data inputs
     known -> 0-substitute unneeded unknowns -> evaluate (or override).
@@ -181,16 +166,8 @@ def _pl(module, in_ids, ctl_ids, values, known, n, override, m):
     return out, out_known
 
 
-def _ie(fn, vals, m):
-    """Apply a scalar injector to every lane (concrete kernels)."""
-    out = _np.empty(len(vals), _np.uint64)
-    for b, v in enumerate(vals):
-        out[b] = fn(int(v)) & m
-    return out
-
-
 def _ipk(fn, vals, kn, m):
-    """Apply a scalar injector to the known lanes only (partial kernels)."""
+    """Apply a scalar injector to the known lanes only."""
     out = vals.copy()
     for b in range(len(vals)):
         if kn[b]:
@@ -312,14 +289,10 @@ class BatchedDatapath:
     """Lane-vectorised codegen'd form of one netlist.
 
     Reuses the dense ids, schedule and hook maps of the scalar
-    :class:`~repro.datapath.compiled.CompiledDatapath` and generates six
-    batch kernels::
+    :class:`~repro.datapath.compiled.CompiledDatapath` and generates two
+    three-valued batch kernels::
 
-        eval_plain(n, values, state, ext_v)
-        step_plain(n, values, state, ext_v)
         partial_plain(n, values, known, state, ext_v, ext_k)
-        eval_hooked(n, values, state, ext_v, ovr, inj)
-        step_hooked(n, values, state, ext_v, ovr, inj)
         partial_hooked(n, values, known, state, ext_v, ext_k, ovr, inj)
 
     ``values`` / ``known`` / ``ext_v`` / ``ext_k`` are lists of ``(n,)``
@@ -344,11 +317,7 @@ class BatchedDatapath:
         self.source = self._generate_source()
         env = self._exec_env()
         exec(compile(self.source, f"<batched:{netlist.name}>", "exec"), env)
-        self.eval_plain = env["eval_plain"]
-        self.step_plain = env["step_plain"]
         self.partial_plain = env["partial_plain"]
-        self.eval_hooked = env["eval_hooked"]
-        self.step_hooked = env["step_hooked"]
         self.partial_hooked = env["partial_hooked"]
         self._maybe_dump()
 
@@ -359,7 +328,7 @@ class BatchedDatapath:
         env = {
             "_np": _np, "_dt": _np.uint64, "_b": _np.bool_, "_w": _np.where,
             "_sra": _sra, "_rotl": _rotl, "_rotr": _rotr,
-            "_el": _el, "_pl": _pl, "_ie": _ie, "_ipk": _ipk,
+            "_pl": _pl, "_ipk": _ipk,
         }
         cd = self.cd
         for k, module in enumerate(cd.sched_modules):
@@ -368,7 +337,7 @@ class BatchedDatapath:
             env[f"_tc{k}"] = cd.sched_ctl[k]
         return env
 
-    def _module_lines(self, k: int, hooked: bool, partial: bool) -> list[str]:
+    def _module_lines(self, k: int, hooked: bool) -> list[str]:
         cd = self.cd
         module = cd.sched_modules[k]
         out = cd.sched_out[k]
@@ -380,63 +349,42 @@ class BatchedDatapath:
         if t == "MuxModule":
             body.append(f"_s = values[{ctls[0]}]")
             body.append(f"_v = values[{ins[0]}]")
-            if partial:
-                body.append(f"_kv = known[{ins[0]}]")
+            body.append(f"_kv = known[{ins[0]}]")
             for i in range(1, module.n_inputs):
                 body.append(f"_c = _s == {i}")
                 body.append(f"_v = _w(_c, values[{ins[i]}], _v)")
-                if partial:
-                    body.append(f"_kv = _w(_c, known[{ins[i]}], _kv)")
-            if partial:
-                body.append(f"_k = known[{ctls[0]}] & _kv")
+                body.append(f"_kv = _w(_c, known[{ins[i]}], _kv)")
+            body.append(f"_k = known[{ctls[0]}] & _kv")
         elif t == "TristateModule":
             body.append(f"_s = values[{ctls[0]}] == 1")
             body.append(f"_v = _w(_s, values[{ins[0]}], 0)")
-            if partial:
-                body.append(f"_k = known[{ctls[0]}] & (~_s | known[{ins[0]}])")
+            body.append(f"_k = known[{ctls[0]}] & (~_s | known[{ins[0]}])")
         else:
             expr = _np_expr(module, [f"values[{i}]" for i in ins])
             if expr is None or ctls:
-                if partial:
-                    body.append(f"_v, _k = _pl(_m{k}, _ti{k}, _tc{k}, "
-                                f"values, known, n, None, {m})")
-                else:
-                    body.append(f"_v = _el(_m{k}, _ti{k}, _tc{k}, "
-                                f"values, n, None, {m})")
+                body.append(f"_v, _k = _pl(_m{k}, _ti{k}, _tc{k}, "
+                            f"values, known, n, None, {m})")
             else:
                 body.append(f"_v = {expr}")
-                if partial:
-                    knowns = " & ".join(f"known[{i}]" for i in ins)
-                    body.append(f"_k = {knowns}")
+                knowns = " & ".join(f"known[{i}]" for i in ins)
+                body.append(f"_k = {knowns}")
         if hooked:
-            lines = [f"if {k} in ovr:"]
-            if partial:
-                lines.append(f"    _v, _k = _pl(_m{k}, _ti{k}, _tc{k}, "
-                             f"values, known, n, ovr[{k}], {m})")
-            else:
-                lines.append(f"    _v = _el(_m{k}, _ti{k}, _tc{k}, "
-                             f"values, n, ovr[{k}], {m})")
-            lines.append("else:")
+            lines = [f"if {k} in ovr:",
+                     f"    _v, _k = _pl(_m{k}, _ti{k}, _tc{k}, "
+                     f"values, known, n, ovr[{k}], {m})",
+                     "else:"]
             lines += ["    " + line for line in body]
             lines.append(f"if {out} in inj:")
-            if partial:
-                lines.append(f"    _v = _ipk(inj[{out}], _v, _k, {m})")
-            else:
-                lines.append(f"    _v = _ie(inj[{out}], _v, {m})")
+            lines.append(f"    _v = _ipk(inj[{out}], _v, _k, {m})")
             body = lines
-        if partial:
-            body.append(f"values[{out}] = _w(_k, _v, 0)")
-            body.append(f"known[{out}] = _k")
-        else:
-            body.append(f"values[{out}] = _v")
+        body.append(f"values[{out}] = _w(_k, _v, 0)")
+        body.append(f"known[{out}] = _k")
         return body
 
-    def _source_sources(self, hooked: bool, partial: bool) -> list[str]:
+    def _source_sources(self, hooked: bool) -> list[str]:
         cd = self.cd
-        lines: list[str] = []
-        if partial:
-            lines.append("_kt = _np.ones(n, _b)")
-        emits: list[tuple[int, str, str | None]] = []
+        lines = ["_kt = _np.ones(n, _b)"]
+        emits: list[tuple[int, str, str]] = []
         for i, _ in cd.ext_pairs:
             emits.append((i, f"ext_v[{i}] & {self.net_mask[i]}",
                           f"ext_k[{i}]"))
@@ -451,58 +399,24 @@ class BatchedDatapath:
                 m = self.net_mask[i]
                 lines.append(f"_v = {expr}")
                 lines.append(f"if {i} in inj:")
-                if partial:
-                    lines.append(f"    _v = _ipk(inj[{i}], _v, {kexpr}, {m})")
-                else:
-                    lines.append(f"    _v = _ie(inj[{i}], _v, {m})")
+                lines.append(f"    _v = _ipk(inj[{i}], _v, {kexpr}, {m})")
                 lines.append(f"values[{i}] = _v")
-            if partial:
-                lines.append(f"known[{i}] = {kexpr}")
-        return lines
-
-    def _clock_lines(self) -> list[str]:
-        cd = self.cd
-        lines: list[str] = []
-        for j, reg in enumerate(cd.registers):
-            d = cd.reg_d_ids[j]
-            ctl = cd.reg_ctl_ids[j]
-            lines.append(f"_d = values[{d}] & {mask(reg.width)}")
-            pos = 0
-            if reg.has_enable:
-                lines.append(f"_d = _w(values[{ctl[pos]}] == 1, _d, state[{j}])")
-                pos += 1
-            if reg.has_clear:
-                lines.append(f"_d = _w(values[{ctl[pos]}] == 1, "
-                             f"{reg.clear_value}, _d)")
-            lines.append(f"state[{j}] = _d")
+            lines.append(f"known[{i}] = {kexpr}")
         return lines
 
     def _generate_source(self) -> str:
-        def fn(name: str, hooked: bool, partial: bool,
-               clock: bool) -> list[str]:
-            sig = "n, values, state, ext_v"
-            if partial:
-                sig = "n, values, known, state, ext_v, ext_k"
+        def fn(name: str, hooked: bool) -> list[str]:
+            sig = "n, values, known, state, ext_v, ext_k"
             if hooked:
                 sig += ", ovr, inj"
             lines = [f"def {name}({sig}):"]
-            body = self._source_sources(hooked, partial)
+            body = self._source_sources(hooked)
             for k in range(len(self.cd.sched_modules)):
-                body += self._module_lines(k, hooked, partial)
-            if clock:
-                body += self._clock_lines()
-            if not body:
-                body = ["pass"]
+                body += self._module_lines(k, hooked)
             lines += ["    " + line for line in body]
             return lines
 
-        chunks: list[str] = []
-        chunks += fn("eval_plain", False, False, False)
-        chunks += fn("step_plain", False, False, True)
-        chunks += fn("partial_plain", False, True, False)
-        chunks += fn("eval_hooked", True, False, False)
-        chunks += fn("step_hooked", True, False, True)
-        chunks += fn("partial_hooked", True, True, False)
+        chunks = fn("partial_plain", False) + fn("partial_hooked", True)
         return "\n".join(chunks) + "\n"
 
     def _maybe_dump(self) -> None:
@@ -535,10 +449,10 @@ class BatchedDatapathSimulator:
     """Lane-batch counterpart of :class:`CompiledDatapathSimulator`.
 
     Carries ``n_lanes`` independent stimulus streams through one kernel call
-    per cycle.  The dict-based API mirrors the scalar simulators with one
+    per cycle.  ``evaluate_partial`` mirrors the scalar simulators with one
     mapping *per lane*; the array buffers (``values`` / ``known`` /
     ``state`` and the external staging arrays) are exposed for hot-loop
-    consumers like the lane co-simulator.
+    consumers like the lane co-simulator, which clocks ``state`` itself.
 
     ``active_lanes`` feeds the batch fill-rate counter: consumers carrying
     ragged batches (lanes that already finished their program) lower it so
@@ -581,13 +495,19 @@ class BatchedDatapathSimulator:
             self.state[j] = _np.full(self.n_lanes, reg.reset_value, _np.uint64)
 
     # -- external staging ----------------------------------------------
-    def fill_external(self, frames: Sequence[Mapping], default=0) -> None:
+    def fill_external(self, frames: Sequence[Mapping]) -> None:
         """Stage one named external frame per lane into the ext arrays.
 
         Values are masked to the net width in Python (uint64 arrays refuse
-        negative ints); ``None`` marks a lane's external unknown and stores
-        0 per the stored-0 invariant.
+        negative ints); a missing or ``None`` external is unknown on that
+        lane and stores 0 per the stored-0 invariant.  ``frames`` must hold
+        exactly one frame per lane, so no lane keeps a previous call's
+        externals.
         """
+        if len(frames) != self.n_lanes:
+            raise ValueError(
+                f"got {len(frames)} external frames for {self.n_lanes} lanes"
+            )
         cd = self.compiled
         nm = self.batched.net_mask
         for i, name in cd.ext_pairs:
@@ -595,7 +515,7 @@ class BatchedDatapathSimulator:
             k = self._ext_k[i]
             m = nm[i]
             for b, frame in enumerate(frames):
-                value = frame.get(name, default)
+                value = frame.get(name)
                 if value is None:
                     v[b] = 0
                     k[b] = False
@@ -603,27 +523,7 @@ class BatchedDatapathSimulator:
                     v[b] = value & m
                     k[b] = True
 
-    def set_external_lane(self, name: str, lane: int, value) -> None:
-        """Poke one lane of one external (None = unknown)."""
-        i = self.compiled.index[name]
-        if value is None:
-            self._ext_v[i][lane] = 0
-            self._ext_k[i][lane] = False
-        else:
-            self._ext_v[i][lane] = value & self.batched.net_mask[i]
-            self._ext_k[i][lane] = True
-
     # -- kernel invocation ---------------------------------------------
-    def run_eval(self) -> None:
-        """Run the concrete evaluate kernel on the staged externals."""
-        bd = self.batched
-        _note_call(self.n_lanes, self.active_lanes)
-        if self.hooked:
-            bd.eval_hooked(self.n_lanes, self.values, self.state,
-                           self._ext_v, self._ovr, self._inj)
-        else:
-            bd.eval_plain(self.n_lanes, self.values, self.state, self._ext_v)
-
     def run_partial(self) -> None:
         """Run the three-valued kernel on the staged externals."""
         bd = self.batched
@@ -636,43 +536,11 @@ class BatchedDatapathSimulator:
             bd.partial_plain(self.n_lanes, self.values, self.known,
                              self.state, self._ext_v, self._ext_k)
 
-    def run_step(self) -> None:
-        """Run the step kernel (evaluate + clock) on the staged externals."""
-        bd = self.batched
-        _note_call(self.n_lanes, self.active_lanes)
-        if self.hooked:
-            bd.step_hooked(self.n_lanes, self.values, self.state,
-                           self._ext_v, self._ovr, self._inj)
-        else:
-            bd.step_plain(self.n_lanes, self.values, self.state, self._ext_v)
-
     # -- dict-compatible per-lane API ----------------------------------
-    def evaluate(self, frames: Sequence[Mapping]) -> list[dict]:
-        self.fill_external(frames, 0)
-        self.run_eval()
-        return [self.lane_values(b) for b in range(self.n_lanes)]
-
     def evaluate_partial(self, frames: Sequence[Mapping]) -> list[dict]:
-        self.fill_external(frames, None)
+        self.fill_external(frames)
         self.run_partial()
         return [self.lane_values_partial(b) for b in range(self.n_lanes)]
-
-    def step(self, frames: Sequence[Mapping]) -> list[dict]:
-        self.fill_external(frames, 0)
-        self.run_step()
-        return [self.lane_values(b) for b in range(self.n_lanes)]
-
-    def run(self, frame_rows: Sequence[Sequence[Mapping]]) -> list[list[dict]]:
-        """Run a sequence of cycles (each a per-lane frame list)."""
-        return [self.step(frames) for frames in frame_rows]
-
-    # -- extraction ----------------------------------------------------
-    def lane_values(self, lane: int) -> dict:
-        values = self.values
-        return {
-            name: int(values[i][lane])
-            for i, name in enumerate(self.compiled.names)
-        }
 
     def lane_values_partial(self, lane: int) -> dict:
         values, known = self.values, self.known
@@ -680,13 +548,3 @@ class BatchedDatapathSimulator:
             name: int(values[i][lane]) if known[i][lane] else None
             for i, name in enumerate(self.compiled.names)
         }
-
-    def lane_state(self, lane: int) -> dict[str, int]:
-        return {
-            name: int(self.state[j][lane])
-            for j, name in enumerate(self.compiled.reg_names)
-        }
-
-    def set_state(self, name: str, lane: int, value: int) -> None:
-        j = self.compiled.reg_pos[name]
-        self.state[j][lane] = value & mask(self.compiled.registers[j].width)

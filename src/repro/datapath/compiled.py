@@ -2,17 +2,17 @@
 
 The interpretive :class:`~repro.datapath.simulate.DatapathSimulator` pays a
 dict rebuild plus a per-module dynamic dispatch for every cycle.  This module
-compiles a :class:`~repro.datapath.netlist.Netlist` once into specialized
-``step``/``evaluate`` kernels:
+compiles a :class:`~repro.datapath.netlist.Netlist` once into two
+specialized three-valued ``evaluate`` kernels:
 
 * net and register names are interned to dense integer ids;
 * the topological schedule is flattened into a straight-line Python function
   (one generated statement per module, arithmetic inlined for the common
   module types) compiled with ``exec``;
-* values live in a reusable list indexed by net id — the fault-free fast
-  path allocates nothing per cycle;
-* injector and module-override support is compiled into *separate* hooked
-  kernels, so fault-free simulation never tests for them.
+* values live in a reusable list indexed by net id — a fault-free kernel
+  call allocates nothing;
+* injector and module-override support is compiled into a *separate* hooked
+  kernel, so fault-free simulation never tests for them.
 
 The compiled form is cached on the netlist (``Netlist.compiled()``), exactly
 like ``ControlNetwork.compiled()``, and invalidated by structural edits.
@@ -24,19 +24,19 @@ Semantics are bit-identical to the interpretive simulator (enforced by
 differential tests): externals are masked to the net width at emission
 (*before* injection), injector and override results are masked to the net
 width, constants and register outputs pass through the injector like every
-other net, mux out-of-range selects choose input 0, tri-states pull to 0,
-and register clocking follows ``RegisterModule.next_state`` (clear wins,
-then hold on not-enable).  The emission masks keep every stored value inside
-its net's width even for out-of-range environment inputs — the invariant the
-batched numpy backend (:mod:`repro.datapath.batched`) relies on, since
-uint64 lane arrays cannot hold unbounded Python ints.
+other net, mux out-of-range selects choose input 0 and tri-states pull to
+0.  The kernels only evaluate: callers clock the registers themselves.  The
+emission masks keep every stored value inside its net's width even for
+out-of-range environment inputs — the invariant the batched numpy backend
+(:mod:`repro.datapath.batched`) relies on, since uint64 lane arrays cannot
+hold unbounded Python ints.
 """
 
 from __future__ import annotations
 
 import os
 from functools import partial as _bind
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.datapath.modules import ConstantModule
 from repro.datapath.simulate import no_injection
@@ -55,7 +55,7 @@ def _ts(v, sign, modulus):
 
 
 def _pp(module, in_ids, ctl_ids, values, override, m):
-    """Generic three-valued module evaluation (partial-kernel fallback).
+    """Generic three-valued module evaluation (kernel fallback).
 
     Results are masked to the output net's width (``m``) so overrides with
     out-of-range results share the masked semantics of every backend.
@@ -142,18 +142,15 @@ class CompiledDatapath:
     """Interned, flattened, codegen'd form of one netlist.
 
     Exposes the dense structural arrays (consumed by the cone-forking batch
-    fault simulator) and six generated kernels::
+    fault simulator) and two generated three-valued kernels::
 
-        eval_plain(values, state, external)
-        step_plain(values, state, external)
         partial_plain(values, state, external)
-        eval_hooked(values, state, external, ovr, inj)
-        step_hooked(values, state, external, ovr, inj)
         partial_hooked(values, state, external, ovr, inj)
 
-    ``values`` and ``external`` are lists indexed by net id; ``state`` is a
-    list indexed by register position (see :attr:`reg_names`).  ``inj`` maps
-    net id -> unary corrupter; ``ovr`` maps schedule position -> override.
+    ``values`` and ``external`` are lists indexed by net id, with ``None``
+    for an unknown value; ``state`` is a list indexed by register position
+    (see :attr:`reg_names`).  ``inj`` maps net id -> unary corrupter;
+    ``ovr`` maps schedule position -> override.
     """
 
     def __init__(self, netlist) -> None:
@@ -169,11 +166,9 @@ class CompiledDatapath:
             (idx[net.name], net.name)
             for net in netlist.nets.values() if net.is_external_input
         ]
-        self.ext_ids = [i for i, _ in self.ext_pairs]
         self.const_slots: list[tuple[int, int]] = []
         self.registers = list(netlist.registers)
         self.reg_names = tuple(r.name for r in self.registers)
-        self.reg_pos = {name: j for j, name in enumerate(self.reg_names)}
         self.reg_q_ids: list[int] = []
         self.reg_d_ids: list[int] = []
         self.reg_ctl_ids: list[list[int]] = []
@@ -205,29 +200,19 @@ class CompiledDatapath:
 
         self.dpo_ids = [idx[n.name] for n in netlist.dpo_nets]
         self.sts_ids = [idx[n.name] for n in netlist.sts_nets]
-        self.role = [netlist.nets[n].role for n in self.names]
 
-        # Fanout: net id -> schedule positions reading it (data or control),
-        # and net id -> register positions reading it (D or control).
+        # Fanout: net id -> schedule positions reading it (data or control).
         self.fanout_sched: list[list[int]] = [[] for _ in range(self.n_nets)]
-        self.fanout_regs: list[list[int]] = [[] for _ in range(self.n_nets)]
         for k in range(len(order)):
             for i in self.sched_in[k] + self.sched_ctl[k]:
                 self.fanout_sched[i].append(k)
-        for j in range(len(self.registers)):
-            for i in [self.reg_d_ids[j]] + self.reg_ctl_ids[j]:
-                self.fanout_regs[i].append(j)
         for lst in self.fanout_sched:
             lst.sort()
 
         self.source = self._generate_source()
         env = self._exec_env()
         exec(compile(self.source, f"<kernel:{netlist.name}>", "exec"), env)
-        self.eval_plain = env["eval_plain"]
-        self.step_plain = env["step_plain"]
         self.partial_plain = env["partial_plain"]
-        self.eval_hooked = env["eval_hooked"]
-        self.step_hooked = env["step_hooked"]
         self.partial_hooked = env["partial_hooked"]
         self._maybe_dump()
 
@@ -238,14 +223,13 @@ class CompiledDatapath:
         env = {"_sx": _sx, "_ts": _ts, "_pp": _pp}
         for k, module in enumerate(self.sched_modules):
             env[f"_m{k}"] = module
-            env[f"_e{k}"] = module.evaluate
             env[f"_ti{k}"] = self.sched_in[k]
             env[f"_tc{k}"] = self.sched_ctl[k]
             if type(module).__name__ == "MuxModule":
                 env[f"_dt{k}"] = self.sched_in[k]
         return env
 
-    def _source_lines(self, k: int, hooked: bool, partial: bool) -> list[str]:
+    def _source_lines(self, k: int, hooked: bool) -> list[str]:
         """Generated statements computing schedule position ``k``."""
         module = self.sched_modules[k]
         out = self.sched_out[k]
@@ -257,38 +241,22 @@ class CompiledDatapath:
             n = module.n_inputs
             body.append(f"_s = values[{ctls[0]}]")
             pick = f"values[_dt{k}[_s] if _s < {n} else {ins[0]}]"
-            if partial:
-                body.append(f"_v = None if _s is None else {pick}")
-            else:
-                body.append(f"_v = {pick}")
+            body.append(f"_v = None if _s is None else {pick}")
         elif t == "TristateModule":
             body.append(f"_s = values[{ctls[0]}]")
             pick = f"(values[{ins[0]}] if _s == 1 else 0)"
-            if partial:
-                body.append(f"_v = None if _s is None else {pick}")
-            else:
-                body.append(f"_v = {pick}")
+            body.append(f"_v = None if _s is None else {pick}")
         else:
             expr = _inline_expr(module, [f"values[{i}]" for i in ins])
             if expr is None or ctls:
-                if partial:
-                    body.append(
-                        f"_v = _pp(_m{k}, _ti{k}, _tc{k}, values, None, "
-                        f"{self.net_mask[out]})"
-                    )
-                else:
-                    args_in = ", ".join(f"values[{i}]" for i in ins)
-                    args_ctl = ", ".join(f"values[{i}]" for i in ctls)
-                    comma_in = "," if len(ins) == 1 else ""
-                    comma_ctl = "," if len(ctls) == 1 else ""
-                    body.append(f"_v = _e{k}(({args_in}{comma_in}), "
-                                f"({args_ctl}{comma_ctl}))")
-            elif partial:
+                body.append(
+                    f"_v = _pp(_m{k}, _ti{k}, _tc{k}, values, None, "
+                    f"{self.net_mask[out]})"
+                )
+            else:
                 operands = [f"values[{i}]" for i in ins]
                 guard = " or ".join(f"{o} is None" for o in operands)
                 body.append(f"_v = None if {guard} else {expr}")
-            else:
-                body.append(f"_v = {expr}")
         if hooked:
             m = self.net_mask[out]
             lines = [f"if {k} in ovr:",
@@ -296,10 +264,7 @@ class CompiledDatapath:
                      f"ovr[{k}], {m})",
                      "else:"]
             lines += ["    " + line for line in body]
-            if partial:
-                lines.append(f"if {out} in inj and _v is not None:")
-            else:
-                lines.append(f"if {out} in inj:")
+            lines.append(f"if {out} in inj and _v is not None:")
             lines.append(f"    _v = inj[{out}](_v) & {m}")
             lines.append(f"values[{out}] = _v")
             return lines
@@ -308,7 +273,7 @@ class CompiledDatapath:
             return [f"values[{out}] = {body[0][5:]}"]
         return body + [f"values[{out}] = _v"]
 
-    def _source_sources(self, hooked: bool, partial: bool) -> list[str]:
+    def _source_sources(self, hooked: bool) -> list[str]:
         lines: list[str] = []
         emits: list[tuple[int, str, bool]] = []
         # Externals are masked to the net width at emission, before
@@ -316,11 +281,7 @@ class CompiledDatapath:
         # (masked at construction / clocking / set_stimulus_state).
         for i, _ in self.ext_pairs:
             m = self.net_mask[i]
-            if partial:
-                expr = (f"None if external[{i}] is None "
-                        f"else external[{i}] & {m}")
-            else:
-                expr = f"external[{i}] & {m}"
+            expr = f"None if external[{i}] is None else external[{i}] & {m}"
             emits.append((i, expr, True))
         for i, value in self.const_slots:
             emits.append((i, str(value), False))
@@ -331,61 +292,26 @@ class CompiledDatapath:
                 lines.append(f"values[{i}] = {expr}")
                 continue
             lines.append(f"_v = ({expr})" if paren else f"_v = {expr}")
-            if partial:
-                lines.append(f"if {i} in inj and _v is not None:")
-            else:
-                lines.append(f"if {i} in inj:")
+            lines.append(f"if {i} in inj and _v is not None:")
             lines.append(f"    _v = inj[{i}](_v) & {self.net_mask[i]}")
             lines.append(f"values[{i}] = _v")
         return lines
 
-    def _clock_lines(self) -> list[str]:
-        """Concrete register-clocking statements (next_state semantics)."""
-        lines: list[str] = []
-        for j, reg in enumerate(self.registers):
-            d = self.reg_d_ids[j]
-            ctl = self.reg_ctl_ids[j]
-            load = f"(values[{d}] & {mask(reg.width)})"
-            pos = 0
-            hold = None
-            if reg.has_enable:
-                hold = f"state[{j}] if values[{ctl[pos]}] != 1 else {load}"
-                pos += 1
-            else:
-                hold = load
-            if reg.has_clear:
-                lines.append(
-                    f"state[{j}] = {reg.clear_value} "
-                    f"if values[{ctl[pos]}] == 1 else ({hold})"
-                )
-            else:
-                lines.append(f"state[{j}] = {hold}")
-        return lines
-
     def _generate_source(self) -> str:
-        def fn(name: str, hooked: bool, partial: bool,
-               clock: bool) -> list[str]:
+        def fn(name: str, hooked: bool) -> list[str]:
             sig = "values, state, external"
             if hooked:
                 sig += ", ovr, inj"
             lines = [f"def {name}({sig}):"]
-            body = self._source_sources(hooked, partial)
+            body = self._source_sources(hooked)
             for k in range(len(self.sched_modules)):
-                body += self._source_lines(k, hooked, partial)
-            if clock:
-                body += self._clock_lines()
+                body += self._source_lines(k, hooked)
             if not body:
                 body = ["pass"]
             lines += ["    " + line for line in body]
             return lines
 
-        chunks: list[str] = []
-        chunks += fn("eval_plain", False, False, False)
-        chunks += fn("step_plain", False, False, True)
-        chunks += fn("partial_plain", False, True, False)
-        chunks += fn("eval_hooked", True, False, False)
-        chunks += fn("step_hooked", True, False, True)
-        chunks += fn("partial_hooked", True, True, False)
+        chunks = fn("partial_plain", False) + fn("partial_hooked", True)
         return "\n".join(chunks) + "\n"
 
     def _maybe_dump(self) -> None:
@@ -429,12 +355,13 @@ class CompiledDatapath:
 
 
 class CompiledDatapathSimulator:
-    """Drop-in counterpart of :class:`DatapathSimulator` over the kernels.
+    """:class:`~repro.verify.cosim.ProcessorSimulator`'s compiled
+    three-valued backend over the kernels.
 
-    The dict-based API (``evaluate`` / ``evaluate_partial`` / ``step`` /
-    ``run``) is bit-compatible with the interpretive simulator; the dense
-    API (``step_dense`` / ``run_dense``) skips name translation entirely
-    for hot loops.
+    ``evaluate_partial`` is bit-compatible with the interpretive
+    :class:`~repro.datapath.simulate.DatapathSimulator`'s ``evaluate_partial``.
+    The simulator does not clock: callers update :attr:`state` themselves,
+    as :class:`~repro.verify.cosim.ProcessorSimulator` does.
     """
 
     def __init__(
@@ -461,90 +388,21 @@ class CompiledDatapathSimulator:
         for reg in self.netlist.registers:
             self.state[reg.name] = reg.reset_value
 
-    # -- dense <-> named glue ------------------------------------------
-    def _dense_state(self) -> list:
-        return [self.state[name] for name in self.compiled.reg_names]
-
-    def _store_state(self, dense: Sequence) -> None:
-        for name, value in zip(self.compiled.reg_names, dense):
-            self.state[name] = value
-
-    def _fill_ext(self, external: Mapping, default) -> list:
+    def _fill_ext(self, external: Mapping) -> list:
         ext = self._ext
         get = external.get
         for i, name in self.compiled.ext_pairs:
-            ext[i] = get(name, default)
+            ext[i] = get(name)
         return ext
-
-    def _as_dict(self) -> dict:
-        return dict(zip(self.compiled.names, self._values))
-
-    # -- dict-compatible API -------------------------------------------
-    def evaluate(self, external: Mapping[str, int]) -> dict[str, int]:
-        cd = self.compiled
-        ext = self._fill_ext(external, 0)
-        state = self._dense_state()
-        if self.hooked:
-            cd.eval_hooked(self._values, state, ext, self._ovr, self._inj)
-        else:
-            cd.eval_plain(self._values, state, ext)
-        return self._as_dict()
 
     def evaluate_partial(
         self, external: Mapping[str, int | None]
     ) -> dict[str, int | None]:
         cd = self.compiled
-        ext = self._fill_ext(external, None)
-        state = self._dense_state()
+        ext = self._fill_ext(external)
+        state = [self.state[name] for name in cd.reg_names]
         if self.hooked:
             cd.partial_hooked(self._values, state, ext, self._ovr, self._inj)
         else:
             cd.partial_plain(self._values, state, ext)
-        return self._as_dict()
-
-    def step(self, external: Mapping[str, int]) -> dict[str, int]:
-        cd = self.compiled
-        ext = self._fill_ext(external, 0)
-        state = self._dense_state()
-        if self.hooked:
-            cd.step_hooked(self._values, state, ext, self._ovr, self._inj)
-        else:
-            cd.step_plain(self._values, state, ext)
-        self._store_state(state)
-        return self._as_dict()
-
-    def run(
-        self, externals: list[Mapping[str, int]]
-    ) -> list[dict[str, int]]:
-        return [self.step(cycle) for cycle in externals]
-
-    # -- dense API ------------------------------------------------------
-    def run_dense(self, ext_frames: list[Sequence]) -> list:
-        """Run dense external frames through the step kernel.
-
-        Returns the final dense register state; ``self.state`` is updated.
-        All buffers are reused — nothing is allocated per cycle on the
-        fault-free path.
-        """
-        cd = self.compiled
-        values = self._values
-        state = self._dense_state()
-        if self.hooked:
-            step, ovr, inj = cd.step_hooked, self._ovr, self._inj
-            for ext in ext_frames:
-                step(values, state, ext, ovr, inj)
-        else:
-            step = cd.step_plain
-            for ext in ext_frames:
-                step(values, state, ext)
-        self._store_state(state)
-        return state
-
-    def dense_external(self, external: Mapping[str, int],
-                       default=0) -> list:
-        """Translate a named external frame into a fresh dense frame."""
-        frame = [default] * self.compiled.n_nets
-        get = external.get
-        for i, name in self.compiled.ext_pairs:
-            frame[i] = get(name, default)
-        return frame
+        return dict(zip(cd.names, self._values))

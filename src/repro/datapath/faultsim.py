@@ -123,12 +123,6 @@ class BatchFaultSimulator:
         ovr = cd.override_map(module_overrides)
         return inj, ovr
 
-    def fork_all(self, errors, stop_at_first_observed=False):
-        return [
-            self.fork(error, stop_at_first_observed=stop_at_first_observed)
-            for error in errors
-        ]
-
     def fork(self, error, stop_at_first_observed=False) -> ForkOutcome:
         hooks = self.hooks_for(error)
         if hooks is None:

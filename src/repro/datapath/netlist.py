@@ -246,15 +246,6 @@ class Netlist:
             self._compiled_cache = CompiledDatapath(self)
         return self._compiled_cache
 
-    def batched(self):
-        """The lane-vectorised numpy kernel form of this netlist (see
-        :mod:`repro.datapath.batched`).  Cached on the compiled form, so it
-        shares the structural-edit invalidation of :meth:`compiled`.  Raises
-        a clean ImportError when the optional numpy dependency is absent."""
-        from repro.datapath.batched import batched_datapath
-
-        return batched_datapath(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Netlist({self.name}, {len(self.modules)} modules, "

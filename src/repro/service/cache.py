@@ -173,9 +173,6 @@ class WarmCacheRegistry:
             finally:
                 entry.last_request = lease.report()
 
-    def targets(self) -> list[str]:
-        return sorted(self._entries)
-
     def stats(self) -> dict[str, Any]:
         """Per-machine cumulative cache metrics for ``/metrics``."""
         out: dict[str, Any] = {}

@@ -8,9 +8,8 @@ chunked`` (the live event stream).  Connections are one-request:
 ``Connection: close`` on every response keeps the state machine trivial
 and costs nothing at campaign-shaped request rates.
 
-This is deliberately not a framework — just the four pieces the server
-needs: :func:`read_request`, :func:`send_json`, :func:`send_empty` and
-:class:`ChunkedWriter`.
+This is deliberately not a framework — just the three pieces the server
+needs: :func:`read_request`, :func:`send_json` and :class:`ChunkedWriter`.
 """
 
 from __future__ import annotations
@@ -137,11 +136,6 @@ async def send_json(
               f"Content-Length: {len(body)}\r\n{extra}\r\n")
         + body
     )
-    await writer.drain()
-
-
-async def send_empty(writer, status: int = 204) -> None:
-    writer.write(_head(status, "text/plain", "Content-Length: 0\r\n\r\n"))
     await writer.drain()
 
 

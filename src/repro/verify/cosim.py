@@ -38,21 +38,12 @@ class CycleTrace:
     datapath: dict[str, int | None]
     controller: dict[str, int | None]
 
-    def dpo(self, processor: Processor) -> dict[str, int | None]:
-        return {
-            net.name: self.datapath[net.name]
-            for net in processor.datapath.dpo_nets
-        }
-
 
 @dataclass
 class Trace:
     """A multi-cycle simulation trace."""
 
     cycles: list[CycleTrace] = field(default_factory=list)
-
-    def dpo_stream(self, processor: Processor) -> list[dict[str, int | None]]:
-        return [c.dpo(processor) for c in self.cycles]
 
 
 class ProcessorSimulator:

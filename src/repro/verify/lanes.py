@@ -153,7 +153,7 @@ class LaneProcessorSimulator:
                 if cpi_name in cpi and cpi[cpi_name] is not None:
                     dpi_full[dpi_name] = cpi[cpi_name]
             frames.append(dpi_full)
-        self.dp.fill_external(frames, None)
+        self.dp.fill_external(frames)
 
         controller = processor.controller
         encode = self.kernel.encode
@@ -354,11 +354,6 @@ class LaneProcessorSimulator:
             name: int(values[i][lane]) if known[i][lane] else None
             for i, name in enumerate(self.cd.names)
         }
-
-    def set_stimulus_state(self, lane: int, state: Mapping[str, int]) -> None:
-        """Set stimulus-register contents for one lane (masked)."""
-        for name, value in state.items():
-            self.dp.set_state(name, lane, value)
 
 
 def _net_codes(kernel, name: str, net_mask: int):

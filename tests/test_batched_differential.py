@@ -347,6 +347,14 @@ def test_batched_rejects_bad_shapes():
     with pytest.raises(ValueError, match="n_lanes"):
         BatchedDatapathSimulator(build_toy_pipeline(), 0)
 
+    # One frame per lane: a short list would leave the other lanes on the
+    # previous call's externals.
+    sim = BatchedDatapathSimulator(build_toy_pipeline(), 3)
+    sim.evaluate_partial([{"a": 1}] * 3)
+    for frames in ([{"a": 7}], [{}] * 4):
+        with pytest.raises(ValueError, match=f"{len(frames)} .* 3 lanes"):
+            sim.evaluate_partial(frames)
+
     b = DatapathBuilder("toowide")
     x = b.input("x", 65)
     b.output("out", b.not_("inv", x))

@@ -18,6 +18,7 @@ against the interpretive oracles:
 
 from __future__ import annotations
 
+import random
 import time
 from functools import partial
 
@@ -34,7 +35,7 @@ from repro.core.nogoods import (
     justify_key,
 )
 from repro.core.tg import TestGenerator, TGStatus
-from repro.errors.models import enumerate_bus_ssl
+from repro.errors.models import BusSSLError, enumerate_bus_ssl
 from repro.mini.machine import build_minipipe
 from repro.model.pathsession import AnalyzerSession, _session_meta
 
@@ -76,15 +77,10 @@ def _assert_states_equal(session, analyzer):
     assert session.port_o == full.port_o
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 10_000), st.booleans()),
-        max_size=24,
-    )
-)
-def test_session_walk_matches_full_compute(mini, analyzer, steps):
-    """Random assume/retract walks equal a fresh full sweep throughout."""
+def _check_walk(analyzer, steps):
+    """Apply (pick, pop) steps to a session, checking every state against
+    a full ``analyzer.compute``: ``pop`` retracts the latest decision when
+    there is one, else ``pick`` chooses the next decision."""
     candidates = _decision_candidates(analyzer)
     session = AnalyzerSession(analyzer, {}, {})
     depth = 0
@@ -101,6 +97,28 @@ def test_session_walk_matches_full_compute(mini, analyzer, steps):
         session.retract()
         depth -= 1
     _assert_states_equal(session, analyzer)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 10_000), st.booleans()),
+        max_size=24,
+    )
+)
+def test_session_walk_matches_full_compute(mini, analyzer, steps):
+    """Random assume/retract walks equal a fresh full sweep throughout."""
+    _check_walk(analyzer, steps)
+
+
+def test_dlx_session_walk_matches_full_compute():
+    """A seeded 60-step walk on a 6-frame DLX window, where the fanout
+    cones are far larger than MiniPipe's."""
+    from repro.dlx.machine import build_dlx
+
+    rng = random.Random(11)
+    steps = [(rng.randrange(10_000), rng.random() < 0.4) for _ in range(60)]
+    _check_walk(build_dlx().analyzer(6), steps)
 
 
 def _trace_fields(trace: TraceResult) -> tuple:
@@ -133,27 +151,34 @@ def test_dptrace_incremental_matches_full(mini, analyzer):
                 )
 
 
-def _generate_all(processor, errors, **knobs):
+def _tg_results(processor, errors, **knobs):
+    """One generator over ``errors`` in order: (generator, TGResults)."""
     generator = TestGenerator(processor, deadline_seconds=10.0, **knobs)
-    results = []
-    for error in errors:
-        result = generator.generate(error)
-        test = result.test
-        results.append((
-            result.error,
-            result.status,
-            result.backtracks,
-            result.dptrace_backtracks,
-            result.ctrljust_backtracks,
-            result.final_backtracks,
-            result.attempts,
-            result.frames_used,
-            None if test is None else (
-                test.n_frames, test.cpi_frames, test.dpi_frames,
-                test.stimulus_state, test.activation_frame,
-            ),
-        ))
-    return generator, results
+    return generator, [generator.generate(error) for error in errors]
+
+
+def _row(result) -> tuple:
+    """A TGResult's outcome and effort counters, without timings."""
+    test = result.test
+    return (
+        result.error,
+        result.status,
+        result.backtracks,
+        result.dptrace_backtracks,
+        result.ctrljust_backtracks,
+        result.final_backtracks,
+        result.attempts,
+        result.frames_used,
+        None if test is None else (
+            test.n_frames, test.cpi_frames, test.dpi_frames,
+            test.stimulus_state, test.activation_frame,
+        ),
+    )
+
+
+def _generate_all(processor, errors, **knobs):
+    generator, results = _tg_results(processor, errors, **knobs)
+    return generator, [_row(result) for result in results]
 
 
 def _generate_all_unaccelerated(monkeypatch, processor, errors):
@@ -175,6 +200,7 @@ def test_tg_learning_on_off_identical_mini(mini, monkeypatch):
     # The accelerators actually engaged (else this test proves nothing).
     assert accel._sweeps_avoided > 0
     assert accel.nogoods.justify_misses > 0
+    assert accel._path_cache.hits > 0
 
 
 def test_tg_learning_on_off_identical_dlx_spot(monkeypatch):
@@ -213,20 +239,26 @@ def test_tg_clause_learning_on_off_identical_outcomes_mini(mini):
 
 
 def test_tg_clause_learning_on_off_identical_outcomes_dlx():
-    """DLX spot check: the refuter retires an exhaustion family (fewer
-    CTRLJUST backtracks, a clause hit) without moving any outcome."""
+    """DLX spot check on both polarities of ``ex_a.y[0]``: the refuter
+    retires an exhaustion family (fewer CTRLJUST backtracks, a clause
+    hit) without moving any outcome."""
     from repro.dlx.machine import build_dlx
 
     processor = build_dlx()
-    errors = enumerate_bus_ssl(processor.datapath, stages={2})[:2]
-    accel, on = _generate_all(processor, errors, use_clause_learning=True)
-    _, off = _generate_all(processor, errors, use_clause_learning=False)
-    assert _outcome_fields(on) == _outcome_fields(off)
-    # Learning actually saved work on this workload: the second error's
-    # unjustifiable window is refuted and later certified instead of
-    # being exhausted twice.
+    errors = [BusSSLError("ex_a.y", 0, 0), BusSSLError("ex_a.y", 0, 1)]
+    accel, on = _tg_results(processor, errors, use_clause_learning=True)
+    _, off = _tg_results(processor, errors, use_clause_learning=False)
+    assert _outcome_fields(map(_row, on)) == _outcome_fields(map(_row, off))
+    # Learning actually saved work on this workload: the window family
+    # the first error proves unjustifiable is certified, so the second
+    # error's pose of it is a certificate hit instead of a second
+    # exhaustion (2,037 CTRLJUST backtracks against 3,892).
     assert accel.clauses.added > 0
-    assert sum(r[4] for r in on) < sum(r[4] for r in off)
+    assert sum(r.ctrljust_backtracks for r in on) < sum(
+        r.ctrljust_backtracks for r in off
+    )
+    assert on[1].clause_hits >= 1
+    assert on[1].ctrljust_backtracks * 1.5 <= off[1].ctrljust_backtracks
 
 
 def test_tg_backjumping_verdict_identity(mini):

