@@ -291,17 +291,25 @@ def cmd_fuzz(args) -> int:
         print(f"wrote fuzz report to {report_path}")
 
     if args.matrix:
-        fragments = {}
-        for machine in args.matrix_machines.split(","):
-            machine = machine.strip()
-            config = MatrixConfig(
-                machine=machine, programs=args.matrix_programs,
-                length=args.length, seed=args.seed,
-                sample=args.matrix_sample,
-                max_bits_per_net=4 if machine.startswith("dlx") else None,
-                lanes=args.lanes,
-            )
-            fragments[machine] = run_matrix(config, events=events)
+        machines = [m.strip() for m in args.matrix_machines.split(",")]
+        try:
+            configs = [
+                MatrixConfig(
+                    machine=machine, programs=args.matrix_programs,
+                    length=args.length, seed=args.seed,
+                    sample=args.matrix_sample,
+                    max_bits_per_net=4 if machine.startswith("dlx") else None,
+                    lanes=args.lanes,
+                )
+                for machine in machines
+            ]
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        fragments = {
+            config.machine: run_matrix(config, events=events)
+            for config in configs
+        }
         artifact = matrix_artifact(fragments)
         matrix_path = os.path.join(report_dir, "conformance_matrix.json")
         save_json(artifact, matrix_path)

@@ -27,8 +27,7 @@ wall-clock time):
 ``error-profile``
     ``error``, ``index``, ``phase_seconds`` (CPU seconds per TG phase:
     dptrace / ctrljust / dprelax / cosim), ``golden_hits``,
-    ``golden_misses``, ``exposure_forks``, ``exposure_fork_decided``,
-    ``backtracks``, plus the search-accelerator counters
+    ``golden_misses``, ``backtracks``, plus the search-accelerator counters
     ``nogood_hits`` / ``nogood_misses`` (learned no-good lookups),
     ``justify_cache_hits`` (memoized CTRLJUST answers),
     ``path_cache_hits`` / ``path_cache_misses`` (DPTRACE selections) and
@@ -94,7 +93,7 @@ from typing import Any, Callable
 
 #: Version of the serialized event wire format.  Bump on breaking payload
 #: changes; additive fields do not require a bump.
-EVENT_SCHEMA_VERSION = 2
+EVENT_SCHEMA_VERSION = 3
 
 EVENT_KINDS = frozenset({
     "campaign-started",

@@ -470,8 +470,6 @@ class CampaignOrchestrator:
                 phase_seconds=dict(outcome.phase_seconds),
                 golden_hits=outcome.golden_hits,
                 golden_misses=outcome.golden_misses,
-                exposure_forks=outcome.exposure_forks,
-                exposure_fork_decided=outcome.exposure_fork_decided,
                 backtracks=outcome.backtracks,
                 nogood_hits=outcome.nogood_hits,
                 nogood_misses=outcome.nogood_misses,
@@ -498,10 +496,6 @@ class CampaignOrchestrator:
             phase_seconds=phase_seconds,
             golden_hits=sum(o.golden_hits for o in outcomes),
             golden_misses=sum(o.golden_misses for o in outcomes),
-            exposure_forks=sum(o.exposure_forks for o in outcomes),
-            exposure_fork_decided=sum(
-                o.exposure_fork_decided for o in outcomes
-            ),
             backtracks=report.backtracks_total,
             nogood_hits=sum(o.nogood_hits for o in outcomes),
             nogood_misses=sum(o.nogood_misses for o in outcomes),

@@ -44,10 +44,6 @@ class ErrorOutcome:
     #: Golden-trace cache traffic during this error's exposure checks.
     golden_hits: int = 0
     golden_misses: int = 0
-    #: Exposure checks screened by a cone fork / decided without a full
-    #: bad-machine co-simulation (see ``repro.datapath.faultsim``).
-    exposure_forks: int = 0
-    exposure_fork_decided: int = 0
     #: Search-accelerator traffic (see ``repro.core.nogoods``): learned
     #: no-good and path-set cache hits/misses, memoized justification
     #: answers, and full C/O sweeps the incremental DPTRACE avoided.
@@ -75,9 +71,12 @@ class ErrorOutcome:
     deadline_hit: bool = False
 
 
-#: Outcome fields of the removed restart search and deadline bank.
-#: Checkpoints and reports written before the removal still carry them.
-_RETIRED_OUTCOME_KEYS = frozenset({"restarts", "deadline_grant"})
+#: Outcome fields of the removed restart search, deadline bank and TG
+#: exposure fork screen.  Checkpoints and reports written before the
+#: removals still carry them.
+_RETIRED_OUTCOME_KEYS = frozenset({
+    "restarts", "deadline_grant", "exposure_forks", "exposure_fork_decided",
+})
 
 
 def outcome_from_dict(data: dict[str, Any]) -> ErrorOutcome:
@@ -174,8 +173,6 @@ def _outcome_from_result(error: DesignError, result) -> ErrorOutcome:
         phase_seconds=dict(result.phase_seconds),
         golden_hits=result.golden_hits,
         golden_misses=result.golden_misses,
-        exposure_forks=result.exposure_forks,
-        exposure_fork_decided=result.exposure_fork_decided,
         nogood_hits=result.nogood_hits,
         nogood_misses=result.nogood_misses,
         justify_cache_hits=result.justify_cache_hits,
@@ -196,7 +193,7 @@ class CampaignBase:
 
     Subclasses provide the per-error pipeline (:meth:`_run_error_with_test`)
     plus the handful of vehicle-specific hooks the shared loop and the
-    orchestrator need: re-checking a realized test against another error
+    orchestrator need: re-checking a realized test against other errors
     (fault dropping) and (de)serializing realized tests so they can cross a
     process boundary or land in a checkpoint.
     """
@@ -212,20 +209,15 @@ class CampaignBase:
         where ``realized`` is the realized test when detected, else None."""
         raise NotImplementedError
 
-    def detects_realized(self, realized, error: DesignError) -> bool:
-        """Does an already-realized test also detect ``error``?"""
-        raise NotImplementedError
-
     def detects_realized_batch(
         self, realized, errors: Sequence[DesignError]
     ) -> list[bool]:
-        """``[self.detects_realized(realized, e) for e in errors]``.
+        """Which of ``errors`` an already-realized test also detects.
 
-        Vehicles with a batch fault simulator override this to run the
-        fault-free trace once and cone-fork all errors against it; the
-        base implementation just loops.
+        Vehicles run the fault-free trace once and cone-fork all errors
+        against it (the vehicle's ``batch_detects``).
         """
-        return [self.detects_realized(realized, e) for e in errors]
+        raise NotImplementedError
 
     def nontrivial_count(self, program) -> int:
         """Instructions in ``program`` other than NOP."""
@@ -399,14 +391,6 @@ class DlxCampaign(CampaignBase):
         outcome.seconds = time.monotonic() - start
         return outcome, realized
 
-    def detects_realized(self, realized, error: DesignError) -> bool:
-        from repro.dlx import detects
-
-        return detects(
-            self.processor, realized.program, error,
-            realized.init_regs, realized.init_memory,
-        )
-
     def detects_realized_batch(
         self, realized, errors: Sequence[DesignError]
     ) -> list[bool]:
@@ -491,13 +475,6 @@ class MiniCampaign(CampaignBase):
         outcome.cpu_seconds = time.process_time() - cpu_start
         outcome.seconds = time.monotonic() - start
         return outcome, realized
-
-    def detects_realized(self, realized, error: DesignError) -> bool:
-        from repro.mini import detects
-
-        return detects(
-            self.processor, realized.program, error, realized.init_regs
-        )
 
     def detects_realized_batch(
         self, realized, errors: Sequence[DesignError]

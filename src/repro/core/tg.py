@@ -60,10 +60,6 @@ class TGStatus(enum.Enum):
     ABORTED = "aborted"
 
 
-#: Sentinel: the cone fork could not decide an exposure check.
-_FORK_UNDECIDED = object()
-
-
 @dataclass
 class TestCase:
     """A complete verification test: stimulus for every cycle.
@@ -112,11 +108,6 @@ class TGResult:
     #: from the cache vs fault-free simulations actually run.
     golden_hits: int = 0
     golden_misses: int = 0
-    #: Exposure checks screened by a cone fork against the golden trace,
-    #: and how many of those the fork decided outright (no bad-machine
-    #: co-simulation at all).
-    exposure_forks: int = 0
-    exposure_fork_decided: int = 0
     #: Whether the most recent (window, activation frame) attempt reached
     #: a justified DPTRACE/CTRLJUST pair — the justify-variant retry
     #: heuristic keys off this.
@@ -189,15 +180,6 @@ class TestGenerator:
     #: on a *justifiable* question burns its whole budget before giving
     #: up, so the limit is the probe's overhead cap.
     refute_conflict_limit: int = 24
-    #: Conflict-directed backjumping inside the CTRLJUST search loop:
-    #: conflicts are explained as the decision set supporting them, and an
-    #: exhausted decision jumps straight to the deepest implicated level.
-    #: Decisions, verdicts and SUCCESS assignments are identical to the
-    #: chronological unwind (skipped subtrees are semantic nogoods); only
-    #: backtrack counts shrink, so this is a pure search-effort knob kept
-    #: separate from ``use_clause_learning`` to preserve that toggle's
-    #: byte-identical on/off contract.
-    use_backjumping: bool = True
 
     _analyzers: dict[int, object] = field(default_factory=dict, repr=False)
     _unrolled: dict[int, UnrolledController] = field(
@@ -208,11 +190,6 @@ class TestGenerator:
     _golden: GoldenTraceCache = field(
         default_factory=GoldenTraceCache, repr=False
     )
-    #: Batch fault simulators per cached golden trace (the densified form
-    #: is shared by every error forked against the same stimulus).
-    _fork_sims: dict = field(default_factory=dict, repr=False)
-    _fork_checks: int = field(default=0, repr=False)
-    _fork_decided: int = field(default=0, repr=False)
     #: Cross-error learned no-goods + memoized justification answers;
     #: shared across ``generate()`` calls (one store per generator, so a
     #: campaign's serial loop pools learning automatically) and shipped
@@ -272,7 +249,6 @@ class TestGenerator:
         result = TGResult(TGStatus.ABORTED, error=error.describe())
         discouraged: set = set()
         base_hits, base_misses = self._golden.hits, self._golden.misses
-        base_forks, base_decided = self._fork_checks, self._fork_decided
         nogoods, cache = self.nogoods, self._path_cache
         base_ng = (nogoods.hits, nogoods.misses, nogoods.justify_hits,
                    cache.hits, cache.misses, self._sweeps_avoided)
@@ -312,8 +288,6 @@ class TestGenerator:
                 result.deadline_hit = True
             result.golden_hits = self._golden.hits - base_hits
             result.golden_misses = self._golden.misses - base_misses
-            result.exposure_forks = self._fork_checks - base_forks
-            result.exposure_fork_decided = self._fork_decided - base_decided
             result.nogood_hits = nogoods.hits - base_ng[0]
             result.nogood_misses = nogoods.misses - base_ng[1]
             result.justify_cache_hits = nogoods.justify_hits - base_ng[2]
@@ -671,7 +645,6 @@ class TestGenerator:
                 variant=justify_variant,
                 deadline=deadline_at,
                 refute_conflicts=refute_budget,
-                backjump=self.use_backjumping,
             )
             result = engine.justify(objectives)
             if recorded is not None:
@@ -838,9 +811,6 @@ class TestGenerator:
             )
         except CosimError:
             return None
-        verdict = self._fork_exposure(error, good)
-        if verdict is not _FORK_UNDECIDED:
-            return verdict
         try:
             injector, module_overrides = error.hooks(self.processor.datapath)
             bad_cosim = ProcessorSimulator(
@@ -855,34 +825,3 @@ class TestGenerator:
         if self.exposure_comparator is not None:
             return self.exposure_comparator(self.processor, good, bad)
         return traces_diverge(self.processor, good, bad)
-
-    def _fork_exposure(self, error: DesignError, good):
-        """Try to decide the exposure check with a cone fork alone.
-
-        A ``clean`` fork means the erroneous machine's trace is identical
-        to the golden one on every net either the DPO comparison or a
-        custom comparator can read, so the check fails (None) without ever
-        co-simulating the bad machine.  An ``abort`` fork means the real
-        bad-machine run raises ``CosimError`` — also None.  A ``dpo`` fork
-        is the exact ``traces_diverge`` answer, usable when no custom
-        comparator is installed.  Status-net divergence taints the fork
-        (control feedback), so those — and errors the fork cannot model —
-        fall through to the full co-simulation.
-        """
-        from repro.datapath.faultsim import BatchFaultSimulator
-
-        self._fork_checks += 1
-        entry = self._fork_sims.get(id(good))
-        if entry is None:
-            entry = (good, BatchFaultSimulator(self.processor, good))
-            self._fork_sims[id(good)] = entry
-            while len(self._fork_sims) > 64:
-                self._fork_sims.pop(next(iter(self._fork_sims)))
-        fork = entry[1].fork(error)
-        if fork.kind in ("clean", "abort"):
-            self._fork_decided += 1
-            return None
-        if fork.kind == "dpo" and self.exposure_comparator is None:
-            self._fork_decided += 1
-            return (fork.cycle, fork.net)
-        return _FORK_UNDECIDED

@@ -41,6 +41,7 @@ from repro.datapath.batched import (
     effective_lanes,
 )
 from repro.errors import enumerate_boe, enumerate_bus_ssl, enumerate_mse
+from repro.fuzz.harness import MACHINES
 from repro.fuzz.minimize import error_to_spec
 
 #: Error classes in enumeration order.
@@ -73,6 +74,21 @@ class MatrixConfig:
     #: ``batch`` — the artifact is byte-identical at any width and its
     #: config excludes it.
     lanes: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.machine not in MACHINES:
+            raise ValueError(f"unknown machine {self.machine!r} "
+                             f"(choose from {', '.join(MACHINES)})")
+        if self.programs < 1:
+            raise ValueError("programs must be >= 1")
+        if self.sample < 1:
+            raise ValueError("sample must be >= 1")
+        unknown = sorted(set(self.classes) - set(ERROR_CLASSES))
+        if unknown:
+            raise ValueError(f"unknown error class(es) {', '.join(unknown)} "
+                             f"(choose from {', '.join(ERROR_CLASSES)})")
+        if self.lanes is not None and self.lanes < 0:
+            raise ValueError("lanes must be >= 0")
 
 
 def reaches_observable(netlist, site_net: str) -> bool:
@@ -133,13 +149,11 @@ def _machine_harness(config: MatrixConfig):
 
         return (build_minipipe(), detects, batch_detects,
                 RandomMiniGenerator(generator_config))
-    if config.machine in ("dlx", "dlx_bp"):
-        from repro.dlx import build_dlx, detects
-        from repro.dlx.env import batch_detects
+    from repro.dlx import build_dlx, detects
+    from repro.dlx.env import batch_detects
 
-        return (build_dlx(branch_prediction=config.machine == "dlx_bp"),
-                detects, batch_detects, RandomDlxGenerator(generator_config))
-    raise ValueError(f"unknown machine {config.machine!r}")
+    return (build_dlx(branch_prediction=config.machine == "dlx_bp"),
+            detects, batch_detects, RandomDlxGenerator(generator_config))
 
 
 def _batch_env_cls(machine: str):

@@ -70,14 +70,10 @@ class FuzzConfig:
     max_minimize: int = 5
     #: Optional mnemonic -> weight opcode mix for the generator.
     opcode_weights: dict | None = None
-    #: Simulate on the compiled datapath kernels (default); ``False`` runs
-    #: the interpretive oracle.  Execution strategy, not a result knob —
-    #: reports are byte-identical either way and exclude it.
-    compiled: bool = True
     #: Lane width for the batched numpy kernels: ``None`` = auto (batched
     #: when numpy is importable, scalar otherwise), 0 = scalar, N >= 1 =
-    #: batch N seeded programs per kernel call.  Execution strategy like
-    #: ``compiled`` — reports are byte-identical at any width and the
+    #: batch N seeded programs per kernel call.  Execution strategy, not
+    #: a result knob — reports are byte-identical at any width and the
     #: artifact excludes it (see tests/test_fuzz_determinism.py).
     lanes: int | None = None
 
@@ -120,17 +116,15 @@ class _MiniAdapter:
             "registers": list(result.registers),
         }
 
-    def impl_outcome(self, processor, program, init_regs, error=None,
-                     compiled=True):
+    def impl_outcome(self, processor, program, init_regs, error=None):
         from repro.mini.spec import MiniEnv
 
         if error is None:
-            env = MiniEnv(processor, compiled=compiled)
+            env = MiniEnv(processor)
         else:
             injector, module_overrides = error.hooks(processor.datapath)
             env = MiniEnv(processor, injector=injector,
-                          module_overrides=module_overrides,
-                          compiled=compiled)
+                          module_overrides=module_overrides)
         result = env.run(program, init_regs)
         outcome = {
             "writes": [list(w) for w in result.writes],
@@ -196,17 +190,15 @@ class _DlxAdapter:
         result = DlxSpec().run(program, init_regs)
         return self._canonical(result)
 
-    def impl_outcome(self, processor, program, init_regs, error=None,
-                     compiled=True):
+    def impl_outcome(self, processor, program, init_regs, error=None):
         from repro.dlx.env import DlxEnv
 
         if error is None:
-            env = DlxEnv(processor, compiled=compiled)
+            env = DlxEnv(processor)
         else:
             injector, module_overrides = error.hooks(processor.datapath)
             env = DlxEnv(processor, injector=injector,
-                         module_overrides=module_overrides,
-                         compiled=compiled)
+                         module_overrides=module_overrides)
         result = env.run(program, init_regs)
         return self._canonical(result), env.trace
 
@@ -349,8 +341,7 @@ def _run_shard(payload: tuple) -> dict:
             init_regs = generator.initial_registers(index)
             spec_outcome = adapter.spec_outcome(program, init_regs)
             impl_outcome, trace = adapter.impl_outcome(
-                processor, program, init_regs, error,
-                compiled=config.compiled
+                processor, program, init_regs, error
             )
             observe(index, program, init_regs, spec_outcome, impl_outcome,
                     trace)
@@ -459,7 +450,6 @@ def run_fuzz(
         "budget_seconds": config.budget_seconds, "plant": config.plant,
         "max_minimize": config.max_minimize,
         "opcode_weights": config.opcode_weights,
-        "compiled": config.compiled,
         "lanes": config.lanes,
     }
     shards = _shards(config.iters, config.jobs)
@@ -532,7 +522,7 @@ def _minimize_divergences(
             return False
         spec_outcome = adapter.spec_outcome(program, init_regs)
         impl_outcome, _ = adapter.impl_outcome(
-            processor, program, init_regs, error, compiled=config.compiled
+            processor, program, init_regs, error
         )
         return first_mismatch(spec_outcome, impl_outcome) is not None
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import asyncio
@@ -52,6 +52,16 @@ CAMPAIGN_REQUEST_FIELDS = frozenset({
     "target", "deadline", "jobs", "dropping", "profile",
     "errors", "sample",
     "tenant", "resume", "checkpoint",
+})
+
+#: Every ``POST /v1/fuzz`` field anything reads: the fuzz and matrix
+#: knobs (:func:`fuzz_config_from_request`) and the server's ``tenant``.
+#: Any other field is rejected, as for campaigns.
+FUZZ_REQUEST_FIELDS = frozenset({
+    "machine", "seed", "length", "lanes",
+    "matrix", "programs", "sample",
+    "iters", "jobs", "budget_seconds", "plant", "max_minimize",
+    "tenant",
 })
 
 
@@ -268,9 +278,17 @@ def run_campaign_job(
 
 
 def fuzz_config_from_request(request: dict[str, Any]):
-    """Validate a ``POST /v1/fuzz`` body into Fuzz/Matrix config(s)."""
+    """Validate a ``POST /v1/fuzz`` body into Fuzz/Matrix config(s).
+
+    A field outside :data:`FUZZ_REQUEST_FIELDS` answers 400.
+    """
     from repro.fuzz import FuzzConfig, MatrixConfig
 
+    unknown = sorted(set(request) - FUZZ_REQUEST_FIELDS)
+    if unknown:
+        raise HttpError(
+            400, f"unknown fuzz request field(s): {', '.join(unknown)}"
+        )
     common = dict(
         machine=request.get("machine", "mini"),
         seed=_field(request, "seed", int, 1),
@@ -279,14 +297,14 @@ def fuzz_config_from_request(request: dict[str, Any]):
     )
     try:
         if request.get("matrix"):
-            return MatrixConfig(
+            config = MatrixConfig(
                 programs=_field(request, "programs", int, 16),
                 sample=_field(request, "sample", int, 1),
-                max_bits_per_net=(
-                    4 if common["machine"].startswith("dlx") else None
-                ),
                 **common,
             )
+            if config.machine.startswith("dlx"):
+                config = replace(config, max_bits_per_net=4)
+            return config
         return FuzzConfig(
             iters=_field(request, "iters", int, 200),
             jobs=_field(request, "jobs", int, 1),

@@ -74,9 +74,11 @@ def test_record_dict_roundtrip():
 
 
 def test_retired_outcome_fields_are_dropped_and_others_rejected():
-    data = CheckpointRecord(_outcome("e1")).to_dict()
-    data["outcome"].update(restarts=0, deadline_grant=10.0)
-    assert CheckpointRecord.from_dict(data).outcome == _outcome("e1")
-    data["outcome"]["mystery"] = 1
-    with pytest.raises(ValueError, match="mystery"):
-        CheckpointRecord.from_dict(data)
+    for retired in (dict(restarts=0, deadline_grant=10.0),
+                    dict(exposure_forks=3, exposure_fork_decided=2)):
+        data = CheckpointRecord(_outcome("e1")).to_dict()
+        data["outcome"].update(retired)
+        assert CheckpointRecord.from_dict(data).outcome == _outcome("e1")
+        data["outcome"]["mystery"] = 1
+        with pytest.raises(ValueError, match="mystery"):
+            CheckpointRecord.from_dict(data)

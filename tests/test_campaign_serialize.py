@@ -94,7 +94,8 @@ def test_report_with_retired_outcome_fields_loads():
         outcomes=[ErrorOutcome("e1", True, test_length=6)],
         total_seconds=3.0,
     ))
-    data["outcomes"][0].update(restarts=0, deadline_grant=20.0)
+    data["outcomes"][0].update(restarts=0, deadline_grant=20.0,
+                               exposure_forks=1, exposure_fork_decided=1)
     assert report_from_dict(data).outcomes[0].test_length == 6
 
 

@@ -110,6 +110,12 @@ def test_jobs_must_be_positive(capsys):
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+def test_matrix_rejects_unknown_machine(tmp_path, capsys):
+    assert main(["fuzz", "--matrix", "--matrix-machines", "mini,foo",
+                 "--report-dir", str(tmp_path)]) == 2
+    assert "error: unknown machine 'foo'" in capsys.readouterr().err
+
+
 def test_resume_rejects_corrupt_checkpoint(tmp_path, capsys):
     path = tmp_path / "cp.jsonl"
     path.write_text("GARBAGE\n{}\n")

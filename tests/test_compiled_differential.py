@@ -13,8 +13,8 @@ together —
 * the cone-forking batch fault simulator against serial co-simulation:
   convergence back to the golden trace, verdict inheritance, and
   artifact-identical conformance classification;
-* the TestGenerator fork screen: identical results with the screen on
-  and off, with the fork counters proving the screen actually ran.
+* the TestGenerator exposure check: identical results with both halves
+  of every co-simulation on the compiled or the interpretive simulator.
 """
 
 from functools import partial
@@ -222,33 +222,25 @@ def test_conformance_matrix_batch_matches_serial():
 
 
 # ----------------------------------------------------------------------
-# TestGenerator exposure fork screen
+# TestGenerator exposure check
 # ----------------------------------------------------------------------
-def test_tg_fork_screen_matches_interpretive(minipipe, monkeypatch):
-    from repro.core.tg import _FORK_UNDECIDED
+def test_tg_exposure_matches_interpretive(minipipe, monkeypatch):
     from repro.verify.cosim import GoldenTraceCache, ProcessorSimulator
 
     errors = enumerate_bus_ssl(minipipe.datapath, stages={1, 2})[:6]
     fast = TestGenerator(minipipe, deadline_seconds=10.0)
     fast_results = [fast.generate(error) for error in errors]
     # The interpretive oracle: both halves of every exposure check on the
-    # interpretive simulator, and no fork screen in front of them.
+    # interpretive simulator.
     monkeypatch.setattr(
         "repro.core.tg.ProcessorSimulator",
         partial(ProcessorSimulator, compiled=False),
     )
     slow = TestGenerator(minipipe, deadline_seconds=10.0)
     slow._golden = GoldenTraceCache(compiled=False)
-    slow._fork_exposure = lambda error, good: _FORK_UNDECIDED
-    screened = 0
     for error, a in zip(errors, fast_results):
         b = slow.generate(error)
         assert a.status == b.status
         if a.status is TGStatus.DETECTED:
             assert a.test.cpi_frames == b.test.cpi_frames
             assert a.test.stimulus_state == b.test.stimulus_state
-        # The interpretive path never forks; the compiled path forks on
-        # every exposure check.
-        assert b.exposure_forks == 0
-        screened += a.exposure_forks
-    assert screened > 0

@@ -8,9 +8,9 @@ same assignment and overrides.  The tests below drive random operation
 sequences on the two-stage toy, the MiniPipe controller, and the DLX
 controller, and additionally demand that CTRLJUST reaches bit-identical
 outcomes (status, assignment, CTI values, implied values, backtracks,
-decisions, backjumps) through the incremental and full-sweep backends,
-also under the backjumping and refutation-probe settings campaigns use.
-Every frame of every unrolled window must read its source node's
+decisions, the refutation probe's backjumps) through the incremental and
+full-sweep backends, also under the refutation-probe setting campaigns
+use.  Every frame of every unrolled window must read its source node's
 compiled table object, and an out-of-domain ``assume`` must leave the
 session unchanged.
 
@@ -303,9 +303,9 @@ def test_minipipe_backends_identical_random_objectives(seed):
 
 
 #: CTRLJUST settings the DLX identity runs under: the defaults, and what
-#: campaigns run (backjumping, and the refutation probe with
+#: campaigns run (the refutation probe with
 #: ``TestGenerator.refute_conflict_limit`` conflicts).
-_DLX_SEARCHES = ({}, {"backjump": True, "refute_conflicts": 24})
+_DLX_SEARCHES = ({}, {"refute_conflicts": 24})
 
 
 @pytest.mark.parametrize("objectives", [

@@ -5,6 +5,7 @@ import pytest
 from repro.campaign.events import EventLog, EventStream
 from repro.fuzz import (
     FuzzConfig,
+    MatrixConfig,
     first_mismatch,
     machine_adapter,
     run_fuzz,
@@ -90,6 +91,11 @@ def test_fuzz_config_validation():
         FuzzConfig(iters=-1)
     with pytest.raises(ValueError):
         FuzzConfig(jobs=0)
+    for bad in (dict(machine="vax"), dict(machine=5), dict(programs=0),
+                dict(sample=0), dict(classes=("bus-ssl", "stuck-open")),
+                dict(lanes=-1)):
+        with pytest.raises(ValueError):
+            MatrixConfig(**bad)
 
 
 def test_machine_adapter_unknown_name():

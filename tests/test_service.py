@@ -171,6 +171,15 @@ def test_healthz_metrics_and_errors(tmp_path):
                 client.submit_campaign(target="mini", **field)
             assert excinfo.value.status == 400
             assert next(iter(field)) in excinfo.value.body["error"]
+        # Fuzz requests are checked at submit time as well: an unknown
+        # matrix machine (by name or by type) and a misspelt field.
+        for request, named in (({"matrix": True, "machine": "foo"}, "foo"),
+                               ({"matrix": True, "machine": 5}, "5"),
+                               ({"iter": 5}, "iter")):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_fuzz(**request)
+            assert excinfo.value.status == 400
+            assert named in excinfo.value.body["error"]
         with pytest.raises(ServiceError) as excinfo:
             client.submit_campaign(target="mini",
                                    resume="campaign-doesnotexist")
