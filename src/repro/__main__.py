@@ -20,7 +20,7 @@ Commands:
 Campaign flags (``table1`` and ``minipipe``):
 
 * ``--jobs N``        shard the error list across N worker processes
-  (default 1 = the classic serial loop, in-process)
+  (default 1 = every error in this process)
 * ``--checkpoint PATH``  append one JSONL record per completed error so a
   killed run can be resumed
 * ``--resume``        skip errors already present in ``--checkpoint``
@@ -89,15 +89,19 @@ def _run_campaign_command(args, target: str, title: str | None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    config = OrchestratorConfig(
-        target=target,
-        jobs=args.jobs,
-        deadline_seconds=args.deadline,
-        error_simulation=args.dropping,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-        profile=args.profile,
-    )
+    try:
+        config = OrchestratorConfig(
+            target=target,
+            jobs=args.jobs,
+            deadline_seconds=args.deadline,
+            error_simulation=args.dropping,
+            checkpoint_path=args.checkpoint,
+            resume=args.resume,
+            profile=args.profile,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     events = EventStream()
     log = EventLog()
     events.subscribe(log)
@@ -165,12 +169,18 @@ def cmd_minipipe(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from repro.campaign.orchestrator import check_deadline
     from repro.core.tg import TestGenerator, TGStatus
     from repro.dlx import build_dlx, detects
     from repro.dlx.env import dlx_exposure_comparator
     from repro.dlx.realize import RealizationError, realize
     from repro.errors import BusSSLError
 
+    try:
+        check_deadline(args.deadline)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     dlx = build_dlx()
     error = BusSSLError(args.net, args.bit, args.stuck)
     generator = TestGenerator(

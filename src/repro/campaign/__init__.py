@@ -21,7 +21,6 @@ from repro.campaign.runner import (
     DlxCampaign,
     ErrorOutcome,
     MiniCampaign,
-    run_serial_campaign,
 )
 from repro.campaign.serialize import (
     load_json,
@@ -60,7 +59,6 @@ __all__ = [
     "realized_mini_to_dict",
     "report_from_dict",
     "report_to_dict",
-    "run_serial_campaign",
     "save_json",
     "testcase_from_dict",
     "testcase_to_dict",

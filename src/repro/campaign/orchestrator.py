@@ -1,28 +1,36 @@
-"""Parallel campaign orchestration: sharded worker pool + checkpoint/resume.
+"""Campaign orchestration: one loop for every worker count, plus
+checkpoint/resume.
 
-Error-targeted test generation is embarrassingly parallel per error, so the
-orchestrator shards an error list across a ``multiprocessing`` worker pool:
-each worker process rebuilds the processor model once (pool initializer),
-then runs the full TG → realize → ISA-check pipeline per error and returns
-the :class:`ErrorOutcome` plus the serialized realized test.  The
-coordinator merges results as they complete, emits structured events
-(:mod:`repro.campaign.events`), appends each completed error to a JSONL
-checkpoint (:mod:`repro.campaign.checkpoint`), and — when error simulation
-is enabled — simulates every finished test against the **not-yet-dispatched
-tail** of the work list, so fault dropping composes with sharding instead
-of being silently disabled.
-
-``jobs=1`` takes the exact serial loop of ``DlxCampaign.run`` (shared via
-:func:`repro.campaign.runner.run_serial_campaign`), so single-job
-orchestration is byte-identical to the classic driver.
+Error-targeted test generation is independent per error, so the
+orchestrator hands each error to an executor and merges the results as
+they complete.  ``jobs=1`` runs each error in this process, on the
+coordinator's own campaign, when it is submitted; ``jobs>1`` shards the
+list across a ``multiprocessing`` worker pool whose processes each
+rebuild the processor model once (pool initializer).  Either way a task
+returns the :class:`ErrorOutcome` plus the realized test, and the
+coordinator emits structured events (:mod:`repro.campaign.events`),
+appends each completed error to a JSONL checkpoint
+(:mod:`repro.campaign.checkpoint`), and — when error simulation is
+enabled — simulates every finished test against the **not-yet-dispatched
+tail** of the work list (at ``jobs=1``, every remaining error).  Workers
+share nothing but their results: learned search state never crosses a
+process boundary.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
@@ -34,7 +42,6 @@ from repro.campaign.runner import (
     DlxCampaign,
     ErrorOutcome,
     MiniCampaign,
-    run_serial_campaign,
 )
 from repro.errors.models import DesignError
 
@@ -51,6 +58,19 @@ def build_campaign(target: str, deadline_seconds: float) -> CampaignBase:
         f"unknown campaign target {target!r} (expected one of "
         f"{', '.join(CAMPAIGN_TARGETS)})"
     )
+
+
+def check_deadline(seconds: float) -> None:
+    """Raise ``ValueError`` unless ``seconds`` is a finite positive number.
+
+    A deadline of zero or less aborts every error, and NaN never
+    compares true, so it would mean no deadline at all.
+    """
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise ValueError(
+            f"deadline must be a finite positive number of seconds, "
+            f"got {seconds}"
+        )
 
 
 @dataclass(frozen=True)
@@ -72,6 +92,7 @@ class OrchestratorConfig:
             raise ValueError(f"unknown campaign target {self.target!r}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        check_deadline(self.deadline_seconds)
         if self.resume and not self.checkpoint_path:
             raise ValueError("resume requires a checkpoint path")
 
@@ -90,37 +111,36 @@ def _worker_init(target: str, deadline_seconds: float) -> None:
     _WORKER_CAMPAIGN = build_campaign(target, deadline_seconds)
 
 
-def _worker_run(item: tuple[int, DesignError, list, list]):
-    """Run one error in the worker; pool learned no-goods and refutation
-    certificates both ways.
+def _worker_run(
+    campaign: CampaignBase | None, index: int, error: DesignError
+):
+    """Run one error's TG → realize → ISA-check pipeline.
 
-    The coordinator ships every record it knows with the task; the worker
-    merges them (idempotent) before searching, and returns only what it
-    learned locally since its last report (``export_records`` drains the
-    fresh list; merged foreign records never re-export).
+    A pool worker passes None and runs on its own ``_WORKER_CAMPAIGN``.
+    In-process runs pass the coordinator's campaign instead of using the
+    global, because the service runs campaigns concurrently in threads.
     """
-    from repro.campaign.serialize import (
-        clause_records_from_wire,
-        clause_records_to_wire,
-        nogood_records_from_wire,
-        nogood_records_to_wire,
-    )
+    if campaign is None:
+        campaign = _WORKER_CAMPAIGN
+    outcome, realized = campaign._run_error_with_test(error)
+    return index, outcome, realized
 
-    index, error, records, clause_records = item
-    generator = _WORKER_CAMPAIGN.generator
-    nogoods = generator.nogoods
-    clauses = generator.clauses
-    if records:
-        nogoods.merge_records(nogood_records_from_wire(records))
-    if clause_records:
-        clauses.merge_records(clause_records_from_wire(clause_records))
-    outcome, realized = _WORKER_CAMPAIGN._run_error_with_test(error)
-    test = None
-    if realized is not None:
-        test = _WORKER_CAMPAIGN.serialize_realized(realized)
-    learned = nogood_records_to_wire(nogoods.export_records())
-    learned_clauses = clause_records_to_wire(clauses.export_records())
-    return index, vars(outcome).copy(), test, learned, learned_clauses
+
+class _InlineExecutor(Executor):
+    """The ``jobs=1`` executor: runs each task when it is submitted.
+
+    Not a thread pool, so a second Ctrl-C kills the running error at once
+    instead of waiting for it at shutdown.  As in a process pool, a
+    task's exception lands in its future; ``KeyboardInterrupt`` does not.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 def campaign_run_to_dict(
@@ -140,7 +160,7 @@ def campaign_run_to_dict(
 
 
 class CampaignOrchestrator:
-    """Run a campaign over an error list, serial or sharded.
+    """Run a campaign over an error list, in process or sharded.
 
     Parameters
     ----------
@@ -151,8 +171,8 @@ class CampaignOrchestrator:
         calling :meth:`run`.  A fresh private stream is created otherwise.
     campaign:
         Optional pre-built campaign driver for the coordinator process
-        (error enumeration + coordinator-side fault dropping); built from
-        ``config`` when omitted.
+        (error enumeration, fault dropping and, at ``jobs=1``, every
+        error's pipeline); built from ``config`` when omitted.
     """
 
     def __init__(
@@ -213,12 +233,7 @@ class CampaignOrchestrator:
         unattempted = 0
         try:
             if pending:
-                if config.jobs == 1:
-                    unattempted = self._run_serial(
-                        pending, report, checkpoint
-                    )
-                else:
-                    unattempted = self._run_pool(pending, report, checkpoint)
+                unattempted = self._run_pending(pending, report, checkpoint)
         finally:
             if checkpoint is not None:
                 checkpoint.close()
@@ -267,100 +282,35 @@ class CampaignOrchestrator:
                 positions[name] = len(report.outcomes) - 1
         return set(positions)
 
-    # ------------------------------------------------------------------
-    # Serial path (jobs=1): the classic loop plus events + checkpointing
-    # ------------------------------------------------------------------
-    def _run_serial(
+    def _run_pending(
         self,
         pending: list[tuple[int, DesignError]],
         report: CampaignReport,
         checkpoint: CampaignCheckpoint | None,
     ) -> int:
-        index_of = {error.describe(): index for index, error in pending}
-
-        def on_started(error: DesignError) -> None:
-            self.events.emit(
-                "error-started",
-                error=error.describe(),
-                index=index_of[error.describe()],
-            )
-
-        def on_finished(outcome: ErrorOutcome, realized) -> None:
-            self._emit_finished(outcome, index_of.get(outcome.error, -1))
-            test = None
-            if realized is not None and checkpoint is not None:
-                test = self.campaign.serialize_realized(realized)
-            self._write_checkpoint(checkpoint, outcome, test)
-
-        def on_dropped(outcome, dropped, seconds) -> None:
-            self.events.emit(
-                "test-dropped-others",
-                error=outcome.error,
-                dropped=[record.error for record in dropped],
-                seconds=seconds,
-            )
-            for record in dropped:
-                self._write_checkpoint(checkpoint, record, None)
-
-        remaining = [error for _, error in pending]
-        run_serial_campaign(
-            self.campaign,
-            remaining,
-            report,
-            error_simulation=self.config.error_simulation,
-            on_started=on_started,
-            on_finished=on_finished,
-            on_dropped=on_dropped,
-            should_stop=self._stop.is_set,
-        )
-        return len(remaining)
-
-    # ------------------------------------------------------------------
-    # Parallel path (jobs>1): sharded pool with coordinator-side dropping
-    # ------------------------------------------------------------------
-    def _run_pool(
-        self,
-        pending: list[tuple[int, DesignError]],
-        report: CampaignReport,
-        checkpoint: CampaignCheckpoint | None,
-    ) -> int:
-        from repro.campaign.serialize import (
-            clause_records_from_wire,
-            clause_records_to_wire,
-            nogood_records_from_wire,
-            nogood_records_to_wire,
-        )
-
+        """Run the pending errors; return how many were never attempted."""
         config = self.config
         queue: deque[tuple[int, DesignError]] = deque(pending)
-        #: The coordinator's pooled no-good and certificate stores:
-        #: everything any worker has reported so far, fanned back out
-        #: with each dispatch.  They ride on the coordinator campaign's
-        #: own generator so a later in-process run (or serial fallback)
-        #: keeps the learning.
-        pooled = self.campaign.generator.nogoods
-        pooled_clauses = self.campaign.generator.clauses
-        with ProcessPoolExecutor(
-            max_workers=config.jobs,
-            initializer=_worker_init,
-            initargs=(config.target, config.deadline_seconds),
-        ) as pool:
+        if config.jobs == 1:
+            executor, campaign = _InlineExecutor(), self.campaign
+        else:
+            executor, campaign = ProcessPoolExecutor(
+                max_workers=config.jobs,
+                initializer=_worker_init,
+                initargs=(config.target, config.deadline_seconds),
+            ), None
+        with executor:
             in_flight: dict = {}
 
             def dispatch() -> None:
-                if self._stop.is_set():
-                    return
-                while queue and len(in_flight) < config.jobs:
+                while (queue and len(in_flight) < config.jobs
+                       and not self._stop.is_set()):
                     index, error = queue.popleft()
                     self.events.emit(
                         "error-started", error=error.describe(), index=index
                     )
-                    known = nogood_records_to_wire(pooled.all_records())
-                    known_clauses = clause_records_to_wire(
-                        pooled_clauses.all_records()
-                    )
-                    future = pool.submit(
-                        _worker_run, (index, error, known, known_clauses)
+                    future = executor.submit(
+                        _worker_run, campaign, index, error
                     )
                     in_flight[future] = (index, error)
 
@@ -373,77 +323,84 @@ class CampaignOrchestrator:
                 for future in sorted(done, key=lambda f: in_flight[f][0]):
                     index, error = in_flight.pop(future)
                     try:
-                        _, outcome_dict, test, learned, fresh_clauses = (
-                            future.result()
-                        )
-                        outcome = ErrorOutcome(**outcome_dict)
-                        if learned:
-                            pooled.merge_records(
-                                nogood_records_from_wire(learned)
-                            )
-                        if fresh_clauses:
-                            pooled_clauses.merge_records(
-                                clause_records_from_wire(fresh_clauses)
-                            )
+                        _, outcome, realized = future.result()
                     except Exception:
-                        # A lost worker aborts the error, not the campaign.
-                        outcome, test = ErrorOutcome(
+                        # A lost worker or a failing pipeline aborts the
+                        # error, not the campaign; the traceback says why.
+                        traceback.print_exc()
+                        outcome, realized = ErrorOutcome(
                             error=error.describe(),
                             detected=False,
                             failure_stage="worker",
                         ), None
-                    report.outcomes.append(outcome)
-                    self._emit_finished(outcome, index)
-                    self._write_checkpoint(checkpoint, outcome, test)
-                    if (
-                        config.error_simulation
-                        and test is not None
-                        and queue
-                    ):
-                        self._drop_from_queue(
-                            outcome, test, queue, report, checkpoint
-                        )
+                    self._finish(index, outcome, realized, queue, report,
+                                 checkpoint)
                 dispatch()
             # An interrupt stops dispatching; in-flight errors above ran
             # to completion and were checkpointed, the queued tail is
             # reported as never attempted.
             return len(queue)
 
-    def _drop_from_queue(
+    def _finish(
         self,
+        index: int,
         outcome: ErrorOutcome,
-        test: dict[str, Any],
+        realized,
         queue: deque,
         report: CampaignReport,
         checkpoint: CampaignCheckpoint | None,
     ) -> None:
-        """Error-simulate a finished test against the undispatched tail."""
-        drop_start = time.monotonic()
-        realized = self.campaign.deserialize_realized(test)
-        survivors: list[tuple[int, DesignError]] = []
-        dropped: list[ErrorOutcome] = []
-        verdicts = self.campaign.detects_realized_batch(
-            realized, [other for _, other in queue]
-        )
-        for (index, other), hit in zip(queue, verdicts):
-            if hit:
-                record = self.campaign.dropped_outcome(
-                    other, realized, outcome.error
-                )
-                report.outcomes.append(record)
-                dropped.append(record)
-                self._write_checkpoint(checkpoint, record, None)
-            else:
-                survivors.append((index, other))
-        queue.clear()
-        queue.extend(survivors)
+        """Record one finished error and the errors its test drops.
+
+        Dropping runs first so its time counts in the dropper's
+        ``seconds``; the events follow in a fixed order for every
+        ``jobs`` value.
+        """
+        report.outcomes.append(outcome)
+        dropped, drop_seconds = [], 0.0
+        if self.config.error_simulation and realized is not None and queue:
+            dropped, drop_seconds = self._drop_from_queue(
+                outcome, realized, queue
+            )
+            outcome.seconds += drop_seconds
+            report.outcomes.extend(dropped)
+        self._emit_finished(outcome, index)
+        test = None
+        if realized is not None and checkpoint is not None:
+            test = self.campaign.serialize_realized(realized)
+        self._write_checkpoint(checkpoint, outcome, test)
         if dropped:
             self.events.emit(
                 "test-dropped-others",
                 error=outcome.error,
                 dropped=[record.error for record in dropped],
-                seconds=time.monotonic() - drop_start,
+                seconds=drop_seconds,
             )
+            for record in dropped:
+                self._write_checkpoint(checkpoint, record, None)
+
+    def _drop_from_queue(
+        self, outcome: ErrorOutcome, realized, queue: deque
+    ) -> tuple[list[ErrorOutcome], float]:
+        """Error-simulate a finished test against the undispatched tail;
+        remove the errors it detects and return their records and the
+        seconds it took."""
+        start = time.monotonic()
+        verdicts = self.campaign.detects_realized_batch(
+            realized, [other for _, other in queue]
+        )
+        survivors: list[tuple[int, DesignError]] = []
+        dropped: list[ErrorOutcome] = []
+        for (index, other), hit in zip(queue, verdicts):
+            if hit:
+                dropped.append(self.campaign.dropped_outcome(
+                    other, realized, outcome.error
+                ))
+            else:
+                survivors.append((index, other))
+        queue.clear()
+        queue.extend(survivors)
+        return dropped, time.monotonic() - start
 
     # ------------------------------------------------------------------
     # Shared helpers

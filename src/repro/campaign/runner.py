@@ -6,17 +6,17 @@ distinguishes the erroneous implementation from the ISA specification by
 co-simulation.  Everything else is **aborted** — the same accounting as the
 paper's Table 1.
 
-The drivers here are single-process; :mod:`repro.campaign.orchestrator`
-shards the same campaigns across a worker pool.  Both paths funnel through
-:func:`run_serial_campaign`, so ``jobs=1`` orchestration is the very loop
-``DlxCampaign.run`` has always executed.
+The campaigns here run one error at a time.
+:mod:`repro.campaign.orchestrator` loops over the error list, in this
+process or across a worker pool, and :meth:`CampaignBase.run` is that loop
+at ``jobs=1``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.core.tg import TestGenerator, TGStatus
 from repro.errors.models import DesignError
@@ -192,12 +192,13 @@ class CampaignBase:
     """Shared campaign machinery over a concrete test vehicle.
 
     Subclasses provide the per-error pipeline (:meth:`_run_error_with_test`)
-    plus the handful of vehicle-specific hooks the shared loop and the
-    orchestrator need: re-checking a realized test against other errors
-    (fault dropping) and (de)serializing realized tests so they can cross a
-    process boundary or land in a checkpoint.
+    plus the handful of vehicle-specific hooks the orchestrator needs:
+    re-checking a realized test against other errors (fault dropping) and
+    serializing realized tests into a checkpoint.
     """
 
+    #: The orchestrator's name for this vehicle (``CAMPAIGN_TARGETS``).
+    target: str
     processor: Processor
     generator: TestGenerator
 
@@ -226,9 +227,6 @@ class CampaignBase:
     def serialize_realized(self, realized) -> dict[str, Any]:
         raise NotImplementedError
 
-    def deserialize_realized(self, data: dict[str, Any]):
-        raise NotImplementedError
-
     def run_error(self, error: DesignError) -> ErrorOutcome:
         outcome, _ = self._run_error_with_test(error)
         return outcome
@@ -249,7 +247,8 @@ class CampaignBase:
         errors: Sequence[DesignError],
         error_simulation: bool = False,
     ) -> CampaignReport:
-        """Run the campaign.
+        """Run the campaign in this process (the orchestrator at
+        ``jobs=1``, without events or checkpoint).
 
         With ``error_simulation`` enabled (the paper's stated future
         improvement: "no error simulation was used in this preliminary
@@ -257,73 +256,21 @@ class CampaignBase:
         simulated against the remaining errors, and the ones it detects are
         dropped from the TG work list.
         """
-        report = CampaignReport()
-        start = time.monotonic()
-        run_serial_campaign(
-            self, list(errors), report, error_simulation=error_simulation
+        from repro.campaign.orchestrator import (
+            CampaignOrchestrator,
+            OrchestratorConfig,
         )
-        report.total_seconds = time.monotonic() - start
-        return report
 
-
-def run_serial_campaign(
-    campaign: CampaignBase,
-    remaining: list[DesignError],
-    report: CampaignReport,
-    error_simulation: bool = False,
-    on_started: Callable[[DesignError], None] | None = None,
-    on_finished: Callable[[ErrorOutcome, Any], None] | None = None,
-    on_dropped: Callable[[ErrorOutcome, list[ErrorOutcome], float], None]
-    | None = None,
-    should_stop: Callable[[], bool] | None = None,
-) -> None:
-    """The serial campaign loop, appending outcomes to ``report``.
-
-    ``remaining`` is consumed in place (fault dropping removes errors that
-    an earlier test already detects).  The optional callbacks let the
-    orchestrator attach event emission and checkpointing without forking
-    the control flow: ``on_finished(outcome, realized)`` fires once the
-    outcome is final (dropping time folded in), ``on_dropped(outcome,
-    dropped, seconds)`` after a test removed errors from the work list.
-    ``should_stop`` is polled between errors: when it returns True the
-    loop returns early, leaving the unattempted tail in ``remaining`` —
-    the cooperative-interrupt hook (the in-flight error always finishes,
-    so every appended outcome is complete and checkpointable).
-    """
-    while remaining:
-        if should_stop is not None and should_stop():
-            return
-        error = remaining.pop(0)
-        if on_started is not None:
-            on_started(error)
-        outcome, realized = campaign._run_error_with_test(error)
-        report.outcomes.append(outcome)
-        dropped: list[ErrorOutcome] = []
-        drop_seconds = 0.0
-        if error_simulation and realized is not None:
-            drop_start = time.monotonic()
-            survivors = []
-            verdicts = campaign.detects_realized_batch(realized, remaining)
-            for other, hit in zip(remaining, verdicts):
-                if hit:
-                    record = campaign.dropped_outcome(
-                        other, realized, outcome.error
-                    )
-                    report.outcomes.append(record)
-                    dropped.append(record)
-                else:
-                    survivors.append(other)
-            remaining[:] = survivors
-            drop_seconds = time.monotonic() - drop_start
-            outcome.seconds += drop_seconds
-        if on_finished is not None:
-            on_finished(outcome, realized)
-        if dropped and on_dropped is not None:
-            on_dropped(outcome, dropped, drop_seconds)
+        config = OrchestratorConfig(
+            target=self.target, error_simulation=error_simulation
+        )
+        return CampaignOrchestrator(config, campaign=self).run(errors)
 
 
 class DlxCampaign(CampaignBase):
     """Table-1 campaign on the DLX (bus SSL errors in EX/MEM/WB)."""
+
+    target = "dlx"
 
     def __init__(
         self,
@@ -411,14 +358,11 @@ class DlxCampaign(CampaignBase):
 
         return realized_dlx_to_dict(realized)
 
-    def deserialize_realized(self, data: dict[str, Any]):
-        from repro.campaign.serialize import realized_dlx_from_dict
-
-        return realized_dlx_from_dict(data)
-
 
 class MiniCampaign(CampaignBase):
     """The same campaign on MiniPipe (execute/write-back stages)."""
+
+    target = "mini"
 
     def __init__(
         self,
@@ -494,8 +438,3 @@ class MiniCampaign(CampaignBase):
         from repro.campaign.serialize import realized_mini_to_dict
 
         return realized_mini_to_dict(realized)
-
-    def deserialize_realized(self, data: dict[str, Any]):
-        from repro.campaign.serialize import realized_mini_from_dict
-
-        return realized_mini_from_dict(data)

@@ -3,8 +3,9 @@
 A verification team keeps its generated suites; these helpers give the
 artifacts a stable on-disk form:
 
-* a realized DLX test serializes as assembly text plus the initial
-  register/memory state it needs,
+* a realized DLX test serializes as its instructions' fields (plus the
+  assembly text, for readers) and the initial register/memory state it
+  needs,
 * a raw TG :class:`TestCase` serializes field-by-field (cycle-indexed
   stimulus), and
 * a campaign report serializes as its outcome table.
@@ -59,11 +60,19 @@ def testcase_from_dict(data: dict[str, Any]) -> TestCase:
 
 
 def realized_dlx_to_dict(realized) -> dict[str, Any]:
+    """The test exactly: the assembly syntax omits every field an
+    instruction has no operand for (an R-type's ``imm``, an I-type's
+    ``rd``, a branch's ``rt``), which realization may still set, so the
+    fields are stored as well."""
     from repro.dlx.asm import disassemble
 
     return {
         "kind": "dlx-test",
         "assembly": disassemble(realized.program),
+        "program": [
+            {"op": i.op, "rs": i.rs, "rt": i.rt, "rd": i.rd, "imm": i.imm}
+            for i in realized.program
+        ],
         "init_regs": list(realized.init_regs),
         "init_memory": {
             str(addr): value for addr, value in realized.init_memory.items()
@@ -72,13 +81,20 @@ def realized_dlx_to_dict(realized) -> dict[str, Any]:
 
 
 def realized_dlx_from_dict(data: dict[str, Any]):
+    """Inverse of :func:`realized_dlx_to_dict`; tests written before the
+    fields were stored load from their assembly."""
     from repro.dlx.asm import assemble
+    from repro.dlx.isa import Instruction
     from repro.dlx.realize import RealizedDlxTest
 
     if data.get("kind") != "dlx-test":
         raise ValueError("not a serialized DLX test")
+    if "program" in data:
+        program = [Instruction(**fields) for fields in data["program"]]
+    else:
+        program = assemble(data["assembly"])
     return RealizedDlxTest(
-        program=assemble(data["assembly"]),
+        program=program,
         init_regs=list(data["init_regs"]),
         init_memory={
             int(addr): value for addr, value in data["init_memory"].items()
@@ -107,96 +123,6 @@ def realized_mini_from_dict(data: dict[str, Any]):
         program=[Instruction(**fields) for fields in data["program"]],
         init_regs=list(data["init_regs"]),
     )
-
-
-def _nogood_encode(value):
-    """Lower a no-good key/entry element to a JSON-able tagged form.
-
-    Keys mix nested tuples and frozensets of scalars; frozensets are
-    sorted so the wire form is canonical (equal keys encode equally).
-    """
-    if isinstance(value, tuple):
-        return ["t", *[_nogood_encode(v) for v in value]]
-    if isinstance(value, frozenset):
-        return ["f", *sorted(_nogood_encode(v) for v in value)]
-    return value
-
-
-def _nogood_decode(value):
-    if isinstance(value, list):
-        tag, items = value[0], value[1:]
-        if tag == "f":
-            return frozenset(_nogood_decode(v) for v in items)
-        return tuple(_nogood_decode(v) for v in items)
-    return value
-
-
-def nogood_records_to_wire(records) -> list:
-    """Learned no-good records as JSON-able lists (the orchestrator's
-    worker <-> coordinator transport; see ``repro.core.nogoods``).
-
-    Each row is ``[key, blamed, backtracks, [conflicts, learned,
-    backjumps, clause_hits, refuted]]`` — the CDCL column replays the
-    refuter's effort counters on a foreign hit.
-    """
-    return [
-        [_nogood_encode(key), _nogood_encode(blamed), backtracks,
-         list(cdcl)]
-        for key, (blamed, backtracks, cdcl) in records
-    ]
-
-
-def nogood_records_from_wire(data) -> list:
-    """Inverse of :func:`nogood_records_to_wire`.
-
-    Rows written before the CDCL column existed decode with zeroed
-    counters.
-    """
-    records = []
-    for row in data:
-        key, blamed, backtracks = row[0], row[1], row[2]
-        cdcl = tuple(row[3]) if len(row) > 3 else (0, 0, 0, 0, 0)
-        records.append(
-            (_nogood_decode(key), (_nogood_decode(blamed), backtracks, cdcl))
-        )
-    return records
-
-
-def clause_records_to_wire(records) -> list:
-    """Refutation certificates as JSON-able lists (same transport as the
-    no-goods; see :class:`repro.core.clauses.ClauseDB`).
-
-    A record is ``(n_frames, cert_items, lbd)`` with absolute
-    ``((frame, name), value)`` literals; the wire form normalizes frames
-    to the certificate's minimum frame and carries the offset, mirroring
-    the no-good keys: ``[n_frames, offset, [[frame - offset, name,
-    value], ...], lbd]``.
-    """
-    wire = []
-    for n_frames, items, lbd in records:
-        offset = min((frame for (frame, _), _ in items), default=0)
-        wire.append([
-            n_frames, offset,
-            [[frame - offset, name, value]
-             for (frame, name), value in items],
-            lbd,
-        ])
-    return wire
-
-
-def clause_records_from_wire(data) -> list:
-    """Inverse of :func:`clause_records_to_wire`."""
-    return [
-        (
-            n_frames,
-            tuple(
-                ((frame + offset, name), value)
-                for frame, name, value in items
-            ),
-            lbd,
-        )
-        for n_frames, offset, items, lbd in data
-    ]
 
 
 def report_to_dict(report: CampaignReport) -> dict[str, Any]:

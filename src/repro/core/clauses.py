@@ -26,10 +26,8 @@ turns those give-ups into millisecond *proofs*:
   search at all, which generalizes the exact-match
   :class:`~repro.core.nogoods.LearnedNogoods` keys to whole families of
   objective supersets.  Certificates are indexed by a witness literal for
-  subset lookup, bounded by a deterministic size/LBD eviction policy,
-  shipped between orchestrator workers as frame-offset-normalized records
-  (``repro.campaign.serialize``), and kept warm across campaign-service
-  requests (``repro.service.cache``).
+  subset lookup, bounded by a deterministic size/LBD eviction policy, and
+  kept warm across campaign-service requests (``repro.service.cache``).
 
 Soundness and transparency contract (enforced by differential tests):
 
@@ -537,7 +535,6 @@ class ClauseDB:
     _certs: dict = field(default_factory=dict)
     #: (n_frames, witness item) -> [cert key, ...] in insertion order.
     _witness: dict = field(default_factory=dict)
-    _fresh: list = field(default_factory=list)
     _seq: int = 0
 
     hits: int = 0
@@ -584,7 +581,6 @@ class ClauseDB:
         self._certs[key] = (len(cert), lbd, self._seq)
         self._seq += 1
         self._witness.setdefault((n_frames, min(cert)), []).append(key)
-        self._fresh.append(key)
         self.added += 1
         while len(self._certs) > self.max_certs:
             self._evict_one()
@@ -603,45 +599,3 @@ class ClauseDB:
             if not bucket:
                 del self._witness[(n_frames, min(cert))]
         self.evicted += 1
-
-    # ------------------------------------------------------------------
-    # Worker pooling (orchestrator transport; see serialize.py)
-    # ------------------------------------------------------------------
-    def export_records(self) -> list:
-        """Certificates learned since the last export, as plain tuples
-        ``(n_frames, sorted items, lbd)``."""
-        fresh, self._fresh = self._fresh, []
-        out = []
-        for key in fresh:
-            meta = self._certs.get(key)
-            if meta is None:
-                continue  # evicted before it was ever exported
-            n_frames, cert = key
-            out.append((n_frames, tuple(sorted(cert)), meta[1]))
-        return out
-
-    def all_records(self) -> list:
-        """Every certificate, for seeding a fresh worker."""
-        return [
-            (n_frames, tuple(sorted(cert)), meta[1])
-            for (n_frames, cert), meta in self._certs.items()
-        ]
-
-    def merge_records(self, records) -> int:
-        """Fold foreign records in; returns how many were new.  Merged
-        entries do not re-export (the coordinator is the fan-out hub)."""
-        added = 0
-        for n_frames, items, lbd in records:
-            key = (n_frames, frozenset(items))
-            if key in self._certs:
-                continue
-            self._certs[key] = (len(key[1]), lbd, self._seq)
-            self._seq += 1
-            self._witness.setdefault(
-                (n_frames, min(key[1])), []
-            ).append(key)
-            self.added += 1
-            added += 1
-            while len(self._certs) > self.max_certs:
-                self._evict_one()
-        return added

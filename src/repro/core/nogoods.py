@@ -14,11 +14,8 @@ detected/aborted outcomes and backtrack statistics.
   the window size, the frame-offset-normalized ordered objective set,
   the normalized control-side decision set, the justify variant and the
   backtrack limit; the entry records the blamed decisions and the failed
-  justification's backtrack and CDCL-refuter counters.  A hit skips both the doomed CTRLJUST
-  run and the whole ``_blame`` pass.  These records are plain tuples of
-  JSON-able scalars, so the campaign orchestrator ships them between
-  worker processes (pooled at checkpoint boundaries) while keeping them
-  out of the JSON artifacts.
+  justification's backtrack and CDCL-refuter counters.  A hit skips both
+  the doomed CTRLJUST run and the whole ``_blame`` pass.
 
 * **Justification results** (:meth:`LearnedNogoods.cached_justify`) — a
   process-local LRU of full :class:`~repro.core.ctrljust.JustResult`\\ s
@@ -106,10 +103,7 @@ class LearnedNogoods:
     #: refuter's effort accounting exactly, keeping learning on/off (and
     #: warm/cold) counter-identical outside the cache-traffic keys.
     _blames: dict = field(default_factory=dict)
-    #: Blame keys learned locally since the last :meth:`export_records`
-    #: (what a worker still owes the coordinator).
-    _fresh: list = field(default_factory=list)
-    #: justify key -> JustResult (process-local; not shipped).
+    #: justify key -> JustResult (LRU).
     _results: OrderedDict = field(default_factory=OrderedDict)
 
     hits: int = 0
@@ -151,7 +145,6 @@ class LearnedNogoods:
         if key in self._blames:
             return
         self._blames[key] = (tuple(blamed), backtracks, tuple(cdcl))
-        self._fresh.append(key)
 
     def __len__(self) -> int:
         return len(self._blames)
@@ -187,28 +180,6 @@ class LearnedNogoods:
             while len(self._results) > self.max_results:
                 self._results.popitem(last=False)
         return result
-
-    # ------------------------------------------------------------------
-    # Worker pooling (orchestrator transport)
-    # ------------------------------------------------------------------
-    def export_records(self) -> list:
-        """Records learned since the last export (picklable tuples)."""
-        fresh, self._fresh = self._fresh, []
-        return [(key, self._blames[key]) for key in fresh]
-
-    def all_records(self) -> list:
-        """Every record, for seeding a fresh worker."""
-        return list(self._blames.items())
-
-    def merge_records(self, records) -> int:
-        """Fold foreign records in; returns how many were new.  Merged
-        entries do not re-export (the coordinator is the fan-out hub)."""
-        added = 0
-        for key, entry in records:
-            if key not in self._blames:
-                self._blames[key] = entry
-                added += 1
-        return added
 
 
 @dataclass

@@ -192,8 +192,7 @@ class TestGenerator:
     )
     #: Cross-error learned no-goods + memoized justification answers;
     #: shared across ``generate()`` calls (one store per generator, so a
-    #: campaign's serial loop pools learning automatically) and shipped
-    #: between orchestrator workers as plain records.
+    #: campaign's errors share learning within one process).
     nogoods: LearnedNogoods = field(
         default_factory=LearnedNogoods, repr=False
     )
@@ -201,8 +200,8 @@ class TestGenerator:
     _path_cache: PathCache = field(default_factory=PathCache, repr=False)
     _sweeps_avoided: int = field(default=0, repr=False)
     #: Unjustifiability certificates learned by the CDCL refuter; shared
-    #: across errors like ``nogoods`` and shipped between orchestrator
-    #: workers / kept warm by the campaign service.
+    #: across errors like ``nogoods`` and kept warm by the campaign
+    #: service.
     clauses: ClauseDB = field(default_factory=ClauseDB, repr=False)
     #: Questions whose refutation probe already gave up (SAT or budget
     #: exhausted), mapped to the probe's recorded effort counters.  The

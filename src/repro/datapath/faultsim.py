@@ -18,20 +18,17 @@ Soundness contract (why consumers can trust the outcome kinds):
 ``"dpo"``
     First (cycle, net) where a data primary output differs with both sides
     concrete — exactly :func:`repro.verify.cosim.traces_diverge` — and no
-    STS net diverged at or before that cycle.  In ``stop_at_first_observed``
-    mode the fork stops here; otherwise it keeps simulating so a later
-    ``"sts"``/``"abort"`` can veto the verdict (a real bad-machine run that
-    raises ``CosimError`` after the divergence still reports *undetected*).
+    STS net diverged at or before that cycle.  The fork stops here.
 ``"abort"``
     The forked machine would clock an unresolved control or load an
     unresolved value — the same conditions under which the co-simulator
     raises ``CosimError``.  With no prior STS divergence this is exact: the
     real bad-machine run raises, so the exposure check returns None.
 ``"observed"``
-    (stop mode only) A watched net — DPO, STS or a caller-supplied extra
-    such as an environment-read internal net — diverged in a way not
-    covered above (e.g. a known/unknown mismatch).  Treat as "touched":
-    confirm with a real serial run.
+    A watched net — DPO, STS or a caller-supplied extra such as an
+    environment-read internal net — diverged in a way not covered above
+    (e.g. a known/unknown mismatch).  Treat as "touched": confirm with a
+    real serial run.
 ``"clean"``
     The fork never touched a watched net: the erroneous machine's observable
     behaviour is identical to golden for this stimulus.
@@ -84,8 +81,8 @@ class BatchFaultSimulator:
 
     The golden trace is densified once (per-cycle lists indexed by net id);
     every fork shares those arrays.  ``observed_extra`` names additional
-    nets the environment reads back (e.g. DLX's ``mem_alu.y``) so the
-    screening mode counts them as observable.
+    nets the environment reads back (e.g. DLX's ``mem_alu.y``) so a fork
+    counts them as observable.
     """
 
     def __init__(self, processor, golden_trace=None, observed_extra=(),
@@ -123,17 +120,18 @@ class BatchFaultSimulator:
         ovr = cd.override_map(module_overrides)
         return inj, ovr
 
-    def fork(self, error, stop_at_first_observed=False) -> ForkOutcome:
+    def fork(self, error) -> ForkOutcome:
+        """Fork ``error`` until its first observable divergence."""
         hooks = self.hooks_for(error)
         if hooks is None:
             outcome = ForkOutcome("unsupported")
         else:
-            outcome = self._fork(*hooks, stop_at_first_observed)
+            outcome = self._fork(*hooks)
         self.stats.note(outcome)
         return outcome
 
     # ------------------------------------------------------------------
-    def _fork(self, inj, ovr, stop_at_first_observed) -> ForkOutcome:
+    def _fork(self, inj, ovr) -> ForkOutcome:
         cd = self.cd
         names = cd.names
         sched_modules = cd.sched_modules
@@ -162,7 +160,6 @@ class BatchFaultSimulator:
         forced = sorted(forced)
 
         state_diff: dict[int, int] = {}
-        first_dpo: tuple[int, str] | None = None
         forked_cycles = 0
         evals = 0
 
@@ -250,17 +247,12 @@ class BatchFaultSimulator:
             for i in cd.dpo_ids:
                 if (i in overlay and overlay[i] is not None
                         and golden[i] is not None):
-                    if stop_at_first_observed:
-                        return ForkOutcome("dpo", t, names[i],
-                                           forked_cycles, evals)
-                    if first_dpo is None:
-                        first_dpo = (t, names[i])
-                    break
-            if stop_at_first_observed:
-                for i in overlay:
-                    if i in self.observed_set:
-                        return ForkOutcome("observed", t, names[i],
-                                           forked_cycles, evals)
+                    return ForkOutcome("dpo", t, names[i],
+                                       forked_cycles, evals)
+            for i in overlay:
+                if i in self.observed_set:
+                    return ForkOutcome("observed", t, names[i],
+                                       forked_cycles, evals)
 
             # -- clock the forked registers ----------------------------
             next_golden = (
@@ -299,7 +291,4 @@ class BatchFaultSimulator:
                     new_diff[j] = forked
             state_diff = new_diff
 
-        if first_dpo is not None:
-            return ForkOutcome("dpo", first_dpo[0], first_dpo[1],
-                               forked_cycles, evals)
         return ForkOutcome("clean", None, None, forked_cycles, evals)

@@ -198,7 +198,7 @@ def batch_detects(
     )
     results = []
     for error in errors:
-        fork = sim.fork(error, stop_at_first_observed=True)
+        fork = sim.fork(error)
         if fork.kind == "clean":
             results.append(golden_detects)
         elif (

@@ -20,10 +20,11 @@ cumulative per-machine picture including ``warm_requests`` (requests that
 started with a non-empty store — the cross-request wins the ISSUE asks
 for).
 
-Sharded runs (``jobs > 1``) still rebuild worker processes cold, but the
-coordinator side of the pool *is* the warm campaign: its pooled no-good
-store seeds every dispatch (``nogood_records_to_wire``), so learned
-records cross both worker and request boundaries.
+Sharded runs (``jobs > 1``) run their errors in pool worker processes
+that build their own campaigns cold and share nothing but their results;
+the warm campaign then only enumerates the errors, drops faults and
+serializes checkpointed tests.  Learned records never cross a process
+boundary.
 
 Concurrency: one lease per machine identity at a time (an ``asyncio``
 lock), because the underlying stores are plain dicts mutated by the

@@ -53,6 +53,11 @@ def test_config_validation():
         OrchestratorConfig(jobs=0)
     with pytest.raises(ValueError):
         OrchestratorConfig(resume=True, checkpoint_path=None)
+    # Zero or less aborts every error; NaN never compares true, so it
+    # would mean no deadline at all.
+    for deadline in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="deadline"):
+            OrchestratorConfig(deadline_seconds=deadline)
     assert OrchestratorConfig(jobs=4).to_dict()["jobs"] == 4
 
 
@@ -305,16 +310,36 @@ def test_interrupt_parallel_run_leaves_tail_unattempted(tmp_path):
 def test_worker_entry_points_in_process():
     """The pool worker functions themselves, run in-process."""
     _worker_init("mini", 10.0)
-    index, outcome_dict, test, learned, learned_clauses = _worker_run(
-        (7, ERRORS[0], [], [])
-    )
+    index, outcome, realized = _worker_run(None, 7, ERRORS[0])
     assert index == 7
-    assert outcome_dict["detected"]
-    assert outcome_dict["error"] == ERRORS[0].describe()
-    assert test["kind"] == "mini-test"
-    assert len(test["program"]) == outcome_dict["test_length"]
-    assert isinstance(learned, list)
-    assert isinstance(learned_clauses, list)
+    assert outcome.detected
+    assert outcome.error == ERRORS[0].describe()
+    assert len(realized.program) == outcome.test_length
+
+
+def test_in_process_error_that_raises_is_a_worker_failure(capsys):
+    """At jobs=1 an error whose pipeline raises is recorded as a
+    ``worker`` failure, as a lost pool worker is, its traceback goes to
+    stderr, and the campaign goes on to the next error."""
+    campaign = MiniCampaign(deadline_seconds=10.0)
+    run_error = campaign._run_error_with_test
+
+    def planted(error):
+        if error.describe() == ERRORS[0].describe():
+            raise RuntimeError("planted")
+        return run_error(error)
+
+    campaign._run_error_with_test = planted
+    report = CampaignOrchestrator(
+        _mini_config(jobs=1), campaign=campaign
+    ).run(ERRORS[:2])
+    lost, found = report.outcomes
+    assert (lost.error, lost.detected, lost.failure_stage) == (
+        ERRORS[0].describe(), False, "worker"
+    )
+    assert found.error == ERRORS[1].describe()
+    assert found.detected
+    assert "RuntimeError: planted" in capsys.readouterr().err
 
 
 def test_campaign_run_to_dict_shape():

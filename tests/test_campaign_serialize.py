@@ -74,6 +74,27 @@ def test_realized_dlx_roundtrip_behaviour(tmp_path):
     assert detects(dlx, rebuilt.program, error,
                    rebuilt.init_regs, rebuilt.init_memory)
 
+    # The stored test is the realized one exactly, including the fields
+    # the assembly syntax has no operand for.
+    from repro.dlx.isa import Instruction
+    from repro.dlx.realize import RealizedDlxTest
+
+    exact = RealizedDlxTest(
+        program=[
+            Instruction("AND", rs=2, rt=2, rd=1, imm=65535),
+            Instruction("ADDI", rs=3, rt=4, rd=7, imm=5),
+            Instruction("BEQZ", rs=1, rt=6),
+        ],
+        init_regs=[0, 1, 2, 3] + [0] * 28,
+        init_memory={16: 9},
+    )
+    save_json(realized_dlx_to_dict(exact), str(path))
+    assert realized_dlx_from_dict(load_json(str(path))) == exact
+    # Tests stored before the fields were written load from assembly.
+    legacy = realized_dlx_to_dict(realized)
+    del legacy["program"]
+    assert realized_dlx_from_dict(legacy).program == realized.program
+
 
 def test_report_roundtrip():
     report = CampaignReport(

@@ -9,9 +9,8 @@ Three layers, matching :mod:`repro.core.clauses`:
 * :class:`CdclRefuter` — every completed refutation must be *sound*:
   the chronological CTRLJUST search fails the same question, and the
   reported core is a subset of the objectives that is itself refutable;
-* :class:`ClauseDB` — subset (subsumption) lookup, idempotent insert,
-  deterministic eviction, and the frame-offset-normalized wire format
-  used to pool certificates across orchestrator workers.
+* :class:`ClauseDB` — subset (subsumption) lookup, idempotent insert
+  and deterministic eviction.
 
 The deadline-taint rule for blame no-goods (enforced centrally in
 ``LearnedNogoods.record_blame``) gets its regression test here too.
@@ -20,16 +19,11 @@ The deadline-taint rule for blame no-goods (enforced centrally in
 from __future__ import annotations
 
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.serialize import (
-    clause_records_from_wire,
-    clause_records_to_wire,
-)
 from repro.core.clauses import CdclRefuter, ClauseDB, one_uip
 from repro.core.ctrljust import CtrlJust, JustStatus
 from repro.core.nogoods import LearnedNogoods, blame_key
@@ -238,7 +232,7 @@ def test_refuter_core_seeds_clause_db_for_supersets(mini, unrolled):
 
 
 # ----------------------------------------------------------------------
-# ClauseDB: subsumption lookup, eviction, wire pooling
+# ClauseDB: subsumption lookup and eviction
 # ----------------------------------------------------------------------
 def test_clause_db_subsumption_and_idempotence():
     db = ClauseDB()
@@ -269,34 +263,6 @@ def test_clause_db_eviction_drops_worst_lbd_first():
     assert db.lookup(4, keep_small) == frozenset(keep_small)
 
 
-def test_clause_records_wire_roundtrip_and_merge():
-    records = [
-        (6, (((2, "alu_op"), 1), ((3, "wb_sel"), 0)), 2),
-        (4, (((0, "squash"), 1),), 1),
-    ]
-    wire = clause_records_to_wire(records)
-    # JSON-able end to end (the orchestrator pipes it through json).
-    assert wire == json.loads(json.dumps(wire))
-    # Frames normalize to the certificate's minimum frame plus an offset.
-    assert wire[0][1] == 2
-    assert [row[0] for row in wire[0][2]] == [0, 1]
-    assert clause_records_from_wire(wire) == records
-
-    db = ClauseDB()
-    assert db.merge_records(records) == 2
-    assert db.merge_records(records) == 0  # re-merge is idempotent
-    # Foreign records never re-export (the coordinator is the hub)...
-    assert db.export_records() == []
-    # ...but natively learned certificates do, draining on export.
-    native = ClauseDB()
-    assert native.add(6, records[0][1], lbd=2)
-    exported = native.export_records()
-    assert clause_records_from_wire(
-        clause_records_to_wire(exported)
-    ) == [records[0]]
-    assert native.export_records() == []
-
-
 # ----------------------------------------------------------------------
 # Satellite regression: deadline taint is enforced inside record_blame
 # ----------------------------------------------------------------------
@@ -307,6 +273,5 @@ def test_record_blame_taint_rule_is_centralized():
     store.record_blame(key, [items[0]], 42, cdcl=(1, 1, 0, 0, 1),
                        deadline_hit=True)
     assert store.lookup_blame(key) is None  # tainted: nothing stored
-    assert store.export_records() == []  # and nothing pooled to workers
     store.record_blame(key, [items[0]], 42, cdcl=(1, 1, 0, 0, 1))
     assert store.lookup_blame(key) == ((items[0],), 42, (1, 1, 0, 0, 1))

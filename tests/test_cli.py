@@ -110,6 +110,13 @@ def test_jobs_must_be_positive(capsys):
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+def test_deadline_must_be_finite_and_positive(capsys):
+    for command in (["minipipe"], ["table1"], ["generate", "zero", "0", "0"]):
+        for deadline in ("0", "-1", "nan", "inf"):
+            assert main(command + ["--deadline", deadline]) == 2
+            assert "error: deadline must be" in capsys.readouterr().err
+
+
 def test_matrix_rejects_unknown_machine(tmp_path, capsys):
     assert main(["fuzz", "--matrix", "--matrix-machines", "mini,foo",
                  "--report-dir", str(tmp_path)]) == 2

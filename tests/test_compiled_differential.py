@@ -158,7 +158,7 @@ def test_cone_fork_converges_and_inherits_verdict(minipipe):
 
     transient = 0
     for error in _mini_errors(minipipe):
-        fork = sim.fork(error, stop_at_first_observed=True)
+        fork = sim.fork(error)
         if fork.kind != "clean":
             continue
         # Inherited verdict must match a full serial co-simulation.

@@ -317,12 +317,7 @@ def test_tainted_results_never_cached():
     assert cache.lookup(pkey) is None
 
 
-def test_nogood_records_roundtrip_and_pooling():
-    from repro.campaign.serialize import (
-        nogood_records_from_wire,
-        nogood_records_to_wire,
-    )
-
+def test_nogood_record_and_lookup():
     items = (((2, "alu_op"), 1), ((3, "wb_sel"), 0))
     key = blame_key(6, items, items, {items[0]}, 1, (2000, 500))
     store = LearnedNogoods()
@@ -330,27 +325,6 @@ def test_nogood_records_roundtrip_and_pooling():
     store.record_blame(key, [items[0]], 1234, cdcl=(7, 3, 2, 1, 1))
     assert store.lookup_blame(key) == ((items[0],), 1234, (7, 3, 2, 1, 1))
     assert store.hits == 1 and store.misses == 1
-
-    wire = nogood_records_to_wire(store.export_records())
-    # Exported records drain: nothing left to report.
-    assert store.export_records() == []
-    decoded = nogood_records_from_wire(wire)
-    other = LearnedNogoods()
-    assert other.merge_records(decoded) == 1
-    assert other.lookup_blame(key) == ((items[0],), 1234, (7, 3, 2, 1, 1))
-    # Pre-CDCL rows (three columns) decode with zeroed counters.
-    legacy_key = blame_key(6, items, items, set(), 2, (2000, 500))
-    legacy = nogood_records_from_wire(
-        [[row[0] if i == 0 else row[i] for i in range(3)]
-         for row in nogood_records_to_wire(
-             [(legacy_key, ((items[1],), 9, (0, 0, 0, 0, 0)))]
-         )]
-    )
-    assert legacy == [(legacy_key, ((items[1],), 9, (0, 0, 0, 0, 0)))]
-    # Merged (foreign) records do not re-export.
-    assert other.export_records() == []
-    # Re-merge is idempotent.
-    assert other.merge_records(decoded) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,11 @@ def test_healthz_metrics_and_errors(tmp_path):
         with pytest.raises(ServiceError) as excinfo:
             client.submit_campaign(target="mini", jobs=0)
         assert excinfo.value.status == 400
+        for deadline in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_campaign(target="mini", deadline=deadline)
+            assert excinfo.value.status == 400
+            assert "deadline" in excinfo.value.body["error"]
         # Fields nothing reads are refused rather than silently ignored:
         # a retired knob and a misspelt one.
         for field in ({"restarts": True}, {"droping": True}):
