@@ -75,20 +75,6 @@ def _run_campaign_command(args, target: str, title: str | None) -> int:
         from repro.service.client import run_remote_campaign
 
         return run_remote_campaign(args, target, title)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
-        return 2
-    if args.resume:
-        from repro.campaign.checkpoint import CampaignCheckpoint
-
-        try:
-            CampaignCheckpoint.load(args.checkpoint)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         config = OrchestratorConfig(
             target=target,
@@ -99,6 +85,10 @@ def _run_campaign_command(args, target: str, title: str | None) -> int:
             resume=args.resume,
             profile=args.profile,
         )
+        if config.resume:
+            from repro.campaign.checkpoint import CampaignCheckpoint
+
+            CampaignCheckpoint.load(config.checkpoint_path)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

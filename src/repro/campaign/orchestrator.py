@@ -34,7 +34,7 @@ from concurrent.futures import (
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
-from repro.campaign.checkpoint import CampaignCheckpoint
+from repro.campaign.checkpoint import CampaignCheckpoint, CheckpointRecord
 from repro.campaign.events import CampaignEvent, EventStream
 from repro.campaign.runner import (
     CampaignBase,
@@ -213,27 +213,30 @@ class CampaignOrchestrator:
         config = self.config
         start = time.monotonic()
         report = CampaignReport()
-        completed = self._load_resumed(errors, report)
-        pending = [
+        resumed = self._load_resumed(errors, report)
+        completed = {record.outcome.error for record in resumed}
+        queue = deque(
             (index, error)
             for index, error in enumerate(errors)
             if error.describe() not in completed
-        ]
+        )
         self.events.emit(
             "campaign-started",
             target=config.target,
             n_errors=len(errors),
             jobs=config.jobs,
             error_simulation=config.error_simulation,
-            resumed=len(errors) - len(pending),
+            resumed=len(errors) - len(queue),
         )
         checkpoint = None
         if config.checkpoint_path:
             checkpoint = CampaignCheckpoint(config.checkpoint_path)
         unattempted = 0
         try:
-            if pending:
-                unattempted = self._run_pending(pending, report, checkpoint)
+            if config.error_simulation:
+                self._replay_recorded(resumed, queue, report, checkpoint)
+            if queue:
+                unattempted = self._run_pending(queue, report, checkpoint)
         finally:
             if checkpoint is not None:
                 checkpoint.close()
@@ -260,37 +263,68 @@ class CampaignOrchestrator:
 
     def _load_resumed(
         self, errors: Sequence[DesignError], report: CampaignReport
-    ) -> set[str]:
-        """Seed ``report`` with checkpointed outcomes; return their keys.
+    ) -> list[CheckpointRecord]:
+        """Seed ``report`` with checkpointed outcomes; return the records
+        of the submitted errors, in checkpoint order.
 
         Last record wins per error.  A run writes one record per error,
         but checkpoints from older versions that re-ran an error hold a
         second record for it, and the re-run outcome is the final one.
         """
         if not self.config.resume:
-            return set()
+            return []
         wanted = {error.describe() for error in errors}
         positions: dict[str, int] = {}
+        records = []
         for record in CampaignCheckpoint.load(self.config.checkpoint_path):
             name = record.outcome.error
             if name not in wanted:
                 continue
+            records.append(record)
             if name in positions:
                 report.outcomes[positions[name]] = record.outcome
             else:
                 report.outcomes.append(record.outcome)
                 positions[name] = len(report.outcomes) - 1
-        return set(positions)
+        return records
+
+    def _replay_recorded(
+        self,
+        records: Sequence[CheckpointRecord],
+        queue: deque,
+        report: CampaignReport,
+        checkpoint: CampaignCheckpoint | None,
+    ) -> None:
+        """Error-simulate each recorded test, in checkpoint order, against
+        the pending errors, and record what it drops as :meth:`_finish`
+        does.
+
+        A run killed after a dropper's record but before the records of
+        the errors its test drops resumes with those errors pending;
+        without the replay they would run TG or fall to a later dropper.
+        """
+        for record in records:
+            if not queue:
+                return
+            if record.test is None:
+                continue
+            realized = self.campaign.deserialize_realized(record.test)
+            dropped, seconds = self._drop_from_queue(
+                record.outcome, realized, queue
+            )
+            report.outcomes.extend(dropped)
+            self._record_dropped(
+                record.outcome, dropped, seconds, checkpoint
+            )
 
     def _run_pending(
         self,
-        pending: list[tuple[int, DesignError]],
+        queue: deque[tuple[int, DesignError]],
         report: CampaignReport,
         checkpoint: CampaignCheckpoint | None,
     ) -> int:
-        """Run the pending errors; return how many were never attempted."""
+        """Run the queued errors; return how many were never attempted."""
         config = self.config
-        queue: deque[tuple[int, DesignError]] = deque(pending)
         if config.jobs == 1:
             executor, campaign = _InlineExecutor(), self.campaign
         else:
@@ -369,15 +403,26 @@ class CampaignOrchestrator:
         if realized is not None and checkpoint is not None:
             test = self.campaign.serialize_realized(realized)
         self._write_checkpoint(checkpoint, outcome, test)
-        if dropped:
-            self.events.emit(
-                "test-dropped-others",
-                error=outcome.error,
-                dropped=[record.error for record in dropped],
-                seconds=drop_seconds,
-            )
-            for record in dropped:
-                self._write_checkpoint(checkpoint, record, None)
+        self._record_dropped(outcome, dropped, drop_seconds, checkpoint)
+
+    def _record_dropped(
+        self,
+        dropper: ErrorOutcome,
+        dropped: list[ErrorOutcome],
+        seconds: float,
+        checkpoint: CampaignCheckpoint | None,
+    ) -> None:
+        """Announce and checkpoint the errors ``dropper``'s test drops."""
+        if not dropped:
+            return
+        self.events.emit(
+            "test-dropped-others",
+            error=dropper.error,
+            dropped=[record.error for record in dropped],
+            seconds=seconds,
+        )
+        for record in dropped:
+            self._write_checkpoint(checkpoint, record, None)
 
     def _drop_from_queue(
         self, outcome: ErrorOutcome, realized, queue: deque

@@ -194,7 +194,7 @@ class CampaignBase:
     Subclasses provide the per-error pipeline (:meth:`_run_error_with_test`)
     plus the handful of vehicle-specific hooks the orchestrator needs:
     re-checking a realized test against other errors (fault dropping) and
-    serializing realized tests into a checkpoint.
+    serializing realized tests into a checkpoint and back.
     """
 
     #: The orchestrator's name for this vehicle (``CAMPAIGN_TARGETS``).
@@ -225,6 +225,11 @@ class CampaignBase:
         raise NotImplementedError
 
     def serialize_realized(self, realized) -> dict[str, Any]:
+        raise NotImplementedError
+
+    def deserialize_realized(self, data: dict[str, Any]):
+        """Inverse of :meth:`serialize_realized` (resume replays the
+        checkpointed tests)."""
         raise NotImplementedError
 
     def run_error(self, error: DesignError) -> ErrorOutcome:
@@ -358,6 +363,11 @@ class DlxCampaign(CampaignBase):
 
         return realized_dlx_to_dict(realized)
 
+    def deserialize_realized(self, data: dict[str, Any]):
+        from repro.campaign.serialize import realized_dlx_from_dict
+
+        return realized_dlx_from_dict(data)
+
 
 class MiniCampaign(CampaignBase):
     """The same campaign on MiniPipe (execute/write-back stages)."""
@@ -438,3 +448,8 @@ class MiniCampaign(CampaignBase):
         from repro.campaign.serialize import realized_mini_to_dict
 
         return realized_mini_to_dict(realized)
+
+    def deserialize_realized(self, data: dict[str, Any]):
+        from repro.campaign.serialize import realized_mini_from_dict
+
+        return realized_mini_from_dict(data)

@@ -63,15 +63,9 @@ class MatrixConfig:
     #: Cap on bits enumerated per bus for SSL (None = every bit); the DLX
     #: campaign default is 4 to keep wide-bus counts manageable.
     max_bits_per_net: int | None = None
-    #: Classify via the cone-forking batch fault simulator (one golden run
-    #: per program, all surviving errors forked against it).  ``False``
-    #: runs one full co-simulation per (error, program) pair; the
-    #: classifications are identical either way (execution strategy, not a
-    #: result knob — deliberately absent from the artifact's config).
-    batch: bool = True
     #: Lane width for producing the golden runs on the batched numpy
-    #: kernels (``None`` = auto, 0 = scalar).  Execution strategy like
-    #: ``batch`` — the artifact is byte-identical at any width and its
+    #: kernels (``None`` = auto, 0 = scalar).  Execution strategy, not a
+    #: result knob: the artifact is byte-identical at any width and its
     #: config excludes it.
     lanes: int | None = None
 
@@ -139,31 +133,24 @@ def _enumerate(processor, config: MatrixConfig) -> list[tuple[str, object]]:
 
 
 def _machine_harness(config: MatrixConfig):
-    """(processor, detects_fn, batch_detects_fn, generator) for the machine."""
+    """(processor, batch_detects_fn, lane env class, generator) for the
+    machine."""
     generator_config = RandomProgramConfig(
         length=config.length, seed=config.seed
     )
     if config.machine == "mini":
-        from repro.mini import build_minipipe, detects
+        from repro.mini import build_minipipe
+        from repro.mini.lanes import BatchMiniEnv
         from repro.mini.spec import batch_detects
 
-        return (build_minipipe(), detects, batch_detects,
+        return (build_minipipe(), batch_detects, BatchMiniEnv,
                 RandomMiniGenerator(generator_config))
-    from repro.dlx import build_dlx, detects
+    from repro.dlx import build_dlx
     from repro.dlx.env import batch_detects
-
-    return (build_dlx(branch_prediction=config.machine == "dlx_bp"),
-            detects, batch_detects, RandomDlxGenerator(generator_config))
-
-
-def _batch_env_cls(machine: str):
-    if machine == "mini":
-        from repro.mini.lanes import BatchMiniEnv
-
-        return BatchMiniEnv
     from repro.dlx.lanes import BatchDlxEnv
 
-    return BatchDlxEnv
+    return (build_dlx(branch_prediction=config.machine == "dlx_bp"),
+            batch_detects, BatchDlxEnv, RandomDlxGenerator(generator_config))
 
 
 def _site_net(error, netlist) -> str:
@@ -181,7 +168,7 @@ def run_matrix(config: MatrixConfig, events=None) -> dict:
     """
     started = time.monotonic()
     counters_before = counters_snapshot()
-    processor, detects, batch_detects, generator = _machine_harness(config)
+    processor, batch_detects, batch_env_cls, generator = _machine_harness(config)
     errors = _enumerate(processor, config)
     if events:
         events.emit(
@@ -214,61 +201,49 @@ def run_matrix(config: MatrixConfig, events=None) -> dict:
             row["detected_by_program"] = None
             pending.append((len(rows), error))
         rows.append(row)
-    if config.batch:
-        # Programs outer, surviving errors batched per program: one golden
-        # environment run per program, every pending error cone-forked
-        # against it.  Same classifications, ``programs_run`` and
-        # ``detected_by_program`` as the serial nesting (an error's budget
-        # consumption never depends on the other errors).
-        #
-        # With lanes, the golden runs themselves are produced on the
-        # batched numpy kernels, a lane-sized chunk of programs at a time —
-        # lazily, so early detection of every pending error still skips
-        # the untouched tail of the budget entirely.
-        n_lanes = effective_lanes(config.lanes)
-        goldens: dict[int, tuple] = {}
+    # Programs outer, surviving errors batched per program: one golden
+    # environment run per program, every pending error cone-forked
+    # against it.  Same classifications, ``programs_run`` and
+    # ``detected_by_program`` as trying each error's programs in order
+    # with the machine's ``detects`` (an error's budget consumption never
+    # depends on the other errors).
+    #
+    # With lanes, the golden runs themselves are produced on the
+    # batched numpy kernels, a lane-sized chunk of programs at a time —
+    # lazily, so early detection of every pending error still skips
+    # the untouched tail of the budget entirely.
+    n_lanes = effective_lanes(config.lanes)
+    goldens: dict[int, tuple] = {}
 
-        def golden_for(i: int) -> tuple:
-            if i not in goldens:
-                chunk = range(i, min(i + n_lanes, len(programs)))
-                env = _batch_env_cls(config.machine)(processor, len(chunk))
-                runs = env.run(
-                    [programs[j][0] for j in chunk],
-                    [programs[j][1] for j in chunk],
-                    record="dense",
-                )
-                for j, run in zip(chunk, runs):
-                    if run.failure is not None:
-                        from repro.verify.cosim import CosimError
-
-                        raise CosimError(run.failure)
-                    goldens[j] = (run.result, run.trace, run.dense_cycles)
-            return goldens.pop(i)
-
-        for i, (program, init_regs) in enumerate(programs):
-            if not pending:
-                break
-            verdicts = batch_detects(
-                processor, program, [e for _, e in pending], init_regs,
-                golden=golden_for(i) if n_lanes else None,
+    def golden_for(i: int) -> tuple:
+        if i not in goldens:
+            chunk = range(i, min(i + n_lanes, len(programs)))
+            runs = batch_env_cls(processor, len(chunk)).run(
+                [programs[j][0] for j in chunk],
+                [programs[j][1] for j in chunk],
+                record="dense",
             )
-            survivors = []
-            for (index, error), hit in zip(pending, verdicts):
-                if hit:
-                    rows[index]["classification"] = "detected"
-                    rows[index]["programs_run"] = i + 1
-                    rows[index]["detected_by_program"] = i
-                else:
-                    survivors.append((index, error))
-            pending = survivors
-    else:
-        for index, error in pending:
-            for i, (program, init_regs) in enumerate(programs):
-                if detects(processor, program, error, init_regs):
-                    rows[index]["classification"] = "detected"
-                    rows[index]["programs_run"] = i + 1
-                    rows[index]["detected_by_program"] = i
-                    break
+            for j, run in zip(chunk, runs):
+                run.raise_failure()
+                goldens[j] = (run.result, run.trace, run.dense_cycles)
+        return goldens.pop(i)
+
+    for i, (program, init_regs) in enumerate(programs):
+        if not pending:
+            break
+        verdicts = batch_detects(
+            processor, program, [e for _, e in pending], init_regs,
+            golden=golden_for(i) if n_lanes else None,
+        )
+        survivors = []
+        for (index, error), hit in zip(pending, verdicts):
+            if hit:
+                rows[index]["classification"] = "detected"
+                rows[index]["programs_run"] = i + 1
+                rows[index]["detected_by_program"] = i
+            else:
+                survivors.append((index, error))
+        pending = survivors
     counts: dict[str, dict[str, int]] = {}
     for row in rows:
         summary = counts.setdefault(

@@ -110,62 +110,42 @@ class _MiniAdapter:
     def spec_outcome(self, program, init_regs) -> dict:
         from repro.mini.spec import MiniSpec
 
-        result = MiniSpec().run(program, init_regs)
-        return {
-            "writes": [list(w) for w in result.writes],
-            "registers": list(result.registers),
-        }
+        return self._canonical(MiniSpec().run(program, init_regs))
 
     def impl_outcome(self, processor, program, init_regs, error=None):
         from repro.mini.spec import MiniEnv
 
-        if error is None:
-            env = MiniEnv(processor)
-        else:
-            injector, module_overrides = error.hooks(processor.datapath)
-            env = MiniEnv(processor, injector=injector,
-                          module_overrides=module_overrides)
+        env = _env(MiniEnv, processor, error)
         result = env.run(program, init_regs)
-        outcome = {
-            "writes": [list(w) for w in result.writes],
-            "registers": list(result.registers),
-        }
-        return outcome, env.trace
+        return self._canonical(result), env.trace
 
     def impl_outcome_batch(self, processor, programs, init_regs_list,
                            error=None):
         """Lane-batched ``impl_outcome`` over a chunk of iterations."""
         from repro.mini.lanes import BatchMiniEnv
 
-        env = _batch_env(BatchMiniEnv, processor, len(programs), error)
+        env = _env(BatchMiniEnv, processor, error, len(programs))
         results = []
         for run in env.run(programs, init_regs_list):
-            _raise_lane_failure(run)
-            results.append((
-                {
-                    "writes": [list(w) for w in run.result.writes],
-                    "registers": list(run.result.registers),
-                },
-                run.trace,
-            ))
+            run.raise_failure()
+            results.append((self._canonical(run.result), run.trace))
         return results
 
+    @staticmethod
+    def _canonical(result) -> dict:
+        return {
+            "writes": [list(w) for w in result.writes],
+            "registers": list(result.registers),
+        }
 
-def _batch_env(env_cls, processor, n_lanes, error):
+
+def _env(env_cls, processor, error, *args):
+    """``env_cls(processor, *args)`` with ``error``'s hooks attached."""
     if error is None:
-        return env_cls(processor, n_lanes)
+        return env_cls(processor, *args)
     injector, module_overrides = error.hooks(processor.datapath)
-    return env_cls(processor, n_lanes, injector=injector,
+    return env_cls(processor, *args, injector=injector,
                    module_overrides=module_overrides)
-
-
-def _raise_lane_failure(run) -> None:
-    """Mirror the scalar path: a lane whose scalar run would raise
-    ``CosimError`` raises here too (the batch is not silently partial)."""
-    if run.failure is not None:
-        from repro.verify.cosim import CosimError
-
-        raise CosimError(run.failure)
 
 
 class _DlxAdapter:
@@ -193,12 +173,7 @@ class _DlxAdapter:
     def impl_outcome(self, processor, program, init_regs, error=None):
         from repro.dlx.env import DlxEnv
 
-        if error is None:
-            env = DlxEnv(processor)
-        else:
-            injector, module_overrides = error.hooks(processor.datapath)
-            env = DlxEnv(processor, injector=injector,
-                         module_overrides=module_overrides)
+        env = _env(DlxEnv, processor, error)
         result = env.run(program, init_regs)
         return self._canonical(result), env.trace
 
@@ -207,10 +182,10 @@ class _DlxAdapter:
         """Lane-batched ``impl_outcome`` over a chunk of iterations."""
         from repro.dlx.lanes import BatchDlxEnv
 
-        env = _batch_env(BatchDlxEnv, processor, len(programs), error)
+        env = _env(BatchDlxEnv, processor, error, len(programs))
         results = []
         for run in env.run(programs, init_regs_list):
-            _raise_lane_failure(run)
+            run.raise_failure()
             results.append((self._canonical(run.result), run.trace))
         return results
 

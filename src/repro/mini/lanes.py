@@ -2,45 +2,22 @@
 
 :class:`BatchMiniEnv` runs a *batch* of programs on the pipelined MiniPipe
 implementation in lockstep over :class:`repro.verify.lanes.
-LaneProcessorSimulator`, reproducing :class:`repro.mini.spec.MiniEnv` lane
-by lane: same preview, same commit rule, same stimulus, same trace — the
+LaneProcessorSimulator`: one :class:`repro.mini.spec.MiniTestbench` per
+lane, stepped by :func:`repro.verify.lanes.run_lanes`, the same testbench
+:class:`repro.mini.spec.MiniEnv` steps on the scalar co-simulator.  The
 differential battery in ``tests/test_batched_differential.py`` holds every
 lane byte-identical to a scalar run of that program alone.
-
-Programs may have ragged lengths: a lane whose stream is exhausted keeps
-stepping on NOPs (safe, unobserved) until the longest lane finishes, and
-the simulator's ``active_lanes`` is lowered so the batch fill-rate counters
-stay honest.  A lane whose scalar run would raise ``CosimError`` records
-the failure message instead and goes dead (no further commits or trace).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.datapath.simulate import Injector, ModuleOverride, no_injection
-from repro.mini.isa import N_REGS, NOP, WIDTH, Instruction, to_cpi
-from repro.mini.spec import SpecResult
+from repro.mini.isa import Instruction
+from repro.mini.spec import MiniTestbench
 from repro.model.processor import Processor
-from repro.utils.bits import to_unsigned
-from repro.verify.cosim import CycleTrace, Trace
-from repro.verify.lanes import LaneProcessorSimulator
-
-
-@dataclass
-class LaneRun:
-    """Per-lane outcome of one batched run."""
-
-    #: ISA-visible outcome; None when the lane failed mid-run.
-    result: SpecResult | None
-    #: Co-simulation trace of the lane (format per the ``record`` mode).
-    trace: Trace
-    #: Scalar ``CosimError`` message, or None for a clean run.
-    failure: str | None
-    #: Dense per-cycle net-value lists (``record="dense"`` only) — the
-    #: golden-cycle form ``BatchFaultSimulator`` consumes.
-    dense_cycles: list | None
+from repro.verify.lanes import LaneProcessorSimulator, LaneRun, run_lanes
 
 
 class BatchMiniEnv:
@@ -59,7 +36,6 @@ class BatchMiniEnv:
             module_overrides=module_overrides,
         )
         self.n_lanes = n_lanes
-        self._out_id = self.sim.cd.index["out"]
 
     def run(
         self,
@@ -70,96 +46,15 @@ class BatchMiniEnv:
     ) -> list[LaneRun]:
         """Run one program per lane (lockstep); returns per-lane outcomes.
 
-        ``record`` selects the trace format: ``"controller"`` keeps only
-        controller values per cycle (what the fuzz coverage collector
-        reads), ``"dense"`` additionally collects dense datapath value
-        lists (golden cycles for the conformance fault simulator), and
-        ``"full"`` materializes the scalar ``CycleTrace`` datapath dicts.
+        ``record`` selects the trace format, as in
+        :func:`repro.verify.lanes.run_lanes`.
         """
-        if len(programs) != self.n_lanes:
-            raise ValueError(
-                f"expected {self.n_lanes} programs, got {len(programs)}"
+        benches = [
+            MiniTestbench(
+                program,
+                init_regs[b] if init_regs is not None else None,
+                drain,
             )
-        if record not in ("controller", "dense", "full"):
-            raise ValueError(f"unknown record mode {record!r}")
-        sim = self.sim
-        n = self.n_lanes
-        regs = []
-        for b in range(n):
-            lane_init = init_regs[b] if init_regs is not None else None
-            lane_regs = list(lane_init) if lane_init is not None else (
-                [0] * N_REGS
-            )
-            regs.append([to_unsigned(r, WIDTH) for r in lane_regs])
-        writes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        traces = [Trace() for _ in range(n)]
-        dense: list[list | None] = [
-            [] if record == "dense" else None for _ in range(n)
+            for b, program in enumerate(programs)
         ]
-        failure: list[str | None] = [None] * n
-        streams = [list(p) + [NOP] * drain for p in programs]
-        length = max(len(s) for s in streams) if streams else 0
-
-        for cycle in range(length):
-            active = [
-                b for b in range(n)
-                if cycle < len(streams[b]) and failure[b] is None
-            ]
-            if not active:
-                break
-            sim.dp.active_lanes = len(active)
-
-            # Commit this cycle's write-back before the reads (the write
-            # value depends only on pipeline state, not on today's reads).
-            previews = sim.preview_shallow()
-            values, known = sim.dp.values, sim.dp.known
-            for b in active:
-                wb_en = previews[b].get("wb_en")
-                rd_wb = previews[b].get("rd_wb")
-                if wb_en == 1 and rd_wb is not None and known[self._out_id][b]:
-                    out = int(values[self._out_id][b])
-                    regs[b][rd_wb] = out
-                    writes[b].append((rd_wb, out))
-
-            cpi_list = []
-            dpi_list = []
-            for b in range(n):
-                instruction = (
-                    streams[b][cycle] if cycle < len(streams[b]) else NOP
-                )
-                cpi_list.append(to_cpi(instruction))
-                dpi_list.append({
-                    "rf_a": regs[b][instruction.rs1],
-                    "rf_b": regs[b][instruction.rs2],
-                    "imm": instruction.imm,
-                })
-            ctl_values, failures = sim.step(cpi_list, dpi_list)
-            for b in active:
-                if b in failures:
-                    # The scalar run raises here: no trace for this cycle,
-                    # and nothing of this lane is observed from now on.
-                    failure[b] = failures[b]
-                    continue
-                if record == "full":
-                    datapath = sim.datapath_dict(b)
-                else:
-                    datapath = {}
-                    if record == "dense":
-                        dense[b].append(sim.dense_datapath(b))
-                traces[b].cycles.append(
-                    CycleTrace(datapath=datapath, controller=ctl_values[b])
-                )
-        sim.dp.active_lanes = self.n_lanes
-
-        return [
-            LaneRun(
-                result=(
-                    None if failure[b] is not None
-                    else SpecResult(writes=writes[b], registers=regs[b])
-                ),
-                trace=traces[b],
-                failure=failure[b],
-                dense_cycles=dense[b],
-            )
-            for b in range(n)
-        ]
+        return run_lanes(self.sim, benches, record)

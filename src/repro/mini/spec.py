@@ -5,10 +5,11 @@ sequential semantics, a taken BEQ skips the next instruction.  Its output is
 the ordered list of register writes ``(rd, value)`` — the ISA-visible trace.
 
 ``MiniEnv`` runs the same program on the pipelined *implementation* (the
-:class:`Processor` co-simulator): it plays the role of the environment,
-supplying register-file read data (MiniPipe models RF reads as data primary
-inputs) and committing write-backs, and extracts the same ISA-visible trace.
-Comparing the two traces is the detection criterion for design errors.
+:class:`Processor` co-simulator) through a :class:`MiniTestbench`, which
+plays the role of the environment: it supplies register-file read data
+(MiniPipe models RF reads as data primary inputs), commits write-backs and
+extracts the same ISA-visible trace.  Comparing the two traces is the
+detection criterion for design errors.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.datapath.simulate import Injector, ModuleOverride, no_injection
-from repro.mini.isa import IMM_OPS, N_REGS, WIDTH, Instruction, to_cpi
+from repro.mini.isa import IMM_OPS, N_REGS, NOP, WIDTH, Instruction, to_cpi
 from repro.model.processor import Processor
 from repro.utils.bits import to_unsigned
-from repro.verify.cosim import ProcessorSimulator, Trace
+from repro.verify.cosim import ProcessorSimulator, Trace, run_testbench
 
 
 @dataclass
@@ -71,6 +72,63 @@ class MiniSpec:
         return SpecResult(writes=writes, registers=regs)
 
 
+class MiniTestbench:
+    """One MiniPipe program's registers and committed write-backs.
+
+    :func:`repro.verify.cosim.run_testbench` and
+    :func:`repro.verify.lanes.run_lanes` step it.  Register-file reads are
+    supplied from the architectural register array, which is committed
+    *before* each cycle's reads (write-through register file); the
+    single-cycle gap in between is covered by the pipeline's bypass paths.
+    """
+
+    #: Datapath nets :meth:`cycle` reads from the preview, in order.
+    PREVIEW_NETS = ("out",)
+    #: The write-back value depends only on pipeline state, so MiniPipe
+    #: previews with the state-only single sweep.
+    SHALLOW_PREVIEW = True
+    #: What a stopped lane steps on.
+    QUIET_STIMULUS = (to_cpi(NOP), {"rf_a": 0, "rf_b": 0, "imm": 0})
+
+    def __init__(
+        self,
+        program: Sequence[Instruction],
+        init_regs: Sequence[int] | None = None,
+        drain: int = 4,
+    ) -> None:
+        regs = list(init_regs) if init_regs is not None else [0] * N_REGS
+        self.regs = [to_unsigned(r, WIDTH) for r in regs]
+        self.writes: list[tuple[int, int]] = []
+        self.stream = list(program) + [NOP] * drain
+        self.position = 0
+
+    @property
+    def running(self) -> bool:
+        return self.position < len(self.stream)
+
+    def cycle(self, ctl, out):
+        """Commit the previewed write-back; return the cycle's
+        ``(cpi, dpi)``: the next instruction of the stream."""
+        rd_wb = ctl.get("rd_wb")
+        if ctl.get("wb_en") == 1 and rd_wb is not None and out is not None:
+            self.regs[rd_wb] = out
+            self.writes.append((rd_wb, out))
+        instruction = self.stream[self.position]
+        self.position += 1
+        return to_cpi(instruction), {
+            "rf_a": self.regs[instruction.rs1],
+            "rf_b": self.regs[instruction.rs2],
+            "imm": instruction.imm,
+        }
+
+    def advance(self, ctl) -> None:
+        """MiniPipe's fetch unit has nothing to move: one stream slot per
+        cycle, taken by :meth:`cycle`."""
+
+    def result(self) -> SpecResult:
+        return SpecResult(writes=self.writes, registers=self.regs)
+
+
 class MiniEnv:
     """Runs a program on the pipelined implementation and extracts the
     ISA-visible write trace."""
@@ -97,46 +155,11 @@ class MiniEnv:
         init_regs: Sequence[int] | None = None,
         drain: int = 4,
     ) -> SpecResult:
-        """Feed the program followed by ``drain`` NOP cycles.
-
-        Register-file reads are supplied from the architectural register
-        array, which is committed *before* each cycle's reads (write-through
-        register file); the single-cycle gap in between is covered by the
-        pipeline's bypass paths.
-        """
-        regs = list(init_regs) if init_regs is not None else [0] * N_REGS
-        regs = [to_unsigned(r, WIDTH) for r in regs]
-        writes: list[tuple[int, int]] = []
+        """Feed the program followed by ``drain`` NOP cycles."""
         self.trace = Trace()
-        from repro.mini.isa import NOP
-
-        stream = list(program) + [NOP] * drain
-        for instruction in stream:
-            # Commit this cycle's write-back before the reads (the write
-            # value depends only on pipeline state, not on today's reads).
-            ctl_preview = self.processor.controller.network.evaluate(
-                dict(self.sim.ctl_state)
-            )
-            externals = dict.fromkeys(
-                self.processor.datapath.external_input_names
-            )
-            for name in self.processor.controller.ctrl_signals:
-                externals[name] = ctl_preview.get(name)
-            preview = self.sim.dp_sim.evaluate_partial(externals)
-            wb_en = ctl_preview.get("wb_en")
-            rd_wb = ctl_preview.get("rd_wb")
-            out = preview.get("out")
-            if wb_en == 1 and rd_wb is not None and out is not None:
-                regs[rd_wb] = out
-                writes.append((rd_wb, out))
-            cpi = to_cpi(instruction)
-            dpi = {
-                "rf_a": regs[instruction.rs1],
-                "rf_b": regs[instruction.rs2],
-                "imm": instruction.imm,
-            }
-            self.trace.cycles.append(self.sim.step(cpi, dpi))
-        return SpecResult(writes=writes, registers=regs)
+        return run_testbench(
+            self.sim, MiniTestbench(program, init_regs, drain), self.trace
+        )
 
 
 def detects(

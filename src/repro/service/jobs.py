@@ -218,8 +218,6 @@ def campaign_config_from_request(
         request, "deadline", float, DEFAULT_DEADLINES[target]
     )
     jobs = _field(request, "jobs", int, 1)
-    if jobs < 1:
-        raise HttpError(400, "jobs must be >= 1")
     try:
         return OrchestratorConfig(
             target=target,

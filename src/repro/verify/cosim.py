@@ -120,6 +120,24 @@ class ProcessorSimulator:
             raise CosimError("controller/datapath fixpoint did not settle")
         return ctl_values, dp_values
 
+    def preview_shallow(
+        self,
+    ) -> tuple[dict[str, int | None], dict[str, int | None]]:
+        """State-only single-sweep preview, WITHOUT clocking.
+
+        Evaluates the controller on the pipe-register state alone and
+        feeds only the CTRL values into one partial datapath evaluation:
+        no CPI, no DPI and no status feedback.  Returns the controller and
+        datapath values like :meth:`resolve`.  The scalar twin of
+        :meth:`repro.verify.lanes.LaneProcessorSimulator.preview_shallow`.
+        """
+        controller = self.processor.controller
+        ctl_values = controller.network.evaluate(dict(self.ctl_state))
+        externals = dict.fromkeys(self.processor.datapath.external_input_names)
+        for name in controller.ctrl_signals:
+            externals[name] = ctl_values.get(name)
+        return ctl_values, self.dp_sim.evaluate_partial(externals)
+
     def step(
         self, cpi: Mapping[str, int], dpi: Mapping[str, int]
     ) -> CycleTrace:
@@ -197,6 +215,33 @@ class ProcessorSimulator:
                 raise ValueError(f"no register named {name!r}")
             reg = self.processor.datapath.module(name)
             self.dp_sim.state[name] = value & mask(reg.width)
+
+
+def run_testbench(sim: ProcessorSimulator, bench, trace: Trace):
+    """Run one program's testbench on ``sim``; return ``bench.result()``.
+
+    A testbench (``repro.dlx.env.DlxTestbench``,
+    ``repro.mini.spec.MiniTestbench``) plays the register file, data
+    memory and fetch unit for one program.  Each cycle previews the
+    pipeline state (the machine's ``SHALLOW_PREVIEW`` single sweep, or the
+    full ``resolve({}, {})`` fixpoint), lets the testbench commit what the
+    cycle retires and choose the stimulus from the ``PREVIEW_NETS``
+    values, clocks the cycle into ``trace``, and moves the fetch unit.
+    The run ends when the testbench stops running or its ``cycle``
+    returns None.  A :class:`CosimError` propagates with ``trace``
+    holding every cycle clocked before it.
+    """
+    while bench.running:
+        if bench.SHALLOW_PREVIEW:
+            ctl, dp = sim.preview_shallow()
+        else:
+            ctl, dp = sim.resolve({}, {})
+        stimulus = bench.cycle(ctl, *(dp[name] for name in bench.PREVIEW_NETS))
+        if stimulus is None:
+            break
+        trace.cycles.append(sim.step(*stimulus))
+        bench.advance(ctl)
+    return bench.result()
 
 
 def stimulus_key(

@@ -36,17 +36,23 @@ that lane alone.  Three design points make that hold:
   controller state freezes, as the scalar raise leaves it, and a failed
   register holds its value.  The environments stop committing for a
   failed lane; its later values are unobserved.
+
+:func:`run_lanes` steps one per-program testbench per lane (the same
+testbench class :func:`repro.verify.cosim.run_testbench` steps on the
+scalar co-simulator), so the lane-batched environments add no
+architectural logic of their own.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 from repro.datapath.batched import BatchedDatapathSimulator, require_numpy
 from repro.datapath.simulate import Injector, ModuleOverride, no_injection
 from repro.model.processor import Processor
 from repro.utils.bits import mask
-from repro.verify.cosim import CosimError
+from repro.verify.cosim import CosimError, CycleTrace, Trace
 
 try:  # pragma: no cover - exercised by the no-numpy CI tier
     import numpy as _np
@@ -196,12 +202,12 @@ class LaneProcessorSimulator:
         return self.kernel.lane_dicts(self._settle(cpi_list, dpi_list))
 
     def preview_shallow(self) -> list[dict]:
-        """State-only single-sweep preview (MiniEnv's commit peek).
+        """State-only single-sweep preview (MiniPipe's commit peek).
 
         Evaluate the controller on the pipe-register state alone and feed
         only the CTRL values into one partial datapath evaluation — exactly
-        ``MiniEnv.run``'s pre-commit preview, on every lane.  Leaves the
-        preview staged in ``self.dp``; returns the per-lane controller
+        :meth:`ProcessorSimulator.preview_shallow`, on every lane.  Leaves
+        the preview staged in ``self.dp``; returns the per-lane controller
         dicts.
         """
         ext_v, ext_k = self.dp._ext_v, self.dp._ext_k
@@ -354,6 +360,119 @@ class LaneProcessorSimulator:
             name: int(values[i][lane]) if known[i][lane] else None
             for i, name in enumerate(self.cd.names)
         }
+
+
+@dataclass
+class LaneRun:
+    """Per-lane outcome of one batched run."""
+
+    #: ISA-visible outcome (the testbench's ``result()``); None when the
+    #: lane failed mid-run.
+    result: Any
+    #: Co-simulation trace of the lane (format per the ``record`` mode).
+    trace: Trace
+    #: Scalar ``CosimError`` message, or None for a clean run.
+    failure: str | None
+    #: Dense per-cycle net-value lists (``record="dense"`` only) — the
+    #: golden-cycle form ``BatchFaultSimulator`` consumes.
+    dense_cycles: list | None
+
+    def raise_failure(self) -> None:
+        """Raise the ``CosimError`` the scalar run of this lane raises, if
+        any, so a batch is never silently partial."""
+        if self.failure is not None:
+            raise CosimError(self.failure)
+
+
+def run_lanes(
+    sim: LaneProcessorSimulator,
+    benches: Sequence,
+    record: str = "controller",
+) -> list[LaneRun]:
+    """Run one testbench per lane in lockstep; returns per-lane outcomes.
+
+    Each lane does what :func:`repro.verify.cosim.run_testbench` does for
+    its testbench alone, so every lane is byte-identical to a scalar run
+    of that program.  Testbenches may run for different numbers of cycles:
+    a finished or failed lane steps on the testbench class's
+    ``QUIET_STIMULUS``, unobserved, and the simulator's ``active_lanes``
+    counts only running lanes so the batch fill-rate counters stay
+    honest.  A lane whose scalar run would raise ``CosimError`` records
+    the message instead and goes dead (no further commits or trace).
+
+    ``record`` selects the trace format: ``"controller"`` keeps only
+    controller values per cycle (what the fuzz coverage collector reads),
+    ``"dense"`` additionally collects dense datapath value lists (golden
+    cycles for the conformance fault simulator), and ``"full"``
+    materializes the scalar ``CycleTrace`` datapath dicts.
+    """
+    n = sim.n_lanes
+    if len(benches) != n:
+        raise ValueError(f"expected {n} programs, got {len(benches)}")
+    if record not in ("controller", "dense", "full"):
+        raise ValueError(f"unknown record mode {record!r}")
+    bench_cls = type(benches[0])
+    net_ids = [sim.cd.index[name] for name in bench_cls.PREVIEW_NETS]
+    quiet_cpi, quiet_dpi = bench_cls.QUIET_STIMULUS
+    empty: dict = {}
+    traces = [Trace() for _ in range(n)]
+    dense: list[list | None] = [
+        [] if record == "dense" else None for _ in range(n)
+    ]
+    failure: list[str | None] = [None] * n
+
+    while True:
+        active = [
+            b for b in range(n) if failure[b] is None and benches[b].running
+        ]
+        if not active:
+            break
+        sim.dp.active_lanes = len(active)
+        if bench_cls.SHALLOW_PREVIEW:
+            ctl_list = sim.preview_shallow()
+        else:
+            ctl_list = sim.resolve([empty] * n, [empty] * n)
+        values, known = sim.dp.values, sim.dp.known
+        columns = [
+            [v if k else None
+             for v, k in zip(values[i].tolist(), known[i].tolist())]
+            for i in net_ids
+        ]
+        cpi_list = [quiet_cpi] * n
+        dpi_list = [quiet_dpi] * n
+        for b in active:
+            cpi_list[b], dpi_list[b] = benches[b].cycle(
+                ctl_list[b], *(column[b] for column in columns)
+            )
+
+        ctl_values, failures = sim.step(cpi_list, dpi_list)
+        for b in active:
+            if b in failures:
+                # The scalar run raises here: no trace for this cycle, and
+                # nothing of this lane is observed from now on.
+                failure[b] = failures[b]
+                continue
+            if record == "full":
+                datapath = sim.datapath_dict(b)
+            else:
+                datapath = {}
+                if record == "dense":
+                    dense[b].append(sim.dense_datapath(b))
+            traces[b].cycles.append(
+                CycleTrace(datapath=datapath, controller=ctl_values[b])
+            )
+            benches[b].advance(ctl_list[b])
+    sim.dp.active_lanes = n
+
+    return [
+        LaneRun(
+            result=None if failure[b] is not None else benches[b].result(),
+            trace=traces[b],
+            failure=failure[b],
+            dense_cycles=dense[b],
+        )
+        for b in range(n)
+    ]
 
 
 def _net_codes(kernel, name: str, net_mask: int):

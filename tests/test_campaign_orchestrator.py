@@ -177,6 +177,37 @@ def test_resume_skips_completed_and_reproduces_report(tmp_path):
     }
 
 
+def test_dropping_resume_replays_recorded_tests(tmp_path):
+    """A dropping run killed after its dropper's record, before the
+    records of the errors that test drops, resumes to the uninterrupted
+    report: the recorded test is replayed against the pending errors."""
+    path = str(tmp_path / "cp.jsonl")
+    full = CampaignOrchestrator(
+        _mini_config(jobs=1, error_simulation=True, checkpoint_path=path)
+    ).run(ERRORS)
+    lines = open(path).read().splitlines()
+    with open(path, "w") as handle:
+        handle.write(lines[0] + "\n")
+
+    events = EventStream()
+    log = EventLog()
+    events.subscribe(log)
+    resumed = CampaignOrchestrator(
+        _mini_config(jobs=1, error_simulation=True, checkpoint_path=path,
+                     resume=True),
+        events=events,
+    ).run(ERRORS)
+    assert _signature(resumed) == _signature(full)
+    [replayed, *_] = log.of_kind("test-dropped-others")
+    assert replayed.data["error"] == ERRORS[0].describe()
+    assert ERRORS[1].describe() in replayed.data["dropped"]
+    started = {event.data["error"] for event in log.of_kind("error-started")}
+    assert ERRORS[1].describe() not in started
+    assert CampaignCheckpoint.completed_errors(path) == {
+        e.describe() for e in ERRORS
+    }
+
+
 #: A checkpoint line exactly as written before the restart search and the
 #: deadline bank were removed: its outcome still carries ``restarts`` and
 #: ``deadline_grant``.

@@ -102,12 +102,14 @@ def test_minipipe_dropping_flag(capsys):
 
 def test_resume_requires_checkpoint(capsys):
     assert main(["minipipe", "--resume"]) == 2
-    assert "--resume requires --checkpoint" in capsys.readouterr().err
+    assert "error: resume requires a checkpoint path" in (
+        capsys.readouterr().err
+    )
 
 
 def test_jobs_must_be_positive(capsys):
     assert main(["minipipe", "--jobs", "0"]) == 2
-    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert "error: jobs must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_deadline_must_be_finite_and_positive(capsys):

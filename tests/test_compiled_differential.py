@@ -213,12 +213,43 @@ def test_dlx_batch_detects_matches_serial():
 
 def test_conformance_matrix_batch_matches_serial():
     """The batch strategy is invisible in the artifact: identical rows,
-    budgets and detecting-program indices."""
-    from repro.fuzz.conformance import MatrixConfig, run_matrix
+    budgets and detecting-program indices to one full co-simulation per
+    (error, program) pair, each error trying the programs in order."""
+    from repro.baselines.random_gen import (
+        RandomMiniGenerator,
+        RandomProgramConfig,
+    )
+    from repro.fuzz.conformance import MatrixConfig, _enumerate, run_matrix
+    from repro.mini import build_minipipe, detects
 
-    base = dict(machine="mini", programs=4, length=10, seed=3)
-    assert run_matrix(MatrixConfig(batch=True, **base)) \
-        == run_matrix(MatrixConfig(batch=False, **base))
+    config = MatrixConfig(machine="mini", programs=4, length=10, seed=3)
+    rows = run_matrix(config)["errors"]
+    minipipe = build_minipipe()
+    errors = _enumerate(minipipe, config)
+    generator = RandomMiniGenerator(RandomProgramConfig(length=10, seed=3))
+    programs = [
+        (generator.program(i), generator.initial_registers(i))
+        for i in range(config.programs)
+    ]
+    assert len(rows) == len(errors)
+    assert {"detected", "undetected_by_budget"} <= {
+        row["classification"] for row in rows
+    }
+    for row, (_, error) in zip(rows, errors):
+        assert row["error"] == error.describe()
+        if row["classification"] == "proven_benign":
+            continue
+        hit = next(
+            (i for i, (program, regs) in enumerate(programs)
+             if detects(minipipe, program, error, regs)),
+            None,
+        )
+        serial = (
+            ("detected", hit + 1, hit) if hit is not None
+            else ("undetected_by_budget", len(programs), None)
+        )
+        assert (row["classification"], row["programs_run"],
+                row["detected_by_program"]) == serial, row["error"]
 
 
 # ----------------------------------------------------------------------
