@@ -61,7 +61,7 @@ def cmd_stats(_args) -> int:
     return 0
 
 
-def _run_campaign_command(args, target: str, title: str | None) -> int:
+def _run_campaign_command(args, machine) -> int:
     import signal
 
     from repro.campaign.events import EventLog, EventStream, ProgressRenderer
@@ -74,10 +74,14 @@ def _run_campaign_command(args, target: str, title: str | None) -> int:
     if args.remote:
         from repro.service.client import run_remote_campaign
 
-        return run_remote_campaign(args, target, title)
+        return run_remote_campaign(args, machine.name, machine.title)
+    events = EventStream()
+    log = EventLog()
+    events.subscribe(log)
+    events.subscribe(ProgressRenderer(sys.stderr))
     try:
         config = OrchestratorConfig(
-            target=target,
+            target=machine.name,
             jobs=args.jobs,
             deadline_seconds=args.deadline,
             error_simulation=args.dropping,
@@ -85,23 +89,15 @@ def _run_campaign_command(args, target: str, title: str | None) -> int:
             resume=args.resume,
             profile=args.profile,
         )
-        if config.resume:
-            from repro.campaign.checkpoint import CampaignCheckpoint
-
-            CampaignCheckpoint.load(config.checkpoint_path)
+        orchestrator = CampaignOrchestrator(config, events=events)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    events = EventStream()
-    log = EventLog()
-    events.subscribe(log)
-    events.subscribe(ProgressRenderer(sys.stderr))
-    orchestrator = CampaignOrchestrator(config, events=events)
 
     from repro.service.jobs import select_campaign_errors
 
     errors = select_campaign_errors(
-        orchestrator.campaign, target, {"sample": args.sample}
+        orchestrator.campaign, {"sample": args.sample}
     )
     print(f"Running {len(errors)} bus SSL errors "
           f"(deadline {args.deadline:.0f}s/error, {args.jobs} job(s), "
@@ -125,7 +121,7 @@ def _run_campaign_command(args, target: str, title: str | None) -> int:
     finally:
         if previous_handler is not None:
             signal.signal(signal.SIGINT, previous_handler)
-    print(report.table1(title) if title else report.table1())
+    print(report.table1(machine.title))
     if args.dropping:
         dropped = sum(1 for o in report.outcomes if o.dropped_by)
         print(f"(fault dropping skipped TG for {dropped} errors)")
@@ -148,22 +144,10 @@ def _run_campaign_command(args, target: str, title: str | None) -> int:
     return 0
 
 
-def cmd_table1(args) -> int:
-    return _run_campaign_command(args, target="dlx", title=None)
-
-
-def cmd_minipipe(args) -> int:
-    return _run_campaign_command(
-        args, target="mini", title="MiniPipe bus SSL campaign"
-    )
-
-
 def cmd_generate(args) -> int:
     from repro.campaign.orchestrator import check_deadline
-    from repro.core.tg import TestGenerator, TGStatus
-    from repro.dlx import build_dlx, detects
-    from repro.dlx.env import dlx_exposure_comparator
-    from repro.dlx.realize import RealizationError, realize
+    from repro.campaign.runner import DlxCampaign
+    from repro.core.tg import RealizationError, TGStatus
     from repro.errors import BusSSLError
 
     try:
@@ -171,19 +155,16 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dlx = build_dlx()
+    campaign = DlxCampaign(deadline_seconds=args.deadline)
+    machine, dlx = campaign.machine, campaign.processor
     error = BusSSLError(args.net, args.bit, args.stuck)
-    generator = TestGenerator(
-        dlx, exposure_comparator=dlx_exposure_comparator,
-        deadline_seconds=args.deadline,
-    )
-    result = generator.generate(error)
+    result = campaign.generator.generate(error)
     print(f"{error.describe()}: {result.status.value} "
           f"({result.attempts} attempts, {result.backtracks} backtracks)")
     if result.status is not TGStatus.DETECTED:
         return 1
     try:
-        realized = realize(dlx, result.test)
+        realized = machine.realize(dlx, result.test)
     except RealizationError as exc:
         print(f"realization failed: {exc}")
         return 1
@@ -195,8 +176,7 @@ def cmd_generate(args) -> int:
     if realized.init_memory:
         print(f"initial memory: "
               f"{ {hex(a): hex(v) for a, v in realized.init_memory.items()} }")
-    ok = detects(dlx, realized.program, error,
-                 realized.init_regs, realized.init_memory)
+    ok = machine.detects(dlx, realized, error)
     print("ISA-level detection:", "yes" if ok else "NO")
     return 0 if ok else 1
 
@@ -226,6 +206,7 @@ def _parse_budget(text: str) -> float:
 
 def cmd_fuzz(args) -> int:
     import json
+    from dataclasses import replace
 
     from repro.campaign.events import EventLog, EventStream, ProgressRenderer
     from repro.campaign.serialize import save_json
@@ -297,11 +278,14 @@ def cmd_fuzz(args) -> int:
                 MatrixConfig(
                     machine=machine, programs=args.matrix_programs,
                     length=args.length, seed=args.seed,
-                    sample=args.matrix_sample,
-                    max_bits_per_net=4 if machine.startswith("dlx") else None,
-                    lanes=args.lanes,
+                    sample=args.matrix_sample, lanes=args.lanes,
                 )
                 for machine in machines
+            ]
+            configs = [
+                replace(config, max_bits_per_net=machine_adapter(
+                    config.machine).max_bits_per_net)
+                for config in configs
             ]
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -364,16 +348,27 @@ def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.campaign.orchestrator import CAMPAIGN_TARGETS
+    from repro.machines import MACHINES, machine_adapter
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("stats", help="print DLX model statistics")
 
-    p_table1 = sub.add_parser("table1", help="run the Table-1 campaign")
-    p_table1.add_argument("--sample", type=int, default=6,
-                          help="run every Nth error (default 6; 1 = all)")
-    p_table1.add_argument("--deadline", type=float, default=20.0)
-    _add_campaign_flags(p_table1)
+    # One subcommand per campaign machine, with the machine's defaults.
+    campaigns = {}
+    for target in CAMPAIGN_TARGETS:
+        machine = machine_adapter(target)
+        campaigns[machine.command] = machine
+        p_campaign = sub.add_parser(machine.command, help=machine.command_help)
+        p_campaign.add_argument(
+            "--sample", type=int, default=machine.sample,
+            help="run every Nth error (default %(default)s; 1 = all)",
+        )
+        p_campaign.add_argument("--deadline", type=float,
+                                default=machine.deadline)
+        _add_campaign_flags(p_campaign)
 
     p_gen = sub.add_parser("generate", help="target one bus SSL error")
     p_gen.add_argument("net", help="datapath net name, e.g. alu_add.y")
@@ -381,18 +376,11 @@ def main(argv: list[str] | None = None) -> int:
     p_gen.add_argument("stuck", type=int, choices=(0, 1))
     p_gen.add_argument("--deadline", type=float, default=30.0)
 
-    p_mini = sub.add_parser("minipipe", help="run the MiniPipe campaign")
-    p_mini.add_argument("--sample", type=int, default=1,
-                        help="run every Nth error (default 1 = all)")
-    p_mini.add_argument("--deadline", type=float, default=10.0)
-    _add_campaign_flags(p_mini)
-
     p_fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing / conformance matrix for the oracle",
     )
-    p_fuzz.add_argument("--machine", default="mini",
-                        choices=("mini", "dlx", "dlx_bp"),
+    p_fuzz.add_argument("--machine", default="mini", choices=MACHINES,
                         help="machine to fuzz (default mini)")
     p_fuzz.add_argument("--iters", type=int, default=200,
                         help="fuzz iterations (default 200)")
@@ -452,11 +440,11 @@ def main(argv: list[str] | None = None) -> int:
     add_serve_arguments(p_serve)
 
     args = parser.parse_args(argv)
+    if args.command in campaigns:
+        return _run_campaign_command(args, campaigns[args.command])
     handler = {
         "stats": cmd_stats,
-        "table1": cmd_table1,
         "generate": cmd_generate,
-        "minipipe": cmd_minipipe,
         "fuzz": cmd_fuzz,
         "serve": cmd_serve,
     }[args.command]

@@ -45,19 +45,24 @@ from repro.campaign.runner import (
 )
 from repro.errors.models import DesignError
 
-CAMPAIGN_TARGETS = ("dlx", "mini")
+#: Campaign target -> the campaign over that machine.
+CAMPAIGNS: dict[str, type[CampaignBase]] = {
+    "dlx": DlxCampaign,
+    "mini": MiniCampaign,
+}
+CAMPAIGN_TARGETS = tuple(CAMPAIGNS)
 
 
 def build_campaign(target: str, deadline_seconds: float) -> CampaignBase:
     """The campaign driver for a named test vehicle."""
-    if target == "dlx":
-        return DlxCampaign(deadline_seconds=deadline_seconds)
-    if target == "mini":
-        return MiniCampaign(deadline_seconds=deadline_seconds)
-    raise ValueError(
-        f"unknown campaign target {target!r} (expected one of "
-        f"{', '.join(CAMPAIGN_TARGETS)})"
-    )
+    try:
+        campaign_cls = CAMPAIGNS[target]
+    except KeyError:
+        raise ValueError(
+            f"unknown campaign target {target!r} (expected one of "
+            f"{', '.join(CAMPAIGN_TARGETS)})"
+        ) from None
+    return campaign_cls(deadline_seconds=deadline_seconds)
 
 
 def check_deadline(seconds: float) -> None:
@@ -173,6 +178,9 @@ class CampaignOrchestrator:
         Optional pre-built campaign driver for the coordinator process
         (error enumeration, fault dropping and, at ``jobs=1``, every
         error's pipeline); built from ``config`` when omitted.
+
+    A resumed run reads its checkpoint here, before any campaign is
+    built, so an unreadable checkpoint raises ``ValueError`` at once.
     """
 
     def __init__(
@@ -183,6 +191,10 @@ class CampaignOrchestrator:
     ) -> None:
         self.config = config
         self.events = events if events is not None else EventStream()
+        self._checkpointed = (
+            CampaignCheckpoint.load(config.checkpoint_path)
+            if config.resume else []
+        )
         if campaign is None:
             campaign = build_campaign(config.target, config.deadline_seconds)
         self.campaign = campaign
@@ -271,12 +283,10 @@ class CampaignOrchestrator:
         but checkpoints from older versions that re-ran an error hold a
         second record for it, and the re-run outcome is the final one.
         """
-        if not self.config.resume:
-            return []
         wanted = {error.describe() for error in errors}
         positions: dict[str, int] = {}
         records = []
-        for record in CampaignCheckpoint.load(self.config.checkpoint_path):
+        for record in self._checkpointed:
             name = record.outcome.error
             if name not in wanted:
                 continue
@@ -308,7 +318,7 @@ class CampaignOrchestrator:
                 return
             if record.test is None:
                 continue
-            realized = self.campaign.deserialize_realized(record.test)
+            realized = self.campaign.machine.realized_from_dict(record.test)
             dropped, seconds = self._drop_from_queue(
                 record.outcome, realized, queue
             )
@@ -401,7 +411,7 @@ class CampaignOrchestrator:
         self._emit_finished(outcome, index)
         test = None
         if realized is not None and checkpoint is not None:
-            test = self.campaign.serialize_realized(realized)
+            test = self.campaign.machine.realized_to_dict(realized)
         self._write_checkpoint(checkpoint, outcome, test)
         self._record_dropped(outcome, dropped, drop_seconds, checkpoint)
 

@@ -18,8 +18,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.tg import TestGenerator, TGStatus
-from repro.errors.models import DesignError
+from repro.core.tg import RealizationError, TestGenerator, TGStatus
+from repro.errors.models import DesignError, enumerate_bus_ssl
+from repro.machines import Machine, machine_adapter
 from repro.model.processor import Processor
 
 
@@ -189,48 +190,88 @@ def _outcome_from_result(error: DesignError, result) -> ErrorOutcome:
 
 
 class CampaignBase:
-    """Shared campaign machinery over a concrete test vehicle.
+    """The TG → realize → ISA-check pipeline over one machine.
 
-    Subclasses provide the per-error pipeline (:meth:`_run_error_with_test`)
-    plus the handful of vehicle-specific hooks the orchestrator needs:
-    re-checking a realized test against other errors (fault dropping) and
-    serializing realized tests into a checkpoint and back.
+    Subclasses name their machine (:mod:`repro.machines`), which supplies
+    the processor, the error list, realization, the ISA check, the batch
+    check that fault dropping runs on a realized test, and the checkpoint
+    codec of realized tests.  ``deadline_seconds`` (TG CPU seconds per
+    error) defaults to the machine's.
     """
 
-    #: The orchestrator's name for this vehicle (``CAMPAIGN_TARGETS``).
-    target: str
-    processor: Processor
-    generator: TestGenerator
+    machine: Machine
 
-    def default_errors(self, **kwargs) -> list[DesignError]:
-        raise NotImplementedError
+    def __init__(
+        self,
+        processor: Processor | None = None,
+        deadline_seconds: float | None = None,
+    ) -> None:
+        machine = self.machine
+        if deadline_seconds is None:
+            deadline_seconds = machine.deadline
+        self.processor = processor or machine.build()
+        self.generator = TestGenerator(
+            self.processor,
+            deadline_seconds=deadline_seconds,
+            exposure_comparator=machine.exposure_comparator,
+        )
+
+    @property
+    def target(self) -> str:
+        """The orchestrator's name for this vehicle (``CAMPAIGN_TARGETS``)."""
+        return self.machine.name
+
+    def default_errors(self, **options) -> list[DesignError]:
+        """Bus SSL errors on the machine's campaign stages.
+
+        ``max_bits_per_net`` defaults to the machine's bit sampling (on
+        the DLX the 3 low bits and the MSB of each net, both polarities,
+        which lands near the paper's 298 errors); None enumerates every
+        bit.
+        """
+        options.setdefault("max_bits_per_net", self.machine.max_bits_per_net)
+        return enumerate_bus_ssl(
+            self.processor.datapath, stages=self.machine.campaign_stages,
+            **options,
+        )
 
     def _run_error_with_test(self, error: DesignError):
         """Run TG + realization + ISA check; return ``(outcome, realized)``
         where ``realized`` is the realized test when detected, else None."""
-        raise NotImplementedError
+        machine = self.machine
+        start = time.monotonic()
+        cpu_start = time.process_time()
+        result = self.generator.generate(error)
+        outcome = _outcome_from_result(error, result)
+        realized = None
+        if result.status is not TGStatus.DETECTED:
+            outcome.failure_stage = "tg"
+        else:
+            try:
+                realized = machine.realize(self.processor, result.test)
+            except RealizationError:
+                outcome.failure_stage = "realize"
+            else:
+                if machine.detects(self.processor, realized, error):
+                    outcome.detected = True
+                    outcome.test_length = len(realized.program)
+                    outcome.nontrivial_instructions = (
+                        machine.nontrivial_count(realized.program)
+                    )
+                else:
+                    outcome.failure_stage = "isa-check"
+                    realized = None
+        outcome.cpu_seconds = time.process_time() - cpu_start
+        outcome.seconds = time.monotonic() - start
+        return outcome, realized
 
     def detects_realized_batch(
         self, realized, errors: Sequence[DesignError]
     ) -> list[bool]:
-        """Which of ``errors`` an already-realized test also detects.
-
-        Vehicles run the fault-free trace once and cone-fork all errors
-        against it (the vehicle's ``batch_detects``).
-        """
-        raise NotImplementedError
-
-    def nontrivial_count(self, program) -> int:
-        """Instructions in ``program`` other than NOP."""
-        raise NotImplementedError
-
-    def serialize_realized(self, realized) -> dict[str, Any]:
-        raise NotImplementedError
-
-    def deserialize_realized(self, data: dict[str, Any]):
-        """Inverse of :meth:`serialize_realized` (resume replays the
-        checkpointed tests)."""
-        raise NotImplementedError
+        """Which of ``errors`` an already-realized test also detects: one
+        fault-free run, every error cone-forked against it (the machine's
+        ``batch_detects``)."""
+        return self.machine.detects_realized(self.processor, realized, errors)
 
     def run_error(self, error: DesignError) -> ErrorOutcome:
         outcome, _ = self._run_error_with_test(error)
@@ -243,7 +284,9 @@ class CampaignBase:
             error=other.describe(),
             detected=True,
             test_length=len(realized.program),
-            nontrivial_instructions=self.nontrivial_count(realized.program),
+            nontrivial_instructions=self.machine.nontrivial_count(
+                realized.program
+            ),
             dropped_by=dropper,
         )
 
@@ -275,181 +318,13 @@ class CampaignBase:
 class DlxCampaign(CampaignBase):
     """Table-1 campaign on the DLX (bus SSL errors in EX/MEM/WB)."""
 
-    target = "dlx"
-
-    def __init__(
-        self,
-        processor: Processor | None = None,
-        deadline_seconds: float = 20.0,
-    ) -> None:
-        from repro.dlx import build_dlx
-        from repro.dlx.env import dlx_exposure_comparator
-
-        self.processor = processor or build_dlx()
-        self.generator = TestGenerator(
-            self.processor,
-            deadline_seconds=deadline_seconds,
-            exposure_comparator=dlx_exposure_comparator,
-        )
-
-    def default_errors(
-        self, max_bits_per_net: int | None = 4
-    ) -> list[DesignError]:
-        """Bus SSL errors in the execute, memory and write-back stages.
-
-        With the default bit sampling (3 low bits + MSB per net, both
-        polarities) the campaign size lands near the paper's 298 errors;
-        ``max_bits_per_net=None`` enumerates every bit.
-        """
-        from repro.dlx.datapath import STAGE_EX, STAGE_MEM, STAGE_WB
-        from repro.errors.models import enumerate_bus_ssl
-
-        return enumerate_bus_ssl(
-            self.processor.datapath,
-            stages={STAGE_EX, STAGE_MEM, STAGE_WB},
-            max_bits_per_net=max_bits_per_net,
-        )
-
-    def _run_error_with_test(self, error: DesignError):
-        from repro.dlx import detects
-        from repro.dlx.realize import RealizationError, realize
-
-        start = time.monotonic()
-        cpu_start = time.process_time()
-        result = self.generator.generate(error)
-        outcome = _outcome_from_result(error, result)
-        realized = None
-        if result.status is not TGStatus.DETECTED:
-            outcome.failure_stage = "tg"
-        else:
-            try:
-                realized = realize(self.processor, result.test)
-            except RealizationError:
-                outcome.failure_stage = "realize"
-            else:
-                if detects(
-                    self.processor, realized.program, error,
-                    realized.init_regs, realized.init_memory,
-                ):
-                    outcome.detected = True
-                    outcome.test_length = len(realized.program)
-                    outcome.nontrivial_instructions = self.nontrivial_count(
-                        realized.program
-                    )
-                else:
-                    outcome.failure_stage = "isa-check"
-                    realized = None
-        outcome.cpu_seconds = time.process_time() - cpu_start
-        outcome.seconds = time.monotonic() - start
-        return outcome, realized
-
-    def detects_realized_batch(
-        self, realized, errors: Sequence[DesignError]
-    ) -> list[bool]:
-        from repro.dlx.env import batch_detects
-
-        return batch_detects(
-            self.processor, realized.program, errors,
-            realized.init_regs, realized.init_memory,
-        )
-
-    def nontrivial_count(self, program) -> int:
-        from repro.dlx.isa import NOP
-
-        return sum(1 for i in program if i != NOP)
-
-    def serialize_realized(self, realized) -> dict[str, Any]:
-        from repro.campaign.serialize import realized_dlx_to_dict
-
-        return realized_dlx_to_dict(realized)
-
-    def deserialize_realized(self, data: dict[str, Any]):
-        from repro.campaign.serialize import realized_dlx_from_dict
-
-        return realized_dlx_from_dict(data)
+    machine = machine_adapter("dlx")
+    # An attribute of this class, not inherited, so that a wrapper can
+    # time the DLX drop check alone.
+    detects_realized_batch = CampaignBase.detects_realized_batch
 
 
 class MiniCampaign(CampaignBase):
     """The same campaign on MiniPipe (execute/write-back stages)."""
 
-    target = "mini"
-
-    def __init__(
-        self,
-        processor: Processor | None = None,
-        deadline_seconds: float = 10.0,
-    ) -> None:
-        from repro.mini import build_minipipe
-
-        self.processor = processor or build_minipipe()
-        self.generator = TestGenerator(
-            self.processor, deadline_seconds=deadline_seconds
-        )
-
-    def default_errors(
-        self, max_bits_per_net: int | None = None
-    ) -> list[DesignError]:
-        from repro.errors.models import enumerate_bus_ssl
-
-        return enumerate_bus_ssl(
-            self.processor.datapath,
-            stages={1, 2},
-            max_bits_per_net=max_bits_per_net,
-        )
-
-    def _run_error_with_test(self, error: DesignError):
-        from repro.mini import detects
-        from repro.mini.realize import RealizationError, realize
-
-        start = time.monotonic()
-        cpu_start = time.process_time()
-        result = self.generator.generate(error)
-        outcome = _outcome_from_result(error, result)
-        realized = None
-        if result.status is not TGStatus.DETECTED:
-            outcome.failure_stage = "tg"
-        else:
-            try:
-                realized = realize(result.test)
-            except RealizationError:
-                outcome.failure_stage = "realize"
-            else:
-                if detects(
-                    self.processor, realized.program, error,
-                    realized.init_regs,
-                ):
-                    outcome.detected = True
-                    outcome.test_length = len(realized.program)
-                    outcome.nontrivial_instructions = self.nontrivial_count(
-                        realized.program
-                    )
-                else:
-                    outcome.failure_stage = "isa-check"
-                    realized = None
-        outcome.cpu_seconds = time.process_time() - cpu_start
-        outcome.seconds = time.monotonic() - start
-        return outcome, realized
-
-    def detects_realized_batch(
-        self, realized, errors: Sequence[DesignError]
-    ) -> list[bool]:
-        from repro.mini.spec import batch_detects
-
-        return batch_detects(
-            self.processor, realized.program, errors, realized.init_regs
-        )
-
-    def nontrivial_count(self, program) -> int:
-        from repro.mini.isa import NOP
-
-        return sum(1 for i in program if i != NOP)
-
-    def serialize_realized(self, realized) -> dict[str, Any]:
-        from repro.campaign.serialize import realized_mini_to_dict
-
-        return realized_mini_to_dict(realized)
-
-    def deserialize_realized(self, data: dict[str, Any]):
-        from repro.campaign.serialize import realized_mini_from_dict
-
-        return realized_mini_from_dict(data)
+    machine = machine_adapter("mini")

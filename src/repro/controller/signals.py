@@ -51,10 +51,6 @@ class Signal:
             raise ValueError(f"signal {self.name} has duplicate domain values")
 
     @property
-    def is_bit(self) -> bool:
-        return self.domain == (0, 1)
-
-    @property
     def domain_size(self) -> int:
         return len(self.domain)
 

@@ -54,6 +54,26 @@ UNMASK_SEEDS = (
     None, 0x67452301, 0x55555555, 0xAAAAAAAA, 0x0F1E2D3C, 0xFFFFFFFF, 0x1,
 )
 
+#: Pipeframe window sizes TG tries: from the pipeline's stage count plus
+#: ``MIN_EXTRA_FRAMES`` up to plus ``MAX_EXTRA_FRAMES``.
+MIN_EXTRA_FRAMES = 1
+MAX_EXTRA_FRAMES = 4
+#: DPTRACE/CTRLJUST rounds per attempt (CTRLJUST feeds implied CTRL
+#: values back to DPTRACE, which may re-select its paths).
+MAX_ROUNDS = 6
+#: Backtrack budgets of one CTRLJUST justification and one DPTRACE
+#: selection.
+CTRLJUST_BACKTRACK_LIMIT = 2000
+DPTRACE_BACKTRACK_LIMIT = 200
+#: How many rotated justification orders to try when a justified test
+#: fails the exposure check (e.g. SB chosen where only SW exposes).
+JUSTIFY_VARIANTS = 3
+#: Conflict budget of one refutation probe.  Deliberately small:
+#: measured refutations complete in a dozen conflicts, while a probe on a
+#: *justifiable* question burns its whole budget before giving up, so
+#: the limit is the probe's overhead cap.
+REFUTE_CONFLICT_LIMIT = 24
+
 
 class TGStatus(enum.Enum):
     DETECTED = "detected"
@@ -82,6 +102,11 @@ class TestCase:
     #: (frame, field) pairs whose CPI value the search actually decided;
     #: everything else is a filled-in default, free for realization.
     decided_cpi: frozenset[tuple[int, str]] = frozenset()
+
+
+class RealizationError(Exception):
+    """A test's stimulus cannot be produced through the architecture
+    (raised by every machine's ``realize``)."""
 
 
 @dataclass
@@ -143,14 +168,6 @@ class TestGenerator:
     __test__ = False  # not a pytest class, despite the name
 
     processor: Processor
-    min_frames: int | None = None
-    max_frames: int | None = None
-    max_rounds: int = 6
-    ctrljust_backtrack_limit: int = 2000
-    dptrace_backtrack_limit: int = 200
-    #: How many rotated justification orders to try when a justified test
-    #: fails the exposure check (e.g. SB chosen where only SW exposes).
-    justify_variants: int = 3
     #: Optional CPU-time budget per error; exceeded attempts abort (the
     #: practical analogue of the paper's per-error effort limit).  Measured
     #: with ``time.process_time()`` so the budget — and therefore the
@@ -175,11 +192,6 @@ class TestGenerator:
     #: certificates are only consulted before a search, so
     #: detected/aborted outcomes are byte-identical on or off.
     use_clause_learning: bool = True
-    #: Conflict budget of one refutation probe.  Deliberately small:
-    #: measured refutations complete in a dozen conflicts, while a probe
-    #: on a *justifiable* question burns its whole budget before giving
-    #: up, so the limit is the probe's overhead cap.
-    refute_conflict_limit: int = 24
 
     _analyzers: dict[int, object] = field(default_factory=dict, repr=False)
     _unrolled: dict[int, UnrolledController] = field(
@@ -212,11 +224,11 @@ class TestGenerator:
     #: recorded (wall-clock dependence).
     _refute_futile: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.min_frames is None:
-            self.min_frames = self.processor.n_stages + 1
-        if self.max_frames is None:
-            self.max_frames = self.processor.n_stages + 4
+    def window_sizes(self) -> range:
+        """The pipeframe window sizes TG tries, smallest first."""
+        n_stages = self.processor.n_stages
+        return range(n_stages + MIN_EXTRA_FRAMES,
+                     n_stages + MAX_EXTRA_FRAMES + 1)
 
     # ------------------------------------------------------------------
     # Cached per-window structures
@@ -252,7 +264,7 @@ class TestGenerator:
         base_ng = (nogoods.hits, nogoods.misses, nogoods.justify_hits,
                    cache.hits, cache.misses, self._sweeps_avoided)
         try:
-            for n_frames in range(self.min_frames, self.max_frames + 1):
+            for n_frames in self.window_sizes():
                 for act_frame in range(n_frames - 1, -1, -1):
                     if (
                         deadline_at is not None
@@ -260,7 +272,7 @@ class TestGenerator:
                     ):
                         return result
                     result.attempts += 1
-                    for jv in range(self.justify_variants):
+                    for jv in range(JUSTIFY_VARIANTS):
                         if (
                             deadline_at is not None
                             and time.process_time() > deadline_at
@@ -329,7 +341,7 @@ class TestGenerator:
         control_side_acc: set = set()
         last_good = None  # (trace, just, implied_ctrl)
         variant = 0
-        for round_index in range(self.max_rounds):
+        for round_index in range(MAX_ROUNDS):
             if deadline_at is not None and time.process_time() > deadline_at:
                 break
             trace = self._select_paths(
@@ -351,7 +363,7 @@ class TestGenerator:
                     n_frames, accumulated_items,
                     tuple(trace.ctrl_objectives.items()),
                     trace.control_side, justify_variant,
-                    (self.ctrljust_backtrack_limit,
+                    (CTRLJUST_BACKTRACK_LIMIT,
                      self._blame_backtrack_limit()),
                 )
                 nogood = self.nogoods.lookup_blame(bkey)
@@ -394,7 +406,7 @@ class TestGenerator:
             phase_start = time.process_time()
             just = self._justify(
                 unrolled, objectives, accumulated_items, justify_variant,
-                self.ctrljust_backtrack_limit, deadline_at,
+                CTRLJUST_BACKTRACK_LIMIT, deadline_at,
             )
             self._phase(result, "ctrljust", phase_start)
             result.ctrljust_backtracks += just.backtracks
@@ -568,7 +580,7 @@ class TestGenerator:
         if self.use_learned_nogoods:
             key = PathCache.key(
                 n_frames, site, act_frame, implied_ctrl, discouraged,
-                variant, self.dptrace_backtrack_limit,
+                variant, DPTRACE_BACKTRACK_LIMIT,
             )
             entry = self._path_cache.lookup(key)
             if entry is not None:
@@ -577,7 +589,7 @@ class TestGenerator:
                 return trace
         tracer = DPTrace(
             analyzer, implied_ctrl,
-            max_backtracks=self.dptrace_backtrack_limit,
+            max_backtracks=DPTRACE_BACKTRACK_LIMIT,
             discouraged=discouraged,
             variant=variant,
             deadline=deadline_at,
@@ -591,7 +603,7 @@ class TestGenerator:
         return trace
 
     def _blame_backtrack_limit(self) -> int:
-        return max(200, self.ctrljust_backtrack_limit // 4)
+        return max(200, CTRLJUST_BACKTRACK_LIMIT // 4)
 
     def _justify(
         self, unrolled, objectives, key_items, justify_variant, limit,
@@ -633,7 +645,7 @@ class TestGenerator:
             if self.use_clause_learning else None
         )
         refute_budget = (
-            self.refute_conflict_limit if self.use_clause_learning else 0
+            REFUTE_CONFLICT_LIMIT if self.use_clause_learning else 0
         )
         if recorded is not None:
             refute_budget = 0

@@ -18,23 +18,15 @@ from __future__ import annotations
 from repro.datapath.module import Module
 from repro.datapath.modules import (
     AddModule,
-    AddOvfModule,
     AndModule,
-    ConcatModule,
     ConstantModule,
     EqModule,
     GeModule,
-    GeuModule,
     GtModule,
-    GtuModule,
     LeModule,
-    LeuModule,
     LtModule,
-    LtuModule,
     MuxModule,
-    NandModule,
     NeModule,
-    NorModule,
     NotModule,
     OrModule,
     RegisterModule,
@@ -44,9 +36,6 @@ from repro.datapath.modules import (
     SliceModule,
     SraModule,
     SubModule,
-    SubOvfModule,
-    TristateModule,
-    XnorModule,
     XorModule,
     ZeroExtendModule,
 )
@@ -150,9 +139,6 @@ class DatapathBuilder:
     def xor(self, name: str, a: Net, b: Net) -> Net:
         return self._wire(XorModule(name, a.width), [a, b], [])
 
-    def xnor(self, name: str, a: Net, b: Net) -> Net:
-        return self._wire(XnorModule(name, a.width), [a, b], [])
-
     def not_(self, name: str, a: Net) -> Net:
         return self._wire(NotModule(name, a.width), [a], [])
 
@@ -183,24 +169,6 @@ class DatapathBuilder:
     def ge(self, name: str, a: Net, b: Net) -> Net:
         return self._wire(GeModule(name, a.width), [a, b], [])
 
-    def ltu(self, name: str, a: Net, b: Net) -> Net:
-        return self._wire(LtuModule(name, a.width), [a, b], [])
-
-    def leu(self, name: str, a: Net, b: Net) -> Net:
-        return self._wire(LeuModule(name, a.width), [a, b], [])
-
-    def gtu(self, name: str, a: Net, b: Net) -> Net:
-        return self._wire(GtuModule(name, a.width), [a, b], [])
-
-    def geu(self, name: str, a: Net, b: Net) -> Net:
-        return self._wire(GeuModule(name, a.width), [a, b], [])
-
-    def add_ovf(self, name: str, a: Net, b: Net) -> Net:
-        return self._wire(AddOvfModule(name, a.width), [a, b], [])
-
-    def sub_ovf(self, name: str, a: Net, b: Net) -> Net:
-        return self._wire(SubOvfModule(name, a.width), [a, b], [])
-
     # ------------------------------------------------------------------
     # AND-class modules
     # ------------------------------------------------------------------
@@ -210,44 +178,10 @@ class DatapathBuilder:
     def or_(self, name: str, a: Net, b: Net) -> Net:
         return self._wire(OrModule(name, a.width), [a, b], [])
 
-    def nand(self, name: str, a: Net, b: Net) -> Net:
-        return self._wire(NandModule(name, a.width), [a, b], [])
-
-    def nor(self, name: str, a: Net, b: Net) -> Net:
-        return self._wire(NorModule(name, a.width), [a, b], [])
-
-    def concat(self, name: str, low: Net, high: Net) -> Net:
-        return self._wire(ConcatModule(name, low.width, high.width), [low, high], [])
-
     def mult(self, name: str, a: Net, b: Net) -> Net:
         from repro.datapath.modules import MultModule
 
         return self._wire(MultModule(name, a.width), [a, b], [])
-
-    def min_(self, name: str, a: Net, b: Net) -> Net:
-        from repro.datapath.modules import MinModule
-
-        return self._wire(MinModule(name, a.width), [a, b], [])
-
-    def max_(self, name: str, a: Net, b: Net) -> Net:
-        from repro.datapath.modules import MaxModule
-
-        return self._wire(MaxModule(name, a.width), [a, b], [])
-
-    def abs_(self, name: str, a: Net) -> Net:
-        from repro.datapath.modules import AbsModule
-
-        return self._wire(AbsModule(name, a.width), [a], [])
-
-    def rotl(self, name: str, a: Net, amount: Net) -> Net:
-        from repro.datapath.modules import RotlModule
-
-        return self._wire(RotlModule(name, a.width, amount.width), [a, amount], [])
-
-    def rotr(self, name: str, a: Net, amount: Net) -> Net:
-        from repro.datapath.modules import RotrModule
-
-        return self._wire(RotrModule(name, a.width, amount.width), [a, amount], [])
 
     def shl(self, name: str, a: Net, amount: Net) -> Net:
         return self._wire(ShlModule(name, a.width, amount.width), [a, amount], [])
@@ -264,9 +198,6 @@ class DatapathBuilder:
     def mux(self, name: str, select: Net, *data: Net) -> Net:
         module = MuxModule(name, data[0].width, len(data))
         return self._wire(module, list(data), [select])
-
-    def tristate(self, name: str, enable: Net, a: Net) -> Net:
-        return self._wire(TristateModule(name, a.width), [a], [enable])
 
     # ------------------------------------------------------------------
     # Structural modules

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from typing import Sequence
 
-from repro.datapath.net import Net, Port, PortDirection, PortKind
+from repro.datapath.net import Port, PortDirection, PortKind
 
 
 class ModuleClass(enum.Enum):
@@ -82,10 +82,6 @@ class Module:
     @property
     def all_inputs(self) -> list[Port]:
         return self.data_inputs + self.control_inputs
-
-    @property
-    def input_nets(self) -> list[Net]:
-        return [p.net for p in self.all_inputs if p.net is not None]
 
     # ------------------------------------------------------------------
     # Behaviour

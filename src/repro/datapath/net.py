@@ -101,10 +101,5 @@ class Net:
         return self.driver is None
 
     @property
-    def fanout(self) -> int:
-        """Number of sink ports (fanout branches)."""
-        return len(self.sinks)
-
-    @property
     def has_fanout(self) -> bool:
         return len(self.sinks) > 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.datapath.module import Module, ModuleClass
-from repro.datapath.modules import ConstantModule, RegisterModule
+from repro.datapath.modules import RegisterModule
 from repro.datapath.net import Net, NetRole, Port, PortDirection
 
 
@@ -142,10 +142,6 @@ class Netlist:
                 if net.is_external_input
             )
         return self._external_cache
-
-    @property
-    def constants(self) -> list[ConstantModule]:
-        return [m for m in self.modules.values() if isinstance(m, ConstantModule)]
 
     @property
     def combinational_modules(self) -> list[Module]:

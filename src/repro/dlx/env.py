@@ -111,29 +111,15 @@ class DlxTestbench:
         ``(cpi, dpi)``, or None right after a departing commit."""
         self.cycles += 1
         regs = self.regs
-
-        # Commit the write-back of the instruction in WB.
-        if ctl.get("regwrite_g_ctl") == 1:
-            dest = ctl["dest_wb"]
-            if dest != 0 and wb_value is not None:
-                regs[dest] = wb_value
-                if self._commit(("reg", dest, wb_value)):
-                    return None
-
-        # Memory-pin activity of the instruction in MEM.
-        if ctl.get("mem_access_ctl") == 1 and ctl.get("memwrite_ctl") != 1:
-            if dmem_addr is not None:
-                if self._commit(("load", dmem_addr, ctl["size_mem"])):
-                    return None
-
-        # Commit the store of the instruction in MEM.
-        if ctl.get("memwrite_ctl") == 1:
-            size = ctl["size_mem"]
-            if dmem_addr is not None and dmem_wdata is not None:
-                self.memory.write(dmem_addr, dmem_wdata, size)
-                data = dmem_wdata & mask(8 * _SIZE_BYTES[size])
-                if self._commit(("mem", dmem_addr, size, data)):
-                    return None
+        for event in cycle_commits(ctl, wb_value, dmem_addr, dmem_wdata):
+            if None in event:  # an unknown value commits nothing
+                continue
+            if event[0] == "reg":
+                regs[event[1]] = event[2]
+            elif event[0] == "mem":
+                self.memory.write(event[1], event[3], event[2])
+            if self._commit(event):
+                return None
 
         self._stalled = ctl.get("stall") == 1
         self._instruction = instruction = self.stream[self.position]
@@ -179,10 +165,13 @@ class DlxTestbench:
             self.position = ex_at_resolution + 1
         elif not stalled:
             self.imm_in_id = instruction.imm
+            # A predicted-taken branch skips its two shadow slots, unless
+            # it is squashed in the cycle it is fetched (a jump in ID
+            # clears IF/ID): a squashed branch steers nothing.
             predicted_taken = (
                 ctl.get("pred") == 1 and instruction.op in ("BEQZ", "BNEZ")
+                and ctl.get("if_id_clear") != 1
             )
-            # A predicted-taken branch skips its two shadow slots.
             self.position += 3 if predicted_taken else 1
 
     def result(self) -> DlxSpecResult:
@@ -336,33 +325,45 @@ def batch_detects(
     return results
 
 
+def cycle_commits(ctl, wb_value, dmem_addr, dmem_wdata) -> list[Event]:
+    """The events a cycle commits, in commit order: the register
+    write-back of the instruction in WB, then the load-pin activity or
+    the store of the instruction in MEM.
+
+    ``ctl`` holds the cycle's controller values, the others its datapath
+    output pins.  An unknown value stays None in its event.
+    """
+    events = []
+    if ctl.get("regwrite_g_ctl") == 1 and ctl.get("dest_wb") != 0:
+        events.append(("reg", ctl.get("dest_wb"), wb_value))
+    if ctl.get("mem_access_ctl") == 1 and ctl.get("memwrite_ctl") != 1:
+        events.append(("load", dmem_addr, ctl.get("size_mem")))
+    if ctl.get("memwrite_ctl") == 1:
+        size = ctl.get("size_mem")
+        if dmem_wdata is not None and size is not None:
+            dmem_wdata &= mask(8 * _SIZE_BYTES[size])
+        events.append(("mem", dmem_addr, size, dmem_wdata))
+    return events
+
+
 def dlx_exposure_comparator(processor, good, bad):
     """Transaction-gated divergence check for TG's internal exposure test.
 
-    Compares exactly what the ISA-level detection compares — register
-    write-backs and memory-pin transactions — so a TG "detected" verdict
-    survives realization.  Returns the first (cycle, tag) divergence.
+    Compares exactly what the ISA-level detection compares — the events
+    each cycle commits (:func:`cycle_commits`) — so a TG "detected"
+    verdict survives realization.  TG's stimulus can leave a datapath
+    input unknown, so events holding None compare too.  Returns the
+    first (cycle, tag) divergence.
     """
 
     def cycle_events(cycle):
-        ctl, dp = cycle.controller, cycle.datapath
-        events = []
-        if ctl.get("regwrite_g_ctl") == 1 and ctl.get("dest_wb") != 0:
-            events.append(("reg", ctl.get("dest_wb"), dp.get("wb_value_o")))
-        if ctl.get("mem_access_ctl") == 1 and ctl.get("memwrite_ctl") != 1:
-            events.append(
-                ("load", dp.get("dmem_addr_o"), ctl.get("size_mem"))
-            )
-        if ctl.get("memwrite_ctl") == 1:
-            size = ctl.get("size_mem")
-            data = dp.get("dmem_wdata_o")
-            if data is not None and size is not None:
-                data &= mask(8 * _SIZE_BYTES[size])
-            events.append(("mem", dp.get("dmem_addr_o"), size, data))
-        return events
+        dp = cycle.datapath
+        return cycle_commits(
+            cycle.controller, dp.get("wb_value_o"), dp.get("dmem_addr_o"),
+            dp.get("dmem_wdata_o"),
+        )
 
     for index, (g, b) in enumerate(zip(good.cycles, bad.cycles)):
-        ge, be = cycle_events(g), cycle_events(b)
-        if ge != be:
+        if cycle_events(g) != cycle_events(b):
             return (index, "isa-events")
     return None

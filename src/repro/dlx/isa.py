@@ -197,10 +197,6 @@ class Instruction:
         return OPCODES[self.op]
 
     @property
-    def writes(self) -> bool:
-        return self.opcode in WRITING_OPS
-
-    @property
     def dest(self) -> int:
         sel = regdst_for(self.opcode)
         return (self.rt, self.rd, 31)[sel]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.tg import TestCase
+from repro.core.tg import RealizationError, TestCase
 from repro.dlx.isa import IMM_WIDTH, MNEMONICS, N_REGS, WIDTH, Instruction
 from repro.model.processor import Processor
 from repro.utils.bits import mask, to_unsigned
@@ -40,10 +40,6 @@ class RealizedDlxTest:
     program: list[Instruction]
     init_regs: list[int]
     init_memory: dict[int, int] = field(default_factory=dict)
-
-
-class RealizationError(Exception):
-    """The stimulus cannot be produced through the architecture."""
 
 
 class _RegBinder:

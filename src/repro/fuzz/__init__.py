@@ -21,14 +21,7 @@ from repro.fuzz.conformance import (
     reaches_observable,
     run_matrix,
 )
-from repro.fuzz.harness import (
-    MACHINES,
-    FuzzConfig,
-    FuzzReport,
-    first_mismatch,
-    machine_adapter,
-    run_fuzz,
-)
+from repro.fuzz.harness import FuzzConfig, FuzzReport, first_mismatch, run_fuzz
 from repro.fuzz.minimize import (
     MinimizedCase,
     ddmin,
@@ -39,6 +32,7 @@ from repro.fuzz.minimize import (
     reduce_init_regs,
     reduce_operand_fields,
 )
+from repro.machines import MACHINES, machine_adapter
 
 __all__ = [
     "ERROR_CLASSES",

@@ -30,19 +30,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.baselines.random_gen import (
-    RandomDlxGenerator,
-    RandomMiniGenerator,
-    RandomProgramConfig,
-)
+from repro.baselines.random_gen import RandomProgramConfig
 from repro.datapath.batched import (
     counters_delta,
     counters_snapshot,
     effective_lanes,
 )
 from repro.errors import enumerate_boe, enumerate_bus_ssl, enumerate_mse
-from repro.fuzz.harness import MACHINES
 from repro.fuzz.minimize import error_to_spec
+from repro.machines import MACHINES, machine_adapter
 
 #: Error classes in enumeration order.
 ERROR_CLASSES = ("bus-ssl", "mse", "boe")
@@ -132,27 +128,6 @@ def _enumerate(processor, config: MatrixConfig) -> list[tuple[str, object]]:
     return errors
 
 
-def _machine_harness(config: MatrixConfig):
-    """(processor, batch_detects_fn, lane env class, generator) for the
-    machine."""
-    generator_config = RandomProgramConfig(
-        length=config.length, seed=config.seed
-    )
-    if config.machine == "mini":
-        from repro.mini import build_minipipe
-        from repro.mini.lanes import BatchMiniEnv
-        from repro.mini.spec import batch_detects
-
-        return (build_minipipe(), batch_detects, BatchMiniEnv,
-                RandomMiniGenerator(generator_config))
-    from repro.dlx import build_dlx
-    from repro.dlx.env import batch_detects
-    from repro.dlx.lanes import BatchDlxEnv
-
-    return (build_dlx(branch_prediction=config.machine == "dlx_bp"),
-            batch_detects, BatchDlxEnv, RandomDlxGenerator(generator_config))
-
-
 def _site_net(error, netlist) -> str:
     try:
         return error.site_net
@@ -168,7 +143,11 @@ def run_matrix(config: MatrixConfig, events=None) -> dict:
     """
     started = time.monotonic()
     counters_before = counters_snapshot()
-    processor, batch_detects, batch_env_cls, generator = _machine_harness(config)
+    machine = machine_adapter(config.machine)
+    processor = machine.build()
+    generator = machine.generator_cls(
+        RandomProgramConfig(length=config.length, seed=config.seed)
+    )
     errors = _enumerate(processor, config)
     if events:
         events.emit(
@@ -218,7 +197,7 @@ def run_matrix(config: MatrixConfig, events=None) -> dict:
     def golden_for(i: int) -> tuple:
         if i not in goldens:
             chunk = range(i, min(i + n_lanes, len(programs)))
-            runs = batch_env_cls(processor, len(chunk)).run(
+            runs = machine.lane_env(processor, len(chunk)).run(
                 [programs[j][0] for j in chunk],
                 [programs[j][1] for j in chunk],
                 record="dense",
@@ -231,7 +210,7 @@ def run_matrix(config: MatrixConfig, events=None) -> dict:
     for i, (program, init_regs) in enumerate(programs):
         if not pending:
             break
-        verdicts = batch_detects(
+        verdicts = machine.batch_detects(
             processor, program, [e for _, e in pending], init_regs,
             golden=golden_for(i) if n_lanes else None,
         )

@@ -30,11 +30,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.coverage import ControllerCoverage, CoverageCollector
-from repro.baselines.random_gen import (
-    RandomDlxGenerator,
-    RandomMiniGenerator,
-    RandomProgramConfig,
-)
+from repro.baselines.random_gen import RandomProgramConfig
 from repro.datapath.batched import (
     counters_delta,
     counters_snapshot,
@@ -46,8 +42,7 @@ from repro.fuzz.minimize import (
     minimize_case,
     parse_error_spec,
 )
-
-MACHINES = ("mini", "dlx", "dlx_bp")
+from repro.machines import MACHINES, machine_adapter
 
 
 @dataclass(frozen=True)
@@ -88,136 +83,14 @@ class FuzzConfig:
         if self.lanes is not None and self.lanes < 0:
             raise ValueError("lanes must be >= 0")
 
-
-# ---------------------------------------------------------------------------
-# Machine adapters: one uniform differential interface per machine
-# ---------------------------------------------------------------------------
-class _MiniAdapter:
-    name = "mini"
-    family = "mini"
-
-    def build(self):
-        from repro.mini import build_minipipe
-
-        return build_minipipe()
-
-    def generator(self, config: FuzzConfig):
-        return RandomMiniGenerator(RandomProgramConfig(
-            length=config.length, register_pool=config.register_pool,
-            seed=config.seed, opcode_weights=config.opcode_weights,
-        ))
-
-    def spec_outcome(self, program, init_regs) -> dict:
-        from repro.mini.spec import MiniSpec
-
-        return self._canonical(MiniSpec().run(program, init_regs))
-
-    def impl_outcome(self, processor, program, init_regs, error=None):
-        from repro.mini.spec import MiniEnv
-
-        env = _env(MiniEnv, processor, error)
-        result = env.run(program, init_regs)
-        return self._canonical(result), env.trace
-
-    def impl_outcome_batch(self, processor, programs, init_regs_list,
-                           error=None):
-        """Lane-batched ``impl_outcome`` over a chunk of iterations."""
-        from repro.mini.lanes import BatchMiniEnv
-
-        env = _env(BatchMiniEnv, processor, error, len(programs))
-        results = []
-        for run in env.run(programs, init_regs_list):
-            run.raise_failure()
-            results.append((self._canonical(run.result), run.trace))
-        return results
-
-    @staticmethod
-    def _canonical(result) -> dict:
-        return {
-            "writes": [list(w) for w in result.writes],
-            "registers": list(result.registers),
-        }
-
-
-def _env(env_cls, processor, error, *args):
-    """``env_cls(processor, *args)`` with ``error``'s hooks attached."""
-    if error is None:
-        return env_cls(processor, *args)
-    injector, module_overrides = error.hooks(processor.datapath)
-    return env_cls(processor, *args, injector=injector,
-                   module_overrides=module_overrides)
-
-
-class _DlxAdapter:
-    name = "dlx"
-    family = "dlx"
-    branch_prediction = False
-
-    def build(self):
-        from repro.dlx import build_dlx
-
-        return build_dlx(branch_prediction=self.branch_prediction)
-
-    def generator(self, config: FuzzConfig):
-        return RandomDlxGenerator(RandomProgramConfig(
-            length=config.length, register_pool=config.register_pool,
-            seed=config.seed, opcode_weights=config.opcode_weights,
-        ))
-
-    def spec_outcome(self, program, init_regs) -> dict:
-        from repro.dlx.spec import DlxSpec
-
-        result = DlxSpec().run(program, init_regs)
-        return self._canonical(result)
-
-    def impl_outcome(self, processor, program, init_regs, error=None):
-        from repro.dlx.env import DlxEnv
-
-        env = _env(DlxEnv, processor, error)
-        result = env.run(program, init_regs)
-        return self._canonical(result), env.trace
-
-    def impl_outcome_batch(self, processor, programs, init_regs_list,
-                           error=None):
-        """Lane-batched ``impl_outcome`` over a chunk of iterations."""
-        from repro.dlx.lanes import BatchDlxEnv
-
-        env = _env(BatchDlxEnv, processor, error, len(programs))
-        results = []
-        for run in env.run(programs, init_regs_list):
-            run.raise_failure()
-            results.append((self._canonical(run.result), run.trace))
-        return results
-
-    @staticmethod
-    def _canonical(result) -> dict:
-        return {
-            "events": [list(event) for event in result.events],
-            "registers": list(result.registers),
-            "memory": sorted(
-                (addr, word) for addr, word in result.memory.words.items()
-            ),
-        }
-
-
-class _DlxBpAdapter(_DlxAdapter):
-    name = "dlx_bp"
-    branch_prediction = True
-
-
-_ADAPTERS = {
-    "mini": _MiniAdapter,
-    "dlx": _DlxAdapter,
-    "dlx_bp": _DlxBpAdapter,
-}
-
-
-def machine_adapter(name: str):
-    """The differential adapter for a machine name."""
-    try:
-        return _ADAPTERS[name]()
-    except KeyError:
-        raise ValueError(f"unknown machine {name!r}") from None
+    def generator(self):
+        """The machine's random-program generator with these knobs."""
+        return machine_adapter(self.machine).generator_cls(
+            RandomProgramConfig(
+                length=self.length, register_pool=self.register_pool,
+                seed=self.seed, opcode_weights=self.opcode_weights,
+            )
+        )
 
 
 def first_mismatch(spec_outcome: dict, impl_outcome: dict) -> str | None:
@@ -254,11 +127,11 @@ def _run_shard(payload: tuple) -> dict:
     """Run one contiguous shard of iterations (multiprocessing target)."""
     config_kwargs, indices, deadline_seconds = payload
     config = FuzzConfig(**config_kwargs)
-    adapter = machine_adapter(config.machine)
-    processor = adapter.build()
+    machine = machine_adapter(config.machine)
+    processor = machine.build()
     error = (parse_error_spec(config.plant, processor.datapath)
              if config.plant else None)
-    generator = adapter.generator(config)
+    generator = config.generator()
     collector = CoverageCollector(processor)
     activity: dict[str, int] = {}
     divergences = []
@@ -267,59 +140,37 @@ def _run_shard(payload: tuple) -> dict:
     started = time.monotonic()
     n_lanes = effective_lanes(config.lanes)
     counters_before = counters_snapshot()
-
-    def observe(index, program, init_regs, spec_outcome, impl_outcome,
-                trace) -> None:
-        nonlocal completed
-        collector.observe_trace(trace)
-        for name, count in _signal_activity(processor, trace).items():
-            activity[name] = activity.get(name, 0) + count
-        mismatch = first_mismatch(spec_outcome, impl_outcome)
-        if mismatch is not None:
-            divergences.append({
-                "index": index,
-                "mismatch": mismatch,
-                "program": [str(i) for i in program],
-                "init_regs": list(init_regs),
-            })
-        completed += 1
-
-    if n_lanes:
-        # Lane-batched path: a chunk of seeded iterations per kernel call.
-        # Per-index observation stays in index order, so the report is
-        # byte-identical to the scalar path at any lane width.
-        for start in range(0, len(indices), n_lanes):
-            if (deadline_seconds is not None
-                    and time.monotonic() - started > deadline_seconds):
-                budget_exhausted = True
-                break
-            chunk = indices[start:start + n_lanes]
-            programs = [generator.program(i) for i in chunk]
-            init_regs_list = [generator.initial_registers(i) for i in chunk]
-            outcomes = adapter.impl_outcome_batch(
-                processor, programs, init_regs_list, error
-            )
-            for i, index in enumerate(chunk):
-                spec_outcome = adapter.spec_outcome(
-                    programs[i], init_regs_list[i]
-                )
-                impl_outcome, trace = outcomes[i]
-                observe(index, programs[i], init_regs_list[i],
-                        spec_outcome, impl_outcome, trace)
-    else:
-        for index in indices:
-            if (deadline_seconds is not None
-                    and time.monotonic() - started > deadline_seconds):
-                budget_exhausted = True
-                break
-            program = generator.program(index)
-            init_regs = generator.initial_registers(index)
-            spec_outcome = adapter.spec_outcome(program, init_regs)
-            impl_outcome, trace = adapter.impl_outcome(
-                processor, program, init_regs, error
-            )
-            observe(index, program, init_regs, spec_outcome, impl_outcome,
-                    trace)
+    # A lane-sized chunk of seeded iterations per implementation call (one
+    # at a time on the scalar kernels).  Observation stays in index order,
+    # so the report is byte-identical at any lane width.
+    chunk_size = n_lanes or 1
+    for start in range(0, len(indices), chunk_size):
+        if (deadline_seconds is not None
+                and time.monotonic() - started > deadline_seconds):
+            budget_exhausted = True
+            break
+        chunk = indices[start:start + chunk_size]
+        programs = [generator.program(i) for i in chunk]
+        regs = [generator.initial_registers(i) for i in chunk]
+        outcomes = machine.impl_outcomes(
+            processor, programs, regs, error, n_lanes
+        )
+        for index, program, init_regs, (impl_outcome, trace) in zip(
+            chunk, programs, regs, outcomes
+        ):
+            spec_outcome = machine.spec_outcome(program, init_regs)
+            collector.observe_trace(trace)
+            for name, count in _signal_activity(processor, trace).items():
+                activity[name] = activity.get(name, 0) + count
+            mismatch = first_mismatch(spec_outcome, impl_outcome)
+            if mismatch is not None:
+                divergences.append({
+                    "index": index,
+                    "mismatch": mismatch,
+                    "program": [str(i) for i in program],
+                    "init_regs": list(init_regs),
+                })
+            completed += 1
     return {
         "divergences": divergences,
         "coverage": collector.coverage,
@@ -407,8 +258,8 @@ def run_fuzz(
     """
     started = time.monotonic()
     counters_before = counters_snapshot()
-    adapter = machine_adapter(config.machine)
-    processor = adapter.build()
+    machine = machine_adapter(config.machine)
+    processor = machine.build()
     error = (parse_error_spec(config.plant, processor.datapath)
              if config.plant else None)
     if events:
@@ -461,7 +312,7 @@ def run_fuzz(
             )
 
     _minimize_divergences(
-        config, adapter, error, report, events, report_dir
+        config, machine, error, report, events, report_dir
     )
     report.wall_seconds = time.monotonic() - started
     if events:
@@ -484,20 +335,20 @@ def run_fuzz(
 
 
 def _minimize_divergences(
-    config, adapter, error, report, events, report_dir
+    config, machine, error, report, events, report_dir
 ) -> None:
     """Shrink the first ``max_minimize`` diverging cases and persist them."""
     if not report.divergences or config.max_minimize <= 0:
         return
-    generator = adapter.generator(config)
-    processor = adapter.build()
+    generator = config.generator()
+    processor = machine.build()
 
     def diverges(program: list, init_regs: list[int]) -> bool:
         if not program:
             return False
-        spec_outcome = adapter.spec_outcome(program, init_regs)
-        impl_outcome, _ = adapter.impl_outcome(
-            processor, program, init_regs, error
+        spec_outcome = machine.spec_outcome(program, init_regs)
+        [(impl_outcome, _)] = machine.impl_outcomes(
+            processor, [program], [init_regs], error
         )
         return first_mismatch(spec_outcome, impl_outcome) is not None
 

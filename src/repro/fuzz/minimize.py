@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import BusOrderError, BusSSLError, ModuleSubstitutionError
+from repro.machines import machine_adapter
 
 #: Operand fields the field-reduction phase tries to zero, in order.
 _OPERAND_FIELDS = ("rs", "rt", "rd", "rs1", "rs2", "imm")
@@ -218,31 +219,6 @@ def _error_constructor_source(error) -> str:
     raise ValueError(f"unsupported error type {type(error).__name__}")
 
 
-def _machine_imports(family: str, with_error: bool) -> str:
-    if family == "mini":
-        spec_names = "detects" if with_error else "MiniEnv, MiniSpec"
-        return (
-            "from repro.mini import build_minipipe\n"
-            "from repro.mini.isa import Instruction\n"
-            f"from repro.mini.spec import {spec_names}"
-        )
-    env_names = "detects" if with_error else "DlxEnv"
-    lines = [
-        "from repro.dlx import build_dlx",
-        f"from repro.dlx.env import {env_names}",
-        "from repro.dlx.isa import Instruction",
-    ]
-    if not with_error:
-        lines.append("from repro.dlx.spec import DlxSpec")
-    return "\n".join(lines)
-
-_MACHINE_BUILDERS = {
-    "mini": "build_minipipe()",
-    "dlx": "build_dlx()",
-    "dlx_bp": "build_dlx(branch_prediction=True)",
-}
-
-
 def _instruction_source(instruction) -> str:
     args = [repr(instruction.op)]
     for name in _OPERAND_FIELDS:
@@ -265,10 +241,8 @@ def emit_pytest_case(
     implementation (a fault-free oracle bug reproducer — the assertion
     documents the expected behaviour and fails while the bug exists).
     """
-    if machine not in _MACHINE_BUILDERS:
-        raise ValueError(f"unknown machine {machine!r}")
-    family = "mini" if machine == "mini" else "dlx"
-    build = _MACHINE_BUILDERS[machine]
+    vehicle = machine_adapter(machine)
+    build = vehicle.reproducer_build
     lines = [
         '"""Auto-generated by repro.fuzz — minimized failing sequence.',
         "",
@@ -280,7 +254,10 @@ def emit_pytest_case(
     if provenance:
         lines.append(f"origin:  {provenance}")
     lines += ['"""', ""]
-    lines.append(_machine_imports(family, error is not None))
+    imports = (vehicle.detects_imports if error is not None
+               else vehicle.equivalence_imports)
+    lines += [f"from {module} import {names}"
+              for module, names in imports.items()]
     if error is not None:
         lines.append(
             f"from repro.errors import {type(error).__name__}"
@@ -296,14 +273,7 @@ def emit_pytest_case(
         lines.append(f"    error = {_error_constructor_source(error)}")
         lines.append(f"    assert detects({build}, program, error, "
                      "init_regs)")
-    elif family == "mini":
-        lines.append("    spec = MiniSpec().run(program, init_regs)")
-        lines.append(f"    impl = MiniEnv({build}).run(program, init_regs)")
-        lines.append("    assert impl.writes == spec.writes")
-        lines.append("    assert impl.registers == spec.registers")
     else:
-        lines.append("    spec = DlxSpec().run(program, init_regs)")
-        lines.append(f"    impl = DlxEnv({build}).run(program, init_regs)")
-        lines.append("    assert impl.events == spec.events")
-        lines.append("    assert impl.registers == spec.registers")
+        lines += ["    " + line.format(build=build)
+                  for line in vehicle.equivalence_checks]
     return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ from repro.mini.isa import (
     WIDTH,
     WRITING_OPS,
     Instruction,
-    from_cpi,
     to_cpi,
 )
 from repro.mini.machine import (
@@ -37,6 +36,5 @@ __all__ = [
     "build_minipipe_controller",
     "build_minipipe_datapath",
     "detects",
-    "from_cpi",
     "to_cpi",
 ]

@@ -59,10 +59,6 @@ class Instruction:
     def opcode(self) -> int:
         return OPCODES[self.op]
 
-    @property
-    def writes(self) -> bool:
-        return self.opcode in WRITING_OPS
-
     def __str__(self) -> str:
         if self.op == "NOP":
             return "NOP"
@@ -84,14 +80,3 @@ def to_cpi(instruction: Instruction) -> dict[str, int]:
         "rs2": instruction.rs2,
         "rd": instruction.rd,
     }
-
-
-def from_cpi(cpi: dict[str, int], imm: int = 0) -> Instruction:
-    """Decode a CPI assignment (plus immediate) back to an instruction."""
-    return Instruction(
-        MNEMONICS[cpi.get("op", 0)],
-        rs1=cpi.get("rs1", 0),
-        rs2=cpi.get("rs2", 0),
-        rd=cpi.get("rd", 0),
-        imm=imm,
-    )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.tg import TestCase
+from repro.core.tg import RealizationError, TestCase
 from repro.mini.isa import (
     IMM_OPS,
     MNEMONICS,
@@ -40,10 +40,6 @@ class RealizedTest:
 
     program: list[Instruction]
     init_regs: list[int]
-
-
-class RealizationError(Exception):
-    """The stimulus cannot be produced through the architecture."""
 
 
 @dataclass

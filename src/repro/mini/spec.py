@@ -72,6 +72,12 @@ class MiniSpec:
         return SpecResult(writes=writes, registers=regs)
 
 
+def written_register(ctl) -> int | None:
+    """The register a cycle's write-back commits (the ``out`` value), by
+    the cycle's controller values ``ctl``; None when it commits none."""
+    return ctl.get("rd_wb") if ctl.get("wb_en") == 1 else None
+
+
 class MiniTestbench:
     """One MiniPipe program's registers and committed write-backs.
 
@@ -109,8 +115,8 @@ class MiniTestbench:
     def cycle(self, ctl, out):
         """Commit the previewed write-back; return the cycle's
         ``(cpi, dpi)``: the next instruction of the stream."""
-        rd_wb = ctl.get("rd_wb")
-        if ctl.get("wb_en") == 1 and rd_wb is not None and out is not None:
+        rd_wb = written_register(ctl)
+        if rd_wb is not None and out is not None:
             self.regs[rd_wb] = out
             self.writes.append((rd_wb, out))
         instruction = self.stream[self.position]
@@ -227,8 +233,7 @@ def batch_detects(
         elif (
             fork.kind == "dpo"
             and not golden_detects
-            and golden_trace.cycles[fork.cycle].controller.get("wb_en") == 1
-            and golden_trace.cycles[fork.cycle].controller.get("rd_wb")
+            and written_register(golden_trace.cycles[fork.cycle].controller)
             is not None
         ):
             results.append(True)

@@ -31,17 +31,13 @@ from repro.campaign.orchestrator import (
     OrchestratorConfig,
     campaign_run_to_dict,
 )
+from repro.machines import machine_adapter
 from repro.service.http11 import HttpError
 
 JOB_KINDS = ("campaign", "fuzz")
 TERMINAL_STATUSES = frozenset({
     "done", "failed", "interrupted", "cancelled"
 })
-
-#: Per-target defaults matching the CLI subcommand defaults, so a request
-#: that omits them reproduces ``python -m repro table1`` / ``minipipe``.
-DEFAULT_DEADLINES = {"dlx": 20.0, "mini": 10.0}
-DEFAULT_SAMPLES = {"dlx": 6, "mini": 1}
 
 #: Every ``POST /v1/campaigns`` field anything reads: the run knobs
 #: (:func:`campaign_config_from_request`), the error selection
@@ -202,8 +198,9 @@ def campaign_config_from_request(
 ) -> OrchestratorConfig:
     """Validate a ``POST /v1/campaigns`` body into an orchestrator config.
 
-    Mirrors the CLI flag set exactly — same knobs, same defaults — so a
-    request dict and an argv produce the same run.  A field outside
+    Mirrors the CLI flag set exactly — same knobs, and the same defaults,
+    read from the target's machine (:mod:`repro.machines`) — so a request
+    dict and an argv produce the same run.  A field outside
     :data:`CAMPAIGN_REQUEST_FIELDS` answers 400.
     """
     unknown = sorted(set(request) - CAMPAIGN_REQUEST_FIELDS)
@@ -215,7 +212,7 @@ def campaign_config_from_request(
     if target not in CAMPAIGN_TARGETS:
         raise HttpError(400, f"unknown campaign target {target!r}")
     deadline = _field(
-        request, "deadline", float, DEFAULT_DEADLINES[target]
+        request, "deadline", float, machine_adapter(target).deadline
     )
     jobs = _field(request, "jobs", int, 1)
     try:
@@ -232,13 +229,13 @@ def campaign_config_from_request(
         raise HttpError(400, str(exc)) from None
 
 
-def select_campaign_errors(campaign, target: str, request: dict[str, Any]):
+def select_campaign_errors(campaign, request: dict[str, Any]):
     """The error list a campaign request targets.
 
     ``errors`` (a list of ``repro.fuzz.minimize`` spec strings, e.g.
     ``bus-ssl:alu_add.y:0:1``) wins when present — the single-error "TG
     request" shape; otherwise the CLI's default enumeration with the
-    CLI's ``--sample`` semantics.
+    CLI's ``--sample`` semantics and the machine's default sample.
     """
     from repro.fuzz.minimize import parse_error_spec
 
@@ -253,10 +250,8 @@ def select_campaign_errors(campaign, target: str, request: dict[str, Any]):
             ]
         except ValueError as exc:
             raise HttpError(400, str(exc)) from None
-    errors = campaign.default_errors(
-        **({"max_bits_per_net": 4} if target == "dlx" else {})
-    )
-    sample = _field(request, "sample", int, DEFAULT_SAMPLES[target])
+    errors = campaign.default_errors()
+    sample = _field(request, "sample", int, campaign.machine.sample)
     if sample > 1:
         errors = errors[::sample]
     return errors
@@ -300,9 +295,8 @@ def fuzz_config_from_request(request: dict[str, Any]):
                 sample=_field(request, "sample", int, 1),
                 **common,
             )
-            if config.machine.startswith("dlx"):
-                config = replace(config, max_bits_per_net=4)
-            return config
+            return replace(config, max_bits_per_net=machine_adapter(
+                config.machine).max_bits_per_net)
         return FuzzConfig(
             iters=_field(request, "iters", int, 200),
             jobs=_field(request, "jobs", int, 1),
@@ -317,13 +311,7 @@ def fuzz_config_from_request(request: dict[str, Any]):
 
 def run_fuzz_job(job: Job, config) -> dict[str, Any]:
     """Blocking fuzz / conformance-matrix execution (worker thread)."""
-    from repro.fuzz import (
-        FuzzConfig,
-        machine_adapter,
-        matrix_artifact,
-        run_fuzz,
-        run_matrix,
-    )
+    from repro.fuzz import FuzzConfig, matrix_artifact, run_fuzz, run_matrix
 
     if isinstance(config, FuzzConfig):
         report = run_fuzz(config, events=job.stream)

@@ -418,8 +418,13 @@ class CampaignServer:
         async with self.registry.lease(
             config.target, config.deadline_seconds
         ) as lease:
-            orchestrator = CampaignOrchestrator(
-                config, events=job.stream, campaign=lease.campaign
+            # A resumed run reads its checkpoint here: off the loop.
+            orchestrator = await loop.run_in_executor(
+                None,
+                functools.partial(
+                    CampaignOrchestrator, config, events=job.stream,
+                    campaign=lease.campaign,
+                ),
             )
             job.orchestrator = orchestrator
             if self.draining:  # drained between admit and start
@@ -429,8 +434,7 @@ class CampaignServer:
             errors = await loop.run_in_executor(
                 None,
                 functools.partial(
-                    select_campaign_errors, lease.campaign, config.target,
-                    body,
+                    select_campaign_errors, lease.campaign, body
                 ),
             )
             job.status = "running"

@@ -42,12 +42,14 @@ def _canonical_bytes(run: dict, include_cache_traffic: bool = True) -> bytes:
 
 def main(argv: list[str] | None = None) -> int:
     from repro.__main__ import main as repro_main
+    from repro.campaign.orchestrator import CAMPAIGN_TARGETS
+    from repro.machines import machine_adapter
     from repro.service.client import ServiceClient, ServiceError
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--url", required=True)
     parser.add_argument("--target", default="mini",
-                        choices=("mini", "dlx"))
+                        choices=CAMPAIGN_TARGETS)
     parser.add_argument("--sample", type=int, default=30)
     parser.add_argument("--deadline", type=float, default=10.0)
     parser.add_argument("--events-out", default=None,
@@ -99,11 +101,10 @@ def main(argv: list[str] | None = None) -> int:
     check("event stream nonempty", n_events > 0, f"{n_events} events")
 
     # CLI reference run (same knobs) in this process.
-    command = "table1" if args.target == "dlx" else "minipipe"
     with tempfile.TemporaryDirectory() as tmp:
         cli_json = os.path.join(tmp, "cli.json")
         code = repro_main([
-            command, "--sample", str(args.sample),
+            machine_adapter(args.target).command, "--sample", str(args.sample),
             "--deadline", str(args.deadline), "--json", cli_json,
         ])
         check("CLI reference run", code == 0, f"exit {code}")

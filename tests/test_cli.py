@@ -125,11 +125,47 @@ def test_matrix_rejects_unknown_machine(tmp_path, capsys):
     assert "error: unknown machine 'foo'" in capsys.readouterr().err
 
 
-def test_resume_rejects_corrupt_checkpoint(tmp_path, capsys):
+def test_resume_rejects_corrupt_checkpoint(tmp_path, capsys, monkeypatch):
+    from repro.campaign import orchestrator
+
+    def no_campaign(*args):
+        raise AssertionError("a campaign was built")
+
+    # The checkpoint is read before any campaign is built.
+    monkeypatch.setattr(orchestrator, "build_campaign", no_campaign)
     path = tmp_path / "cp.jsonl"
     path.write_text("GARBAGE\n{}\n")
     assert main(["minipipe", "--checkpoint", str(path), "--resume"]) == 2
     assert "corrupt checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["dlx", "mini"])
+def test_cli_and_service_share_campaign_defaults(target, monkeypatch):
+    """A ``POST /v1/campaigns`` body holding only ``target`` runs what the
+    CLI subcommand runs without flags: the same deadline, the same
+    errors."""
+    import repro.__main__ as cli
+    from repro.campaign.orchestrator import build_campaign
+    from repro.machines import machine_adapter
+    from repro.service.jobs import (
+        campaign_config_from_request,
+        select_campaign_errors,
+    )
+
+    parsed = []
+    monkeypatch.setattr(cli, "_run_campaign_command",
+                        lambda args, machine: parsed.append(args) or 0)
+    assert main([machine_adapter(target).command]) == 0
+    [args] = parsed
+    request = {"target": target}
+    config = campaign_config_from_request(request, None, resume=False)
+    assert config.deadline_seconds == args.deadline
+    campaign = build_campaign(target, config.deadline_seconds)
+    service_errors = select_campaign_errors(campaign, request)
+    cli_errors = select_campaign_errors(campaign, {"sample": args.sample})
+    assert service_errors
+    assert ([e.describe() for e in service_errors]
+            == [e.describe() for e in cli_errors])
 
 
 def test_unknown_command_rejected():

@@ -304,7 +304,7 @@ def test_minipipe_backends_identical_random_objectives(seed):
 
 #: CTRLJUST settings the DLX identity runs under: the defaults, and what
 #: campaigns run (the refutation probe with
-#: ``TestGenerator.refute_conflict_limit`` conflicts).
+#: ``repro.core.tg.REFUTE_CONFLICT_LIMIT`` conflicts).
 _DLX_SEARCHES = ({}, {"refute_conflicts": 24})
 
 

@@ -24,12 +24,18 @@ def test_deadline_aborts_quickly(processor):
 
 def test_window_bounds_default(processor):
     generator = TestGenerator(processor)
-    assert generator.min_frames == processor.n_stages + 1
-    assert generator.max_frames == processor.n_stages + 4
+    sizes = generator.window_sizes()
+    assert sizes[0] == processor.n_stages + 1
+    assert sizes[-1] == processor.n_stages + 4
 
 
-def test_custom_window_bounds(processor):
-    generator = TestGenerator(processor, min_frames=4, max_frames=4)
+def test_custom_window_bounds(processor, monkeypatch):
+    import repro.core.tg as tg
+
+    monkeypatch.setattr(tg, "MIN_EXTRA_FRAMES", 4 - processor.n_stages)
+    monkeypatch.setattr(tg, "MAX_EXTRA_FRAMES", 4 - processor.n_stages)
+    generator = TestGenerator(processor)
+    assert list(generator.window_sizes()) == [4]
     result = generator.generate(BusSSLError("alu_mux.y", 0, 0))
     assert result.status is TGStatus.DETECTED
     assert result.test.n_frames == 4

@@ -120,6 +120,23 @@ def test_back_to_back_branches(dlx_bp):
     assert spec.events == [("reg", 5, 5)]
 
 
+def test_branch_squashed_when_fetched_does_not_steer_fetch(dlx_bp):
+    # The taken BNEZ r2 trains the predictor taken.  The next branch,
+    # BNEZ r0, is predicted taken when it is fetched, but JAL is in ID
+    # then and squashes it in the same cycle: it must not skip the LW.
+    program = [
+        Instruction("BNEZ", rs=2),
+        Instruction("BEQZ"),
+        Instruction("SGTI"),
+        Instruction("JAL"),
+        Instruction("BNEZ"),
+        Instruction("LW"),
+    ]
+    init = [0, 0, 3616877285] + [0] * 29
+    spec = check(dlx_bp, program, init)
+    assert spec.events == [("reg", 31, 0), ("load", 0, 2)]
+
+
 OPS = list(MNEMONICS.values())
 instruction_strategy = st.builds(
     Instruction,

@@ -138,6 +138,6 @@ def test_opcode_weights_bias_generator():
     weights = {"NOP": 0, "ADD": 0, "SUB": 0, "AND": 0, "XOR": 0,
                "BEQ": 0, "SUBI": 0}
     config = FuzzConfig(machine="mini", iters=3, opcode_weights=weights)
-    generator = machine_adapter("mini").generator(config)
+    generator = config.generator()
     for index in range(3):
         assert all(i.op == "ADDI" for i in generator.program(index))

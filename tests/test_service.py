@@ -354,7 +354,7 @@ def test_drain_interrupts_checkpoints_and_resumes(tmp_path):
     from repro.service.jobs import select_campaign_errors
 
     expected = len(select_campaign_errors(
-        MiniCampaign(), "mini", {"sample": request["sample"]}
+        MiniCampaign(), {"sample": request["sample"]}
     ))
     with running_server(state) as server:
         client = ServiceClient(server.url)
