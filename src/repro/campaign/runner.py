@@ -102,6 +102,8 @@ class CampaignReport:
     """Aggregate campaign statistics in the shape of Table 1."""
 
     outcomes: list[ErrorOutcome] = field(default_factory=list)
+    #: Wall-clock seconds of the run (the ``campaign-finished`` event's
+    #: ``wall_seconds``).
     total_seconds: float = 0.0
     #: Set when the run was stopped cooperatively (SIGINT, service drain)
     #: before the error list was exhausted; the outcomes cover only the
@@ -142,7 +144,9 @@ class CampaignReport:
 
     @property
     def cpu_minutes(self) -> float:
-        return self.total_seconds / 60.0
+        """Table 1's CPU time: every outcome's ``cpu_seconds`` (TG,
+        realization and ISA check), summed."""
+        return sum(o.cpu_seconds for o in self.outcomes) / 60.0
 
     def table1(self, title: str = "Test generation for bus SSL errors") -> str:
         """Render the campaign in the paper's Table 1 format."""

@@ -4,31 +4,34 @@ Concurrent-fault-simulation style: the fault-free ("golden") trace of a
 stimulus is simulated once; each planted error is then *forked* against it.
 Per cycle, a fork materializes only the net values inside the error site's
 activated fanout cone (a sparse overlay keyed by net id, plus a sparse
-forked-register diff across cycles); a forked value that re-equalizes with
-the golden trace drops out of the overlay, so a masked error converges back
-to sharing the golden trace at zero marginal cost.
+forked-register diff across cycles).  A forked value equal to the golden
+one never enters the overlay, so a masked error converges back to sharing
+the golden trace at zero marginal cost.  A fork may start at any golden
+cycle, from the golden state there (a bad machine that has rejoined the
+golden), and its outcome carries the register diff it held at the cycle it
+stopped in.
 
-Soundness contract (why consumers can trust the outcome kinds):
+Soundness contract (why consumers can trust the outcome kinds).  Every
+kind but ``"clean"`` and ``"unsupported"`` is a *touch* at ``cycle``: up to
+the start of that cycle the erroneous machine is the golden machine plus
+the outcome's ``state_diff``, so a serial run of it may resume there.
 
 ``"sts"``
     A status net diverged.  STS values feed the controller *within* the
     cycle (the co-simulation fixpoint), so every forked value of that cycle
-    onward is suspect — the caller must fall back to a full per-error
-    co-simulation.  Checked before everything else each cycle.
+    onward is suspect.  Checked before everything else each cycle.
 ``"dpo"``
     First (cycle, net) where a data primary output differs with both sides
     concrete — exactly :func:`repro.verify.cosim.traces_diverge` — and no
-    STS net diverged at or before that cycle.  The fork stops here.
+    STS net diverged at or before that cycle.
 ``"abort"``
     The forked machine would clock an unresolved control or load an
     unresolved value — the same conditions under which the co-simulator
-    raises ``CosimError``.  With no prior STS divergence this is exact: the
-    real bad-machine run raises, so the exposure check returns None.
+    raises ``CosimError``.  With no prior STS divergence this is exact.
 ``"observed"``
     A watched net — DPO, STS or a caller-supplied extra such as an
     environment-read internal net — diverged in a way not covered above
-    (e.g. a known/unknown mismatch).  Treat as "touched": confirm with a
-    real serial run.
+    (e.g. a known/unknown mismatch).
 ``"clean"``
     The fork never touched a watched net: the erroneous machine's observable
     behaviour is identical to golden for this stimulus.
@@ -39,7 +42,7 @@ Soundness contract (why consumers can trust the outcome kinds):
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.datapath.simulate import no_injection
 
@@ -51,29 +54,14 @@ class ForkOutcome:
     kind: str
     cycle: int | None = None
     net: str | None = None
+    #: Datapath register name -> the forked machine's value, for every
+    #: register whose value differs from the golden's at the start of
+    #: ``cycle``.
+    state_diff: dict[str, int] = field(default_factory=dict)
     #: Cycles in which the fork actually held diverging values.
     forked_cycles: int = 0
     #: Module evaluations performed inside cones (cost metric).
     evals: int = 0
-
-
-@dataclass
-class ForkStats:
-    """Aggregate counters across the forks of one batch."""
-
-    forks: int = 0
-    clean: int = 0
-    dpo: int = 0
-    sts: int = 0
-    observed: int = 0
-    abort: int = 0
-    unsupported: int = 0
-    evals: int = 0
-
-    def note(self, outcome: ForkOutcome) -> None:
-        self.forks += 1
-        setattr(self, outcome.kind, getattr(self, outcome.kind) + 1)
-        self.evals += outcome.evals
 
 
 class BatchFaultSimulator:
@@ -99,13 +87,10 @@ class BatchFaultSimulator:
                 [cycle.datapath.get(name) for name in cd.names]
                 for cycle in golden_trace.cycles
             ]
-        self.sts_set = frozenset(cd.sts_ids)
-        self.dpo_set = frozenset(cd.dpo_ids)
         self.observed_set = frozenset(
             cd.dpo_ids + cd.sts_ids
             + [cd.index[n] for n in observed_extra if n in cd.index]
         )
-        self.stats = ForkStats()
 
     # ------------------------------------------------------------------
     def hooks_for(self, error):
@@ -120,18 +105,16 @@ class BatchFaultSimulator:
         ovr = cd.override_map(module_overrides)
         return inj, ovr
 
-    def fork(self, error) -> ForkOutcome:
-        """Fork ``error`` until its first observable divergence."""
+    def fork(self, error, start: int = 0) -> ForkOutcome:
+        """Fork ``error`` from the golden state at the start of cycle
+        ``start`` until its first observable divergence."""
         hooks = self.hooks_for(error)
         if hooks is None:
-            outcome = ForkOutcome("unsupported")
-        else:
-            outcome = self._fork(*hooks)
-        self.stats.note(outcome)
-        return outcome
+            return ForkOutcome("unsupported")
+        return self._fork(*hooks, start)
 
     # ------------------------------------------------------------------
-    def _fork(self, inj, ovr) -> ForkOutcome:
+    def _fork(self, inj, ovr, start) -> ForkOutcome:
         cd = self.cd
         names = cd.names
         sched_modules = cd.sched_modules
@@ -163,7 +146,12 @@ class BatchFaultSimulator:
         forked_cycles = 0
         evals = 0
 
-        for t, golden in enumerate(self.cycles):
+        def outcome(kind, t, net):
+            diff = {cd.reg_names[j]: v for j, v in state_diff.items()}
+            return ForkOutcome(kind, t, net, diff, forked_cycles, evals)
+
+        for t in range(start, len(self.cycles)):
+            golden = self.cycles[t]
             overlay: dict = {}
 
             def read(i):
@@ -229,8 +217,6 @@ class BatchFaultSimulator:
                 if value != golden[out]:
                     overlay[out] = value
                     touch(out)
-                elif out in overlay:  # converged back to golden
-                    del overlay[out]
 
             if overlay or state_diff:
                 forked_cycles += 1
@@ -242,17 +228,14 @@ class BatchFaultSimulator:
                     sts_hit = i
                     break
             if sts_hit is not None:
-                return ForkOutcome("sts", t, names[sts_hit],
-                                   forked_cycles, evals)
+                return outcome("sts", t, names[sts_hit])
             for i in cd.dpo_ids:
                 if (i in overlay and overlay[i] is not None
                         and golden[i] is not None):
-                    return ForkOutcome("dpo", t, names[i],
-                                       forked_cycles, evals)
+                    return outcome("dpo", t, names[i])
             for i in overlay:
                 if i in self.observed_set:
-                    return ForkOutcome("observed", t, names[i],
-                                       forked_cycles, evals)
+                    return outcome("observed", t, names[i])
 
             # -- clock the forked registers ----------------------------
             next_golden = (
@@ -273,16 +256,14 @@ class BatchFaultSimulator:
                 reg = cd.registers[j]
                 controls = [read(c) for c in ctl_ids]
                 if None in controls:
-                    return ForkOutcome("abort", t, reg.name,
-                                       forked_cycles, evals)
+                    return outcome("abort", t, reg.name)
                 current = state_diff.get(j, golden[cd.reg_q_ids[j]])
                 d_value = read(d_id)
                 if d_value is None:
                     if reg.next_state(current, 0, controls) != reg.next_state(
                         current, 1, controls
                     ):
-                        return ForkOutcome("abort", t, reg.name,
-                                           forked_cycles, evals)
+                        return outcome("abort", t, reg.name)
                     d_value = current
                 if next_golden is None:
                     continue
@@ -291,4 +272,4 @@ class BatchFaultSimulator:
                     new_diff[j] = forked
             state_diff = new_diff
 
-        return ForkOutcome("clean", None, None, forked_cycles, evals)
+        return ForkOutcome("clean", forked_cycles=forked_cycles, evals=evals)

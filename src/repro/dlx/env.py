@@ -32,7 +32,8 @@ from repro.dlx.isa import NOP, N_REGS, WIDTH, Instruction, to_cpi
 from repro.dlx.spec import DlxSpec, DlxSpecResult, Event, Memory, _SIZE_BYTES
 from repro.model.processor import Processor
 from repro.utils.bits import mask, to_unsigned
-from repro.verify.cosim import ProcessorSimulator, Trace, run_testbench
+from repro.verify import cosim
+from repro.verify.cosim import ProcessorSimulator, Trace, commit, run_testbench
 
 
 class DlxTestbench:
@@ -99,13 +100,6 @@ class DlxTestbench:
     def running(self) -> bool:
         return self.position < len(self.stream) and self.cycles < self.limit
 
-    def _commit(self, event: Event) -> bool:
-        """Record ``event``; True when it departs from the spec."""
-        self.events.append(event)
-        k = len(self.events) - 1
-        spec = self.spec_events
-        return spec is not None and (k >= len(spec) or spec[k] != event)
-
     def cycle(self, ctl, wb_value, dmem_addr, dmem_wdata, alu_y):
         """Commit what the previewed cycle retires; return its
         ``(cpi, dpi)``, or None right after a departing commit."""
@@ -118,7 +112,7 @@ class DlxTestbench:
                 regs[event[1]] = event[2]
             elif event[0] == "mem":
                 self.memory.write(event[1], event[3], event[2])
-            if self._commit(event):
+            if commit(self.events, self.spec_events, event):
                 return None
 
         self._stalled = ctl.get("stall") == 1
@@ -136,6 +130,23 @@ class DlxTestbench:
         if mem_address is not None:
             dpi["dmem_rdata"] = self.memory.read_word(mem_address)
         return to_cpi(instruction), dpi
+
+    def save(self) -> tuple:
+        """The testbench's state between two cycles, for :meth:`restore`.
+
+        The fetch unit's stall flag and presented instruction live only
+        within a cycle, from :meth:`cycle` to :meth:`advance`.
+        """
+        return (tuple(self.regs), dict(self.memory.words), tuple(self.events),
+                self.position, self.imm_in_id, self.cycles, self.id_pos,
+                self.ex_pos)
+
+    def restore(self, state: tuple) -> None:
+        """Take back a state :meth:`save` returned."""
+        (regs, words, events, self.position, self.imm_in_id, self.cycles,
+         self.id_pos, self.ex_pos) = state
+        self.regs, self.events = list(regs), list(events)
+        self.memory.words = dict(words)
 
     def advance(self, ctl) -> None:
         """Move the fetch unit after the clock edge."""
@@ -183,6 +194,10 @@ class DlxTestbench:
 class DlxEnv:
     """Drives the DLX implementation with a program."""
 
+    #: The testbench :meth:`run` steps; fault simulation reads what it
+    #: previews (``PREVIEW_NETS``).
+    testbench = DlxTestbench
+
     def __init__(
         self,
         processor: Processor,
@@ -213,6 +228,7 @@ class DlxEnv:
         drain: int = 8,
         max_cycles: int | None = None,
         spec_events: Sequence[Event] | None = None,
+        resume: cosim.Excursion | None = None,
     ) -> DlxSpecResult:
         """Run ``program``; returns the committed events and final state.
 
@@ -221,13 +237,17 @@ class DlxEnv:
         specification's event at that index, or that the specification
         lacks.  The returned events then end with that event, and the
         registers, memory and ``trace`` hold the state at the stop.
+
+        With ``resume`` the run is an excursion: it starts inside a golden
+        run of the same program and stops where it rejoins it (see
+        :func:`repro.verify.cosim.run_testbench`).
         """
         self.trace = Trace()
         bench = DlxTestbench(
             program, init_regs, init_memory, drain, max_cycles,
             branch_prediction=self.branch_prediction, spec_events=spec_events,
         )
-        return run_testbench(self.sim, bench, self.trace)
+        return run_testbench(self.sim, bench, self.trace, resume)
 
 
 def detects(
@@ -246,29 +266,14 @@ def detects(
     in the run therefore reports detected instead of raising.
     """
     spec = DlxSpec().run(program, init_regs, init_memory)
-    return _diverges(
-        processor, program, error, init_regs, init_memory, spec.events
-    )
-
-
-def _diverges(
-    processor: Processor,
-    program: Sequence[Instruction],
-    error,
-    init_regs: Sequence[int] | None,
-    init_memory: dict[int, int] | None,
-    spec_events: list[Event],
-) -> bool:
-    """Whether the bad machine's events depart from ``spec_events``; the
-    run stops at the first event that does."""
     injector, module_overrides = error.hooks(processor.datapath)
     env = DlxEnv(
         processor, injector=injector, module_overrides=module_overrides,
     )
     impl = env.run(
-        program, init_regs, init_memory, spec_events=spec_events
+        program, init_regs, init_memory, spec_events=spec.events
     )
-    return impl.events != spec_events
+    return impl.events != spec.events
 
 
 def batch_detects(
@@ -277,52 +282,21 @@ def batch_detects(
     errors: Sequence,
     init_regs: Sequence[int] | None = None,
     init_memory: dict[int, int] | None = None,
-    stats: list | None = None,
     golden: tuple | None = None,
 ) -> list[bool]:
     """``[detects(processor, program, e, ...) for e in errors]`` via one
-    golden run plus cone forks (:mod:`repro.datapath.faultsim`).
-
-    The environment closes feedback loops the open-loop fork cannot model
-    (``dmem_rdata`` echoes the same cycle's address pins), so the fork is
-    used purely as a *negative screen*: a fork that never touches a net the
-    environment reads — the DPO pins, the STS nets, or ``mem_alu.y`` —
-    leaves every stimulus and every commit identical to the golden run and
-    inherits the golden verdict.  Any touch is confirmed by a serial run of
-    the bad machine against the one specification run of the program,
-    stopped at its first divergent event (see :func:`detects`).
+    golden run, cone forks and bad-machine excursions
+    (:func:`repro.verify.cosim.batch_detects`).
 
     ``golden`` optionally supplies a precomputed fault-free run as
     ``(result, trace, dense_cycles)`` — e.g. one lane of a batched
-    :class:`repro.dlx.lanes.BatchDlxEnv` run.
+    :class:`repro.dlx.lanes.BatchDlxEnv` run recorded ``"dense"``.
     """
-    from repro.datapath.faultsim import BatchFaultSimulator
-
     spec = DlxSpec().run(program, init_regs, init_memory)
-    if golden is not None:
-        golden_result, golden_trace, dense_cycles = golden
-    else:
-        env = DlxEnv(processor)
-        golden_result = env.run(program, init_regs, init_memory)
-        golden_trace, dense_cycles = env.trace, None
-    golden_detects = golden_result.events != spec.events
-    sim = BatchFaultSimulator(
-        processor, golden_trace, observed_extra=("mem_alu.y",),
-        dense_cycles=dense_cycles,
+    return cosim.batch_detects(
+        DlxEnv, processor, (program, init_regs, init_memory), errors,
+        spec.events, golden,
     )
-    results = []
-    for error in errors:
-        fork = sim.fork(error)
-        if fork.kind == "clean":
-            results.append(golden_detects)
-        else:
-            results.append(_diverges(
-                processor, program, error, init_regs, init_memory,
-                spec.events,
-            ))
-    if stats is not None:
-        stats.append(sim.stats)
-    return results
 
 
 def cycle_commits(ctl, wb_value, dmem_addr, dmem_wdata) -> list[Event]:

@@ -21,7 +21,8 @@ from repro.datapath.simulate import Injector, ModuleOverride, no_injection
 from repro.mini.isa import IMM_OPS, N_REGS, NOP, WIDTH, Instruction, to_cpi
 from repro.model.processor import Processor
 from repro.utils.bits import to_unsigned
-from repro.verify.cosim import ProcessorSimulator, Trace, run_testbench
+from repro.verify import cosim
+from repro.verify.cosim import ProcessorSimulator, Trace, commit, run_testbench
 
 
 @dataclass
@@ -30,6 +31,12 @@ class SpecResult:
 
     writes: list[tuple[int, int]] = field(default_factory=list)
     registers: list[int] = field(default_factory=list)
+
+    @property
+    def events(self) -> list[tuple[int, int]]:
+        """The ISA-visible events (the writes), under the name the DLX's
+        result uses too."""
+        return self.writes
 
 
 class MiniSpec:
@@ -72,12 +79,6 @@ class MiniSpec:
         return SpecResult(writes=writes, registers=regs)
 
 
-def written_register(ctl) -> int | None:
-    """The register a cycle's write-back commits (the ``out`` value), by
-    the cycle's controller values ``ctl``; None when it commits none."""
-    return ctl.get("rd_wb") if ctl.get("wb_en") == 1 else None
-
-
 class MiniTestbench:
     """One MiniPipe program's registers and committed write-backs.
 
@@ -101,10 +102,12 @@ class MiniTestbench:
         program: Sequence[Instruction],
         init_regs: Sequence[int] | None = None,
         drain: int = 4,
+        spec_events: Sequence[tuple[int, int]] | None = None,
     ) -> None:
         regs = list(init_regs) if init_regs is not None else [0] * N_REGS
         self.regs = [to_unsigned(r, WIDTH) for r in regs]
         self.writes: list[tuple[int, int]] = []
+        self.spec_events = spec_events
         self.stream = list(program) + [NOP] * drain
         self.position = 0
 
@@ -114,11 +117,13 @@ class MiniTestbench:
 
     def cycle(self, ctl, out):
         """Commit the previewed write-back; return the cycle's
-        ``(cpi, dpi)``: the next instruction of the stream."""
-        rd_wb = written_register(ctl)
+        ``(cpi, dpi)``: the next instruction of the stream, or None right
+        after a write that departs from ``spec_events``."""
+        rd_wb = ctl.get("rd_wb") if ctl.get("wb_en") == 1 else None
         if rd_wb is not None and out is not None:
             self.regs[rd_wb] = out
-            self.writes.append((rd_wb, out))
+            if commit(self.writes, self.spec_events, (rd_wb, out)):
+                return None
         instruction = self.stream[self.position]
         self.position += 1
         return to_cpi(instruction), {
@@ -131,6 +136,15 @@ class MiniTestbench:
         """MiniPipe's fetch unit has nothing to move: one stream slot per
         cycle, taken by :meth:`cycle`."""
 
+    def save(self) -> tuple:
+        """The testbench's state between two cycles, for :meth:`restore`."""
+        return tuple(self.regs), tuple(self.writes), self.position
+
+    def restore(self, state: tuple) -> None:
+        """Take back a state :meth:`save` returned."""
+        regs, writes, self.position = state
+        self.regs, self.writes = list(regs), list(writes)
+
     def result(self) -> SpecResult:
         return SpecResult(writes=self.writes, registers=self.regs)
 
@@ -138,6 +152,10 @@ class MiniTestbench:
 class MiniEnv:
     """Runs a program on the pipelined implementation and extracts the
     ISA-visible write trace."""
+
+    #: The testbench :meth:`run` steps; fault simulation reads what it
+    #: previews (``PREVIEW_NETS``).
+    testbench = MiniTestbench
 
     def __init__(
         self,
@@ -160,12 +178,19 @@ class MiniEnv:
         program: Sequence[Instruction],
         init_regs: Sequence[int] | None = None,
         drain: int = 4,
+        spec_events: Sequence[tuple[int, int]] | None = None,
+        resume: cosim.Excursion | None = None,
     ) -> SpecResult:
-        """Feed the program followed by ``drain`` NOP cycles."""
+        """Feed the program followed by ``drain`` NOP cycles.
+
+        With ``spec_events`` (the specification's writes) the run stops
+        right after the first write that departs from them, as
+        ``DlxEnv.run`` does; with ``resume`` it is an excursion (see
+        :func:`repro.verify.cosim.run_testbench`).
+        """
         self.trace = Trace()
-        return run_testbench(
-            self.sim, MiniTestbench(program, init_regs, drain), self.trace
-        )
+        bench = MiniTestbench(program, init_regs, drain, spec_events)
+        return run_testbench(self.sim, bench, self.trace, resume)
 
 
 def detects(
@@ -175,13 +200,15 @@ def detects(
     init_regs: Sequence[int] | None = None,
 ) -> bool:
     """True iff the program distinguishes the erroneous implementation from
-    the ISA specification (the Table-1 detection criterion)."""
+    the ISA specification (the Table-1 detection criterion).  The bad
+    machine runs up to its first write that departs from the
+    specification's."""
     spec = MiniSpec().run(program, init_regs)
     injector, module_overrides = error.hooks(processor.datapath)
     env = MiniEnv(
         processor, injector=injector, module_overrides=module_overrides,
     )
-    impl = env.run(program, init_regs)
+    impl = env.run(program, init_regs, spec_events=spec.writes)
     return impl.writes != spec.writes
 
 
@@ -190,55 +217,19 @@ def batch_detects(
     program: Sequence[Instruction],
     errors: Sequence,
     init_regs: Sequence[int] | None = None,
-    stats: list | None = None,
     golden: tuple | None = None,
 ) -> list[bool]:
     """``[detects(processor, program, e, init_regs) for e in errors]`` via
-    one golden run plus cone forks (:mod:`repro.datapath.faultsim`).
-
-    The fault-free environment run is simulated once; each error is forked
-    against its trace.  A fork that never touches an observable net behaves
-    identically to the golden machine, so it inherits the golden verdict.
-    A fork whose first observable touch is a DPO divergence in a committing
-    cycle (``wb_en == 1``) changes that cycle's write-back value, so the
-    write list differs from the specification's — detected directly.  (The
-    gating matters: an error planted on ``out`` itself diverges even with
-    ``wb_en == 0``, where nothing commits.)  Everything else — status-net
-    divergence, which feeds back into control, or a non-committing DPO
-    touch — is confirmed with a full serial run.
+    one golden run, cone forks and bad-machine excursions
+    (:func:`repro.verify.cosim.batch_detects`).
 
     ``golden`` optionally supplies a precomputed fault-free run as
     ``(result, trace, dense_cycles)`` — e.g. one lane of a batched
-    :class:`repro.mini.lanes.BatchMiniEnv` run — so lane-batched callers
-    pay for the golden simulation once per batch, not once per error set.
+    :class:`repro.mini.lanes.BatchMiniEnv` run recorded ``"dense"`` — so
+    lane-batched callers pay for the golden simulation once per batch, not
+    once per error set.
     """
-    from repro.datapath.faultsim import BatchFaultSimulator
-
     spec = MiniSpec().run(program, init_regs)
-    if golden is not None:
-        golden_result, golden_trace, dense_cycles = golden
-    else:
-        env = MiniEnv(processor)
-        golden_result = env.run(program, init_regs)
-        golden_trace, dense_cycles = env.trace, None
-    golden_detects = golden_result.writes != spec.writes
-    sim = BatchFaultSimulator(
-        processor, golden_trace, dense_cycles=dense_cycles
+    return cosim.batch_detects(
+        MiniEnv, processor, (program, init_regs), errors, spec.writes, golden,
     )
-    results = []
-    for error in errors:
-        fork = sim.fork(error)
-        if fork.kind == "clean":
-            results.append(golden_detects)
-        elif (
-            fork.kind == "dpo"
-            and not golden_detects
-            and written_register(golden_trace.cycles[fork.cycle].controller)
-            is not None
-        ):
-            results.append(True)
-        else:
-            results.append(detects(processor, program, error, init_regs))
-    if stats is not None:
-        stats.append(sim.stats)
-    return results

@@ -9,12 +9,17 @@ Within one cycle the controller and datapath depend on each other in layers
 (decode CTRLs -> datapath STS -> squash/PC CTRLs -> datapath PC mux), so the
 cycle is resolved by alternating three-valued sweeps until a fixpoint; the
 combined logic is acyclic, so the fixpoint is reached in a few iterations.
+
+:func:`run_testbench` runs one program's testbench on the co-simulator,
+from cycle 0 or resumed inside a golden run (:class:`Excursion`);
+:func:`batch_detects` decides many errors against one golden run with
+cone forks and such excursions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.datapath.compiled import CompiledDatapathSimulator
 from repro.datapath.simulate import (
@@ -37,6 +42,9 @@ class CycleTrace:
 
     datapath: dict[str, int | None]
     controller: dict[str, int | None]
+    #: The testbench's state at the start of the cycle (its ``save()``),
+    #: when a testbench drove the run.
+    bench: Any = None
 
 
 @dataclass
@@ -217,21 +225,47 @@ class ProcessorSimulator:
             self.dp_sim.state[name] = value & mask(reg.width)
 
 
-def run_testbench(sim: ProcessorSimulator, bench, trace: Trace):
+def commit(events: list, spec_events: Sequence | None, event) -> bool:
+    """Append a testbench's committed ``event`` to ``events``; True when
+    it departs from ``spec_events``: it differs from the specification's
+    event at its index, or the specification has none there."""
+    events.append(event)
+    k = len(events) - 1
+    return spec_events is not None and (
+        k >= len(spec_events) or spec_events[k] != event
+    )
+
+
+def run_testbench(sim: ProcessorSimulator, bench, trace: Trace,
+                  resume: Excursion | None = None):
     """Run one program's testbench on ``sim``; return ``bench.result()``.
 
     A testbench (``repro.dlx.env.DlxTestbench``,
     ``repro.mini.spec.MiniTestbench``) plays the register file, data
-    memory and fetch unit for one program.  Each cycle previews the
-    pipeline state (the machine's ``SHALLOW_PREVIEW`` single sweep, or the
-    full ``resolve({}, {})`` fixpoint), lets the testbench commit what the
+    memory and fetch unit for one program.  Each cycle saves the
+    testbench's state into the cycle's trace entry, previews the pipeline
+    state (the machine's ``SHALLOW_PREVIEW`` single sweep, or the full
+    ``resolve({}, {})`` fixpoint), lets the testbench commit what the
     cycle retires and choose the stimulus from the ``PREVIEW_NETS``
     values, clocks the cycle into ``trace``, and moves the fetch unit.
     The run ends when the testbench stops running or its ``cycle``
     returns None.  A :class:`CosimError` propagates with ``trace``
     holding every cycle clocked before it.
+
+    With ``resume`` the run starts from the excursion's state instead of
+    the testbench's and the simulator's own, and stops at the start of the
+    first later cycle at which it rejoins the golden run (see
+    :class:`Excursion`).
     """
+    cycle = 0
+    if resume is not None:
+        cycle = resume.start
+        resume.restore(sim, bench)
     while bench.running:
+        save = bench.save()
+        if resume is not None and resume.rejoins(cycle, sim, save):
+            resume.rejoined = cycle
+            break
         if bench.SHALLOW_PREVIEW:
             ctl, dp = sim.preview_shallow()
         else:
@@ -239,9 +273,130 @@ def run_testbench(sim: ProcessorSimulator, bench, trace: Trace):
         stimulus = bench.cycle(ctl, *(dp[name] for name in bench.PREVIEW_NETS))
         if stimulus is None:
             break
-        trace.cycles.append(sim.step(*stimulus))
+        clocked = sim.step(*stimulus)
+        clocked.bench = save
+        trace.cycles.append(clocked)
         bench.advance(ctl)
+        cycle += 1
     return bench.result()
+
+
+class Excursion:
+    """A bad-machine run resumed inside a golden (fault-free) run.
+
+    ``golden`` is the golden run's trace, whose cycles carry the
+    testbench's saved states, and ``dense`` its per-cycle net values
+    indexed by net id (``BatchFaultSimulator.cycles``).  The excursion
+    starts at the start of cycle ``start`` from the golden's state there:
+    the datapath registers (the dense cycle's register outputs) overlaid
+    with ``state_diff`` (register name -> value), the controller state
+    (the cycle's CPR values) and the testbench's save.
+
+    It *rejoins* the golden at the start of a later cycle ``c`` when its
+    whole state equals the golden's there: datapath registers, controller
+    state and testbench.  From ``c`` on the bad machine is the golden
+    machine with the error planted and no state difference, which is what
+    a fork from ``c`` models.  :func:`run_testbench` stops there and sets
+    ``rejoined`` to ``c``.
+    """
+
+    def __init__(self, golden: Trace, dense: Sequence, start: int,
+                 state_diff: Mapping[str, int]) -> None:
+        self.golden, self.dense = golden, dense
+        self.start, self.state_diff = start, state_diff
+        self.rejoined: int | None = None
+
+    @staticmethod
+    def _registers(sim: ProcessorSimulator):
+        cd = sim.processor.datapath.compiled()
+        return zip(cd.reg_names, cd.reg_q_ids)
+
+    def restore(self, sim: ProcessorSimulator, bench) -> None:
+        """Put ``sim`` and ``bench`` in the excursion's starting state."""
+        values = self.dense[self.start]
+        state = sim.dp_sim.state
+        for name, q in self._registers(sim):
+            state[name] = values[q]
+        state.update(self.state_diff)
+        cycle = self.golden.cycles[self.start]
+        sim.ctl_state = {q: cycle.controller[q] for q in sim.ctl_state}
+        bench.restore(cycle.bench)
+
+    def rejoins(self, cycle: int, sim: ProcessorSimulator, save) -> bool:
+        """Whether the machine in ``sim`` with the testbench state
+        ``save`` equals the golden's at the start of ``cycle``."""
+        if not self.start < cycle < len(self.dense):
+            return False
+        values = self.dense[cycle]
+        state = sim.dp_sim.state
+        for name, q in self._registers(sim):
+            if state[name] != values[q]:
+                return False
+        golden = self.golden.cycles[cycle]
+        for q, value in sim.ctl_state.items():
+            if golden.controller[q] != value:
+                return False
+        return save == golden.bench
+
+
+def batch_detects(env_cls, processor: Processor, run_args: tuple, errors,
+                  spec_events: list, golden: tuple | None = None
+                  ) -> list[bool]:
+    """Whether each error's bad machine commits events that depart from
+    ``spec_events``: the machine's ``detects`` for every error, by
+    divergence/convergence fault simulation against one golden run.
+
+    ``env_cls`` is the machine's scalar environment (``DlxEnv``,
+    ``MiniEnv``) and ``run_args`` the program's arguments to its ``run``.
+    ``golden`` optionally supplies the fault-free run as ``(result, trace,
+    dense_cycles)``, e.g. one lane of a batched run recorded ``"dense"``.
+
+    Each error is cone-forked against the golden run
+    (:mod:`repro.datapath.faultsim`).  A fork that never touches a net the
+    testbench reads (its ``PREVIEW_NETS``, the DPO pins or the STS nets)
+    leaves every stimulus and every commit identical to the golden's and
+    inherits the golden verdict.  A touch at cycle ``t`` starts an
+    :class:`Excursion`: the bad machine resumed at ``t`` from the golden's
+    state plus the fork's register diff, run against the specification's
+    events.  It ends at its first departing commit (detected), at the
+    program's end, or where it rejoins the golden at some cycle ``c``,
+    which hands back to a fresh fork from ``c``.  A golden that departs
+    from the specification, and an error the fork cannot follow
+    (``"unsupported"``), run the bad machine in full from cycle 0.
+    """
+    from repro.datapath.faultsim import BatchFaultSimulator
+
+    if golden is None:
+        env = env_cls(processor)
+        golden = (env.run(*run_args), env.trace, None)
+    result, trace, dense = golden
+    golden_detects = result.events != spec_events
+    sim = BatchFaultSimulator(
+        processor, trace, observed_extra=env_cls.testbench.PREVIEW_NETS,
+        dense_cycles=dense,
+    )
+
+    def verdict(error) -> bool:
+        fork = sim.fork(error)
+        if fork.kind == "clean":
+            return golden_detects
+        injector, module_overrides = error.hooks(processor.datapath)
+        env = env_cls(processor, injector=injector,
+                      module_overrides=module_overrides)
+        if golden_detects or fork.kind == "unsupported":
+            bad = env.run(*run_args, spec_events=spec_events)
+            return bad.events != spec_events
+        while fork.kind != "clean":
+            excursion = Excursion(trace, sim.cycles, fork.cycle,
+                                  fork.state_diff)
+            bad = env.run(*run_args, spec_events=spec_events,
+                          resume=excursion)
+            if excursion.rejoined is None:
+                return bad.events != spec_events
+            fork = sim.fork(error, excursion.rejoined)
+        return golden_detects
+
+    return [verdict(error) for error in errors]
 
 
 def stimulus_key(

@@ -402,8 +402,10 @@ def run_lanes(
 
     ``record`` selects the trace format: ``"controller"`` keeps only
     controller values per cycle (what the fuzz coverage collector reads),
-    ``"dense"`` additionally collects dense datapath value lists (golden
-    cycles for the conformance fault simulator), and ``"full"``
+    ``"dense"`` additionally collects dense datapath value lists and each
+    cycle's testbench save (a golden run the conformance fault simulator
+    forks against and resumes excursions from, see
+    :func:`repro.verify.cosim.batch_detects`), and ``"full"``
     materializes the scalar ``CycleTrace`` datapath dicts.
     """
     n = sim.n_lanes
@@ -440,7 +442,10 @@ def run_lanes(
         ]
         cpi_list = [quiet_cpi] * n
         dpi_list = [quiet_dpi] * n
+        saves = {}
         for b in active:
+            if record == "dense":
+                saves[b] = benches[b].save()
             cpi_list[b], dpi_list[b] = benches[b].cycle(
                 ctl_list[b], *(column[b] for column in columns)
             )
@@ -458,9 +463,10 @@ def run_lanes(
                 datapath = {}
                 if record == "dense":
                     dense[b].append(sim.dense_datapath(b))
-            traces[b].cycles.append(
-                CycleTrace(datapath=datapath, controller=ctl_values[b])
-            )
+            traces[b].cycles.append(CycleTrace(
+                datapath=datapath, controller=ctl_values[b],
+                bench=saves.get(b),
+            ))
             benches[b].advance(ctl_list[b])
     sim.dp.active_lanes = n
 

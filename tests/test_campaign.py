@@ -10,13 +10,13 @@ def test_report_statistics():
     report = CampaignReport(
         outcomes=[
             ErrorOutcome("e1", True, test_length=6, backtracks=3,
-                         final_backtracks=2),
+                         final_backtracks=2, cpu_seconds=30.0),
             ErrorOutcome("e2", True, test_length=8, backtracks=1,
-                         final_backtracks=1),
+                         final_backtracks=1, cpu_seconds=50.0),
             ErrorOutcome("e3", False, failure_stage="tg", backtracks=99,
-                         final_backtracks=50),
+                         final_backtracks=50, cpu_seconds=40.0),
         ],
-        total_seconds=120.0,
+        total_seconds=45.0,
     )
     assert report.n_errors == 3
     assert report.n_detected == 2
@@ -26,6 +26,7 @@ def test_report_statistics():
     # The paper counts the successful searches' backtracks, detected only.
     assert report.backtracks_detected == 3
     assert report.backtracks_total == 103
+    # CPU time is the outcomes' own CPU seconds, not the run's wall time.
     assert report.cpu_minutes == 2.0
 
 

@@ -191,24 +191,81 @@ def test_mini_batch_detects_matches_serial(minipipe):
         assert batch == serial
 
 
-def test_dlx_batch_detects_matches_serial():
+def test_dlx_batch_detects_matches_serial(monkeypatch):
+    """Every third error of every class on three programs, on the DLX and
+    the DLX+BP: fault simulation with bad-machine excursions gives the
+    verdicts of ``detects``, and every excursion path runs: a resume after
+    cycle 0, a rejoin handed back to a re-fork, and a departing commit.
+    A golden run that departs from the specification takes the full runs
+    from cycle 0 instead, with the same verdicts."""
     from repro.baselines.random_gen import (
         RandomDlxGenerator,
         RandomProgramConfig,
     )
-    from repro.campaign import DlxCampaign
+    from repro.datapath.faultsim import BatchFaultSimulator
     from repro.dlx import build_dlx
-    from repro.dlx.env import batch_detects as dlx_batch_detects
-    from repro.dlx.env import detects as dlx_detects
+    from repro.dlx import env as dlx_env
+    from repro.dlx.env import DlxEnv
+    from repro.dlx.spec import DlxSpec
 
-    dlx = build_dlx()
-    errors = DlxCampaign().default_errors(max_bits_per_net=2)[::7]
+    excursions = []  # (excursion, events) of every resumed run
+    full_runs = []  # the events of every run from cycle 0
+    fork_starts = []
+    run, fork = DlxEnv.run, BatchFaultSimulator.fork
+
+    def recording_run(self, *args, resume=None, **kwargs):
+        result = run(self, *args, resume=resume, **kwargs)
+        if resume is not None:
+            excursions.append((resume, list(result.events)))
+        else:
+            full_runs.append(result.events)
+        return result
+
+    def recording_fork(self, error, start=0):
+        fork_starts.append(start)
+        return fork(self, error, start)
+
+    monkeypatch.setattr(DlxEnv, "run", recording_run)
+    monkeypatch.setattr(BatchFaultSimulator, "fork", recording_fork)
     generator = RandomDlxGenerator(RandomProgramConfig(length=12, seed=5))
-    program = generator.program(0)
-    regs = generator.initial_registers(0)
-    batch = dlx_batch_detects(dlx, program, errors, regs)
-    serial = [dlx_detects(dlx, program, error, regs) for error in errors]
-    assert batch == serial
+    programs = [(generator.program(i), generator.initial_registers(i))
+                for i in range(3)]
+    paths = {"resumed late": 0, "rejoined": 0, "departed": 0}
+    for branch_prediction in (False, True):
+        dlx = build_dlx(branch_prediction=branch_prediction)
+        dp = dlx.datapath
+        errors = (enumerate_bus_ssl(dp, max_bits_per_net=4)
+                  + enumerate_mse(dp) + enumerate_boe(dp))[::3]
+        for program, regs in programs:
+            spec = DlxSpec().run(program, regs).events
+            excursions.clear()
+            batch = dlx_env.batch_detects(dlx, program, errors, regs)
+            serial = [dlx_env.detects(dlx, program, e, regs) for e in errors]
+            assert batch == serial
+            for excursion, events in excursions:
+                paths["resumed late"] += excursion.start > 0
+                paths["rejoined"] += excursion.rejoined is not None
+                paths["departed"] += (excursion.rejoined is None
+                                      and events != spec[:len(events)])
+    assert all(paths.values()), paths
+    assert any(start > 0 for start in fork_starts)
+
+    class DepartingSpec(DlxSpec):
+        """The specification without its last event."""
+
+        def run(self, *args):
+            result = super().run(*args)
+            result.events = result.events[:-1]
+            return result
+
+    monkeypatch.setattr(dlx_env, "DlxSpec", DepartingSpec)
+    program, regs = programs[0]
+    excursions.clear()
+    full_runs.clear()
+    batch = dlx_env.batch_detects(dlx, program, errors, regs)
+    assert not excursions
+    assert len(full_runs) > 1  # the golden run and the bad machines'
+    assert batch == [dlx_env.detects(dlx, program, e, regs) for e in errors]
 
 
 def test_conformance_matrix_batch_matches_serial():

@@ -542,3 +542,42 @@ def test_dlx_detects_early_stop_matches_full_run():
             assert runs["stopped"] == runs["full"]
     assert 0 < hits < len(errors)
     assert cycles["stopped"] < cycles["full"]
+
+
+@pytest.mark.parametrize("which", ["mini", "dlx", "dlx_bp"])
+def test_resumed_machine_is_the_uninterrupted_one(which):
+    # A fault-free machine resumed from the golden's saved state at the
+    # start of any cycle, and never handed back, finishes the program
+    # exactly as the uninterrupted run does: the same events, registers,
+    # memory and trace, each cycle's testbench save included.  The
+    # branch-heavy programs move the DLX+BP fetch unit's shadow pipe.
+    from repro.baselines.random_gen import RandomProgramConfig
+    from repro.datapath.faultsim import BatchFaultSimulator
+    from repro.machines import machine_adapter
+    from repro.verify.cosim import Excursion
+
+    class Uninterrupted(Excursion):
+        def rejoins(self, cycle, sim, save):
+            return False
+
+    def cycles(trace):
+        return [(c.controller, c.datapath, c.bench) for c in trace.cycles]
+
+    machine = machine_adapter(which)
+    processor = _machine(which)
+    generator = machine.generator_cls(RandomProgramConfig(
+        length=12, seed=7,
+        opcode_weights={"BEQZ": 6, "BNEZ": 6, "J": 4, "JAL": 2, "BEQ": 6},
+    ))
+    for index in range(20):
+        program = generator.program(index)
+        regs = generator.initial_registers(index)
+        env = machine.scalar_env(processor)
+        golden = machine.canonical(env.run(program, regs))
+        trace = env.trace
+        dense = BatchFaultSimulator(processor, trace).cycles
+        for t in range(len(trace.cycles)):
+            resume = Uninterrupted(trace, dense, t, {})
+            result = env.run(program, regs, resume=resume)
+            assert machine.canonical(result) == golden, (index, t)
+            assert cycles(env.trace) == cycles(trace)[t:], (index, t)
