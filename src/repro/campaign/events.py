@@ -21,28 +21,12 @@ wall-clock time):
 ``error-started``
     ``error``, ``index`` (position in the submitted error list).
 ``error-finished``
-    ``error``, ``index``, ``detected``, ``failure_stage``, ``test_length``,
-    ``backtracks``, ``final_backtracks``, ``attempts``, ``seconds``,
-    ``cpu_seconds`` (process CPU time the attempt consumed).
-``error-profile``
-    ``error``, ``index``, ``phase_seconds`` (CPU seconds per TG phase:
-    dptrace / ctrljust / dprelax / cosim), ``golden_hits``,
-    ``golden_misses``, ``backtracks``, plus the search-accelerator counters
-    ``nogood_hits`` / ``nogood_misses`` (learned no-good lookups),
-    ``justify_cache_hits`` (memoized CTRLJUST answers),
-    ``path_cache_hits`` / ``path_cache_misses`` (DPTRACE selections) and
-    ``dptrace_sweeps_avoided`` (full C/O recomputes the incremental
-    session replaced), and the CDCL refuter counters ``conflicts``,
-    ``learned_clauses``, ``backjumps``, ``clause_hits`` and
-    ``refuted_unjustifiable`` (windows proven unjustifiable instead of
-    search-exhausted; see ``repro.core.clauses``), plus ``deadline_hit``
-    (the attempt was cut short by its CPU deadline and is taint-excluded
-    from learning).  Emitted only when profiling is enabled
-    (``--profile``).
-``profile-summary``
-    The same fields as ``error-profile`` (minus ``error``/``index``),
-    summed over every error.  One per profiled campaign, before
-    ``campaign-finished``.
+    ``index`` plus the error's whole outcome: every field of
+    ``repro.campaign.runner.ErrorOutcome``, among them ``cpu_seconds``
+    (process CPU time the attempt consumed), ``phase_seconds`` (CPU
+    seconds per TG phase: dptrace / ctrljust / dprelax / cosim) and
+    ``counters`` (TG's search-traffic counters, named by
+    ``repro.core.tg.SEARCH_COUNTERS``).
 ``test-dropped-others``
     ``error`` (whose test was simulated), ``dropped`` (list of error
     descriptions removed from the work list), ``seconds``.
@@ -56,7 +40,8 @@ wall-clock time):
     the campaign service — before ``campaign-finished``.
 ``campaign-finished``
     ``n_errors``, ``n_detected``, ``n_aborted``, ``backtracks``,
-    ``wall_seconds``.
+    ``wall_seconds``, and the outcomes' ``phase_seconds`` and
+    ``counters`` summed over the run.
 
 The differential fuzzer and conformance-matrix runner (``repro.fuzz``)
 emit their own kinds into the same stream:
@@ -93,14 +78,12 @@ from typing import Any, Callable
 
 #: Version of the serialized event wire format.  Bump on breaking payload
 #: changes; additive fields do not require a bump.
-EVENT_SCHEMA_VERSION = 3
+EVENT_SCHEMA_VERSION = 4
 
 EVENT_KINDS = frozenset({
     "campaign-started",
     "error-started",
     "error-finished",
-    "error-profile",
-    "profile-summary",
     "test-dropped-others",
     "checkpoint-written",
     "campaign-interrupted",
@@ -272,32 +255,6 @@ class ProgressRenderer:
             self._line(f"[{self._done:>4}/{self._total}] dropped "
                        f"{len(dropped)} error(s) with the test for "
                        f"{data['error']}")
-        elif event.kind == "profile-summary":
-            phases = ", ".join(
-                f"{name} {seconds:.1f}s"
-                for name, seconds in sorted(data["phase_seconds"].items())
-            )
-            self._line(f"profile: {phases or 'no phase samples'}; "
-                       f"golden cache {data['golden_hits']} hit(s), "
-                       f"{data['golden_misses']} fault-free sim(s)")
-            if "nogood_hits" in data:
-                self._line(
-                    f"profile: search accel: "
-                    f"{data['nogood_hits']} nogood hit(s) "
-                    f"({data['nogood_misses']} miss(es)), "
-                    f"{data['justify_cache_hits']} memoized "
-                    f"justification(s), "
-                    f"{data['path_cache_hits']} path-cache hit(s), "
-                    f"{data['dptrace_sweeps_avoided']} co-state "
-                    f"sweep(s) avoided")
-            if "conflicts" in data:
-                self._line(
-                    f"profile: cdcl: "
-                    f"{data['refuted_unjustifiable']} window(s) refuted, "
-                    f"{data['conflicts']} conflict(s), "
-                    f"{data['learned_clauses']} clause(s) learned, "
-                    f"{data['backjumps']} backjump(s), "
-                    f"{data['clause_hits']} certificate hit(s)")
         elif event.kind == "campaign-interrupted":
             resume = (" (resumable via --resume)"
                       if data.get("resumable") else "")
@@ -308,6 +265,17 @@ class ProgressRenderer:
             self._line(f"campaign finished: {data['n_detected']} detected, "
                        f"{data['n_aborted']} aborted "
                        f"in {data['wall_seconds']:.1f}s wall clock")
+            # Absent from the events of servers older than schema 4.
+            if data.get("phase_seconds"):
+                self._line("phases: " + ", ".join(
+                    f"{name} {seconds:.1f}s"
+                    for name, seconds in sorted(data["phase_seconds"].items())
+                ))
+            if data.get("counters"):
+                self._line("counters: " + ", ".join(
+                    f"{name} {value}"
+                    for name, value in sorted(data["counters"].items())
+                ))
         elif event.kind == "fuzz-started":
             planted = (f", planted {data['planted']}"
                        if data.get("planted") else "")

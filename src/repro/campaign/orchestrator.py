@@ -88,9 +88,6 @@ class OrchestratorConfig:
     error_simulation: bool = False
     checkpoint_path: str | None = None
     resume: bool = False
-    #: Emit per-error ``error-profile`` events (TG phase timings) and one
-    #: aggregated ``profile-summary`` into the event stream / JSON report.
-    profile: bool = False
 
     def __post_init__(self) -> None:
         if self.target not in CAMPAIGN_TARGETS:
@@ -129,6 +126,15 @@ def _worker_run(
         campaign = _WORKER_CAMPAIGN
     outcome, realized = campaign._run_error_with_test(error)
     return index, outcome, realized
+
+
+def _totals(mappings) -> dict:
+    """Per-key sums of ``mappings``, keys in first-seen order."""
+    totals: dict = {}
+    for mapping in mappings:
+        for key, value in mapping.items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
 
 
 class _InlineExecutor(Executor):
@@ -261,8 +267,6 @@ class CampaignOrchestrator:
                 remaining=unattempted,
                 resumable=checkpoint is not None,
             )
-        if config.profile:
-            self._emit_profile_summary(report)
         self.events.emit(
             "campaign-finished",
             n_errors=report.n_errors,
@@ -270,6 +274,8 @@ class CampaignOrchestrator:
             n_aborted=report.n_aborted,
             backtracks=report.backtracks_total,
             wall_seconds=report.total_seconds,
+            phase_seconds=_totals(o.phase_seconds for o in report.outcomes),
+            counters=_totals(o.counters for o in report.outcomes),
         )
         return report
 
@@ -461,70 +467,7 @@ class CampaignOrchestrator:
     # Shared helpers
     # ------------------------------------------------------------------
     def _emit_finished(self, outcome: ErrorOutcome, index: int) -> None:
-        self.events.emit(
-            "error-finished",
-            error=outcome.error,
-            index=index,
-            detected=outcome.detected,
-            failure_stage=outcome.failure_stage,
-            test_length=outcome.test_length,
-            backtracks=outcome.backtracks,
-            final_backtracks=outcome.final_backtracks,
-            attempts=outcome.attempts,
-            seconds=outcome.seconds,
-            cpu_seconds=outcome.cpu_seconds,
-        )
-        if self.config.profile:
-            self.events.emit(
-                "error-profile",
-                error=outcome.error,
-                index=index,
-                phase_seconds=dict(outcome.phase_seconds),
-                golden_hits=outcome.golden_hits,
-                golden_misses=outcome.golden_misses,
-                backtracks=outcome.backtracks,
-                nogood_hits=outcome.nogood_hits,
-                nogood_misses=outcome.nogood_misses,
-                justify_cache_hits=outcome.justify_cache_hits,
-                path_cache_hits=outcome.path_cache_hits,
-                path_cache_misses=outcome.path_cache_misses,
-                dptrace_sweeps_avoided=outcome.dptrace_sweeps_avoided,
-                conflicts=outcome.conflicts,
-                learned_clauses=outcome.learned_clauses,
-                backjumps=outcome.backjumps,
-                clause_hits=outcome.clause_hits,
-                refuted_unjustifiable=outcome.refuted_unjustifiable,
-                deadline_hit=outcome.deadline_hit,
-            )
-
-    def _emit_profile_summary(self, report: CampaignReport) -> None:
-        phase_seconds: dict[str, float] = {}
-        for outcome in report.outcomes:
-            for phase, seconds in outcome.phase_seconds.items():
-                phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
-        outcomes = report.outcomes
-        self.events.emit(
-            "profile-summary",
-            phase_seconds=phase_seconds,
-            golden_hits=sum(o.golden_hits for o in outcomes),
-            golden_misses=sum(o.golden_misses for o in outcomes),
-            backtracks=report.backtracks_total,
-            nogood_hits=sum(o.nogood_hits for o in outcomes),
-            nogood_misses=sum(o.nogood_misses for o in outcomes),
-            justify_cache_hits=sum(o.justify_cache_hits for o in outcomes),
-            path_cache_hits=sum(o.path_cache_hits for o in outcomes),
-            path_cache_misses=sum(o.path_cache_misses for o in outcomes),
-            dptrace_sweeps_avoided=sum(
-                o.dptrace_sweeps_avoided for o in outcomes
-            ),
-            conflicts=sum(o.conflicts for o in outcomes),
-            learned_clauses=sum(o.learned_clauses for o in outcomes),
-            backjumps=sum(o.backjumps for o in outcomes),
-            clause_hits=sum(o.clause_hits for o in outcomes),
-            refuted_unjustifiable=sum(
-                o.refuted_unjustifiable for o in outcomes
-            ),
-        )
+        self.events.emit("error-finished", index=index, **asdict(outcome))
 
     def _write_checkpoint(
         self,

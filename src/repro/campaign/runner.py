@@ -18,7 +18,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.core.tg import RealizationError, TestGenerator, TGStatus
+from repro.core.tg import (
+    SEARCH_COUNTERS,
+    RealizationError,
+    TestGenerator,
+    TGStatus,
+)
 from repro.errors.models import DesignError, enumerate_bus_ssl
 from repro.machines import Machine, machine_adapter
 from repro.model.processor import Processor
@@ -42,27 +47,13 @@ class ErrorOutcome:
     dropped_by: str = ""
     #: CPU seconds per TG engine phase (dptrace/ctrljust/dprelax/cosim).
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: Golden-trace cache traffic during this error's exposure checks.
-    golden_hits: int = 0
-    golden_misses: int = 0
-    #: Search-accelerator traffic (see ``repro.core.nogoods``): learned
-    #: no-good and path-set cache hits/misses, memoized justification
-    #: answers, and full C/O sweeps the incremental DPTRACE avoided.
-    nogood_hits: int = 0
-    nogood_misses: int = 0
-    justify_cache_hits: int = 0
-    path_cache_hits: int = 0
-    path_cache_misses: int = 0
-    dptrace_sweeps_avoided: int = 0
-    #: CDCL refuter activity (see ``repro.core.clauses``): conflicts
-    #: analyzed, 1-UIP clauses learned, non-chronological backjumps,
-    #: certificate hits from the clause DB, and windows proven
-    #: unjustifiable (refuted instead of search-exhausted).
-    conflicts: int = 0
-    learned_clauses: int = 0
-    backjumps: int = 0
-    clause_hits: int = 0
-    refuted_unjustifiable: int = 0
+    #: TG's search-traffic counters, one per name in
+    #: ``repro.core.tg.SEARCH_COUNTERS``: golden-trace cache, learned
+    #: no-good, path cache, incremental DPTRACE and CDCL refuter traffic.
+    #: All zero for an error that ran no TG.
+    counters: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(SEARCH_COUNTERS, 0)
+    )
     #: CPU seconds this error actually consumed (``time.process_time``
     #: delta around TG + realization + ISA check), next to the wall-clock
     #: ``seconds``.
@@ -83,14 +74,20 @@ _RETIRED_OUTCOME_KEYS = frozenset({
 def outcome_from_dict(data: dict[str, Any]) -> ErrorOutcome:
     """Decode a serialized outcome (``vars(outcome)``).
 
-    Drops exactly the retired restart and banking fields, so older
-    checkpoints and reports still load; any other unknown field raises
-    ``ValueError``.
+    Drops exactly the retired restart, banking and fork-screen fields, and
+    folds the flat counter fields of outcomes written before the
+    ``counters`` mapping into it, so older checkpoints and reports still
+    load; any other unknown field raises ``ValueError``.
     """
-    fields = {
-        key: value for key, value in data.items()
-        if key not in _RETIRED_OUTCOME_KEYS
-    }
+    fields: dict[str, Any] = {}
+    flat: dict[str, int] = {}
+    for key, value in data.items():
+        if key in SEARCH_COUNTERS:
+            flat[key] = value
+        elif key not in _RETIRED_OUTCOME_KEYS:
+            fields[key] = value
+    if flat:
+        fields["counters"] = {**dict.fromkeys(SEARCH_COUNTERS, 0), **flat}
     unknown = sorted(set(fields) - set(ErrorOutcome.__dataclass_fields__))
     if unknown:
         raise ValueError(f"unknown outcome field(s): {', '.join(unknown)}")
@@ -176,19 +173,7 @@ def _outcome_from_result(error: DesignError, result) -> ErrorOutcome:
         final_backtracks=result.final_backtracks,
         attempts=result.attempts,
         phase_seconds=dict(result.phase_seconds),
-        golden_hits=result.golden_hits,
-        golden_misses=result.golden_misses,
-        nogood_hits=result.nogood_hits,
-        nogood_misses=result.nogood_misses,
-        justify_cache_hits=result.justify_cache_hits,
-        path_cache_hits=result.path_cache_hits,
-        path_cache_misses=result.path_cache_misses,
-        dptrace_sweeps_avoided=result.dptrace_sweeps_avoided,
-        conflicts=result.conflicts,
-        learned_clauses=result.learned_clauses,
-        backjumps=result.backjumps,
-        clause_hits=result.clause_hits,
-        refuted_unjustifiable=result.refuted_unjustifiable,
+        counters={name: getattr(result, name) for name in SEARCH_COUNTERS},
         deadline_hit=result.deadline_hit,
     )
 

@@ -154,23 +154,16 @@ TIMING_KEYS = frozenset({
 })
 
 #: Cache-traffic counters.  Outcomes are cache-transparent (hits replay
-#: recorded effort), but the hit/miss split itself depends on what was
-#: already warm — a second request against a warm campaign service turns
-#: first-touch misses into hits.  ``canonical_campaign_run(...,
-#: include_cache_traffic=False)`` drops these too, leaving exactly the
-#: fields that warm caches must never change.
-CACHE_TRAFFIC_KEYS = frozenset({
-    "golden_hits", "golden_misses",
-    "nogood_hits", "nogood_misses", "justify_cache_hits",
-    "path_cache_hits", "path_cache_misses", "dptrace_sweeps_avoided",
-    # CDCL refuter traffic: a warm clause DB turns a fresh refutation
-    # (conflicts > 0) into a certificate hit (clause_hits = 1), and a
-    # certificate can refute a window a cold run would merely give up
-    # on — shifting `backtracks` while leaving outcomes and
-    # `final_backtracks` (the successful attempt's effort) untouched.
-    "conflicts", "learned_clauses", "backjumps", "clause_hits",
-    "refuted_unjustifiable", "backtracks",
-})
+#: recorded effort), but TG's search counters (every outcome's and the
+#: run's ``counters``) depend on what was already warm: a second request
+#: against a warm campaign service turns first-touch misses into hits.  A
+#: warm clause DB can also refute a window a cold run would merely give
+#: up on, which shifts ``backtracks`` while leaving outcomes and
+#: ``final_backtracks`` (the successful attempt's effort) untouched.
+#: ``canonical_campaign_run(..., include_cache_traffic=False)`` drops
+#: these too, leaving exactly the fields that warm caches must never
+#: change.
+CACHE_TRAFFIC_KEYS = frozenset({"counters", "backtracks"})
 
 
 def _strip_keys(value, keys: frozenset):

@@ -161,6 +161,17 @@ class TGResult:
     deadline_hit: bool = False
 
 
+#: TG's search-traffic counters: the :class:`TGResult` fields a campaign
+#: outcome carries, by these names, in its ``counters`` mapping.
+SEARCH_COUNTERS = (
+    "golden_hits", "golden_misses",
+    "nogood_hits", "nogood_misses", "justify_cache_hits",
+    "path_cache_hits", "path_cache_misses", "dptrace_sweeps_avoided",
+    "conflicts", "learned_clauses", "backjumps", "clause_hits",
+    "refuted_unjustifiable",
+)
+
+
 @dataclass
 class TestGenerator:
     """TG driver for one processor."""

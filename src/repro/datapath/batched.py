@@ -89,8 +89,8 @@ def effective_lanes(lanes: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Process-global profiling counters (reported on --profile events and the
-# service /metrics endpoint; multiprocessing shards return their deltas).
+# Process-global profiling counters (reported on the service /metrics
+# endpoint; multiprocessing shards return their deltas).
 # ---------------------------------------------------------------------------
 _COUNTER_KEYS = ("batch_calls", "lane_cycles", "active_lane_cycles")
 _counters_lock = threading.Lock()
@@ -449,10 +449,11 @@ class BatchedDatapathSimulator:
     """Lane-batch counterpart of :class:`CompiledDatapathSimulator`.
 
     Carries ``n_lanes`` independent stimulus streams through one kernel call
-    per cycle.  ``evaluate_partial`` mirrors the scalar simulators with one
-    mapping *per lane*; the array buffers (``values`` / ``known`` /
-    ``state`` and the external staging arrays) are exposed for hot-loop
-    consumers like the lane co-simulator, which clocks ``state`` itself.
+    per cycle: ``fill_external`` stages one external frame per lane and
+    ``run_partial`` evaluates them.  The array buffers (``values`` /
+    ``known`` / ``state`` and the external staging arrays) are exposed for
+    hot-loop consumers like the lane co-simulator, which clocks ``state``
+    itself.
 
     ``active_lanes`` feeds the batch fill-rate counter: consumers carrying
     ragged batches (lanes that already finished their program) lower it so
@@ -535,16 +536,3 @@ class BatchedDatapathSimulator:
         else:
             bd.partial_plain(self.n_lanes, self.values, self.known,
                              self.state, self._ext_v, self._ext_k)
-
-    # -- dict-compatible per-lane API ----------------------------------
-    def evaluate_partial(self, frames: Sequence[Mapping]) -> list[dict]:
-        self.fill_external(frames)
-        self.run_partial()
-        return [self.lane_values_partial(b) for b in range(self.n_lanes)]
-
-    def lane_values_partial(self, lane: int) -> dict:
-        values, known = self.values, self.known
-        return {
-            name: int(values[i][lane]) if known[i][lane] else None
-            for i, name in enumerate(self.compiled.names)
-        }

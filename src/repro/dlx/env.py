@@ -203,12 +203,10 @@ class DlxEnv:
         processor: Processor,
         injector: Injector = no_injection,
         module_overrides: Mapping[str, ModuleOverride] | None = None,
-        compiled: bool = True,
     ) -> None:
         self.processor = processor
         self.sim = ProcessorSimulator(
             processor, injector=injector, module_overrides=module_overrides,
-            compiled=compiled,
         )
         #: Branch-prediction controllers expose 'predict_taken'; the fetch
         #: unit then skips ahead on predicted-taken branches and rewinds on

@@ -25,6 +25,7 @@ activity counts.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -55,8 +56,9 @@ class FuzzConfig:
     length: int = 12
     register_pool: int = 4
     jobs: int = 1
-    #: Optional wall-clock budget; iteration loops stop once exceeded
-    #: (budget-limited runs are *not* byte-deterministic across jobs).
+    #: Optional wall-clock budget, a finite positive number of seconds;
+    #: iteration loops stop once exceeded (budget-limited runs are *not*
+    #: byte-deterministic across jobs).
     budget_seconds: float | None = None
     #: Optional planted error model (``repro.fuzz.minimize`` spec string);
     #: divergences are then expected detections rather than oracle bugs.
@@ -82,6 +84,14 @@ class FuzzConfig:
             raise ValueError("jobs must be >= 1")
         if self.lanes is not None and self.lanes < 0:
             raise ValueError("lanes must be >= 0")
+        # A budget of zero or less runs nothing, and NaN never compares
+        # true, so it would mean no budget at all.
+        budget = self.budget_seconds
+        if budget is not None and not (math.isfinite(budget) and budget > 0):
+            raise ValueError(
+                f"budget_seconds must be a finite positive number of "
+                f"seconds, got {budget}"
+            )
 
     def generator(self):
         """The machine's random-program generator with these knobs."""

@@ -162,12 +162,10 @@ class MiniEnv:
         processor: Processor,
         injector: Injector = no_injection,
         module_overrides: Mapping[str, ModuleOverride] | None = None,
-        compiled: bool = True,
     ) -> None:
         self.processor = processor
         self.sim = ProcessorSimulator(
             processor, injector=injector, module_overrides=module_overrides,
-            compiled=compiled,
         )
         #: Cycle-accurate co-simulation trace of the most recent ``run``
         #: (consumed by the coverage collector in ``repro.fuzz``).

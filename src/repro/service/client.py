@@ -184,7 +184,6 @@ def run_remote_campaign(args, target: str, title: str | None) -> int:
         "deadline": args.deadline,
         "jobs": args.jobs,
         "dropping": args.dropping,
-        "profile": args.profile,
     }
     try:
         submitted = client.submit_campaign(**request)

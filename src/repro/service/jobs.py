@@ -45,7 +45,7 @@ TERMINAL_STATUSES = frozenset({
 #: ``resume`` and ``checkpoint``.  Any other field is rejected, so a
 #: misspelt or retired knob cannot silently run with its default.
 CAMPAIGN_REQUEST_FIELDS = frozenset({
-    "target", "deadline", "jobs", "dropping", "profile",
+    "target", "deadline", "jobs", "dropping",
     "errors", "sample",
     "tenant", "resume", "checkpoint",
 })
@@ -223,7 +223,6 @@ def campaign_config_from_request(
             error_simulation=bool(request.get("dropping", False)),
             checkpoint_path=checkpoint_path,
             resume=resume,
-            profile=bool(request.get("profile", False)),
         )
     except ValueError as exc:
         raise HttpError(400, str(exc)) from None

@@ -435,9 +435,8 @@ class GoldenTraceCache:
     be reused by a different machine while its entries are alive.
     """
 
-    def __init__(self, max_entries: int = 256, compiled: bool = True) -> None:
+    def __init__(self, max_entries: int = 256) -> None:
         self.max_entries = max_entries
-        self.compiled = compiled
         self.hits = 0
         self.misses = 0
         self._traces: dict[tuple, Trace] = {}
@@ -474,7 +473,7 @@ class GoldenTraceCache:
             self._traces[key] = cached  # re-insert: most recently used
             return cached
         self.misses += 1
-        simulator = ProcessorSimulator(processor, compiled=self.compiled)
+        simulator = ProcessorSimulator(processor)
         simulator.set_stimulus_state(stimulus_state)
         trace = simulator.run(cpi_frames, dpi_frames)
         self._traces[key] = trace

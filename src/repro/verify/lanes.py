@@ -195,9 +195,9 @@ class LaneProcessorSimulator:
         """Resolve one cycle's values for every lane WITHOUT clocking.
 
         Mirrors :meth:`ProcessorSimulator.resolve` per lane; the resolved
-        datapath arrays stay staged in ``self.dp`` (read them with
-        :meth:`datapath_dict` / :meth:`dense_datapath`).  Returns the
-        per-lane controller value dicts.
+        datapath arrays stay staged in ``self.dp`` (read one lane with
+        :meth:`dense_datapath`).  Returns the per-lane controller value
+        dicts.
         """
         return self.kernel.lane_dicts(self._settle(cpi_list, dpi_list))
 
@@ -352,15 +352,6 @@ class LaneProcessorSimulator:
             for i in range(self.cd.n_nets)
         ]
 
-    def datapath_dict(self, lane: int) -> dict:
-        """One lane's resolved values as a name -> value dict (the scalar
-        ``resolve`` / ``CycleTrace.datapath`` form)."""
-        values, known = self.dp.values, self.dp.known
-        return {
-            name: int(values[i][lane]) if known[i][lane] else None
-            for i, name in enumerate(self.cd.names)
-        }
-
 
 @dataclass
 class LaneRun:
@@ -405,13 +396,13 @@ def run_lanes(
     ``"dense"`` additionally collects dense datapath value lists and each
     cycle's testbench save (a golden run the conformance fault simulator
     forks against and resumes excursions from, see
-    :func:`repro.verify.cosim.batch_detects`), and ``"full"``
-    materializes the scalar ``CycleTrace`` datapath dicts.
+    :func:`repro.verify.cosim.batch_detects`).  Neither fills the
+    ``CycleTrace`` datapath dicts.
     """
     n = sim.n_lanes
     if len(benches) != n:
         raise ValueError(f"expected {n} programs, got {len(benches)}")
-    if record not in ("controller", "dense", "full"):
+    if record not in ("controller", "dense"):
         raise ValueError(f"unknown record mode {record!r}")
     bench_cls = type(benches[0])
     net_ids = [sim.cd.index[name] for name in bench_cls.PREVIEW_NETS]
@@ -457,15 +448,10 @@ def run_lanes(
                 # nothing of this lane is observed from now on.
                 failure[b] = failures[b]
                 continue
-            if record == "full":
-                datapath = sim.datapath_dict(b)
-            else:
-                datapath = {}
-                if record == "dense":
-                    dense[b].append(sim.dense_datapath(b))
+            if record == "dense":
+                dense[b].append(sim.dense_datapath(b))
             traces[b].cycles.append(CycleTrace(
-                datapath=datapath, controller=ctl_values[b],
-                bench=saves.get(b),
+                datapath={}, controller=ctl_values[b], bench=saves.get(b),
             ))
             benches[b].advance(ctl_list[b])
     sim.dp.active_lanes = n

@@ -61,3 +61,18 @@ def build_masking_datapath():
     y = b.and_("masker", s, m)
     b.output("out", y)
     return b.build()
+
+
+def batched_lane_values(sim, frames):
+    """Stage one external frame per lane on a ``BatchedDatapathSimulator``,
+    run its kernel, and return every lane's net values as the scalar
+    simulators' ``evaluate_partial`` dict (``None`` where unknown)."""
+    sim.fill_external(frames)
+    sim.run_partial()
+    return [
+        {
+            name: int(sim.values[i][lane]) if sim.known[i][lane] else None
+            for i, name in enumerate(sim.compiled.names)
+        }
+        for lane in range(sim.n_lanes)
+    ]

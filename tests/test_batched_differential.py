@@ -70,8 +70,17 @@ def _cycles(trace):
     return [(c.controller, c.datapath) for c in trace.cycles]
 
 
-def _batch_mini(processor, programs, regs_list, error=None,
-                record="full"):
+def _lane_cycles(processor, run):
+    """A lane's trace in the :func:`_cycles` form, every net of every
+    cycle read from the dense values the lane recorded."""
+    names = processor.datapath.compiled().names
+    return [
+        (cycle.controller, dict(zip(names, values)))
+        for cycle, values in zip(run.trace.cycles, run.dense_cycles)
+    ]
+
+
+def _batch_mini(processor, programs, regs_list, error=None):
     from repro.mini.lanes import BatchMiniEnv
 
     if error is not None:
@@ -80,13 +89,14 @@ def _batch_mini(processor, programs, regs_list, error=None,
                            module_overrides=bad.module_overrides)
     else:
         env = BatchMiniEnv(processor, len(programs))
-    return env.run(programs, regs_list, record=record)
+    return env.run(programs, regs_list, record="dense")
 
 
 def _assert_lane_matches_scalar(run, processor, program, regs, error=None):
     result, cycles, fail = _scalar_mini(processor, program, regs, error)
     assert run.failure == fail
-    assert _cycles(run.trace) == cycles
+    assert len(run.dense_cycles) == len(run.trace.cycles)
+    assert _lane_cycles(processor, run) == cycles
     if fail is None:
         assert run.result.writes == result.writes
         assert run.result.registers == result.registers
@@ -261,12 +271,13 @@ def test_dlx_batch_matches_scalar(branch_prediction):
                                     module_overrides=bad.module_overrides)
         else:
             batch_env = BatchDlxEnv(dlx, 3)
-        runs = batch_env.run(programs, regs_list, record="full")
+        runs = batch_env.run(programs, regs_list, record="dense")
 
         for run, (result, cycles, fail) in zip(runs, scalar):
             tag = f"bp={branch_prediction} error={error}"
             assert run.failure == fail, tag
-            assert _cycles(run.trace) == cycles, tag
+            assert len(run.dense_cycles) == len(run.trace.cycles), tag
+            assert _lane_cycles(dlx, run) == cycles, tag
             if fail is None:
                 assert run.result.events == result.events, tag
                 assert run.result.registers == result.registers, tag
@@ -294,7 +305,7 @@ def test_dlx_ragged_batch():
         ([], [0] * 32),
     ]
     runs = BatchDlxEnv(dlx, 3).run(
-        [p for p, _ in cases], [r for _, r in cases], record="full"
+        [p for p, _ in cases], [r for _, r in cases]
     )
     for run, (program, regs) in zip(runs, cases):
         result = DlxEnv(dlx).run(program, regs)
@@ -350,10 +361,10 @@ def test_batched_rejects_bad_shapes():
     # One frame per lane: a short list would leave the other lanes on the
     # previous call's externals.
     sim = BatchedDatapathSimulator(build_toy_pipeline(), 3)
-    sim.evaluate_partial([{"a": 1}] * 3)
+    sim.fill_external([{"a": 1}] * 3)
     for frames in ([{"a": 7}], [{}] * 4):
         with pytest.raises(ValueError, match=f"{len(frames)} .* 3 lanes"):
-            sim.evaluate_partial(frames)
+            sim.fill_external(frames)
 
     b = DatapathBuilder("toowide")
     x = b.input("x", 65)

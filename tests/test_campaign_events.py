@@ -55,9 +55,13 @@ def test_event_from_dict_tolerates_preversion_records():
     event = event_from_dict(old)
     assert event.seq == 0
     assert event.kind == "error-started"
-    # Unknown kinds stream through unchanged (newer server, older client).
+    # Unknown kinds stream through unchanged (newer server, older client),
+    # and so do retired ones (schema 3's ``--profile`` events).
     assert event_from_dict({"kind": "from-the-future"}).kind == \
         "from-the-future"
+    retired = {"kind": "profile-summary", "schema_version": 3, "seq": 29,
+               "wall_time": 1.0, "data": {"golden_misses": 8}}
+    assert event_from_dict(retired).data == {"golden_misses": 8}
     with pytest.raises(ValueError):
         event_from_dict({"wall_time": 1.0})
 

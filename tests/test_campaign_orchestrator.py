@@ -20,6 +20,7 @@ from repro.campaign.orchestrator import (
     build_campaign,
     campaign_run_to_dict,
 )
+from repro.core.tg import SEARCH_COUNTERS
 from repro.errors import BusSSLError
 
 # A set every MiniPipe campaign detects, including one deterministic
@@ -210,7 +211,7 @@ def test_dropping_resume_replays_recorded_tests(tmp_path):
 
 #: A checkpoint line exactly as written before the restart search and the
 #: deadline bank were removed: its outcome still carries ``restarts`` and
-#: ``deadline_grant``.
+#: ``deadline_grant``, and TG's search counters as flat fields.
 LEGACY_RECORD = (
     '{"kind":"campaign-checkpoint","outcome":{"error":"bus-ssl alu_mux.y[0]'
     ' stuck-at-0","detected":true,"test_length":4,"nontrivial_instructions":1,'
@@ -255,6 +256,9 @@ def test_resume_from_legacy_checkpoint(tmp_path):
     assert outcome.error == ERRORS[0].describe()
     assert outcome.detected
     assert (outcome.test_length, outcome.backtracks) == (4, 4)
+    # The flat counter fields fold into the outcome's counters.
+    legacy = json.loads(LEGACY_RECORD)["outcome"]
+    assert outcome.counters == {name: legacy[name] for name in SEARCH_COUNTERS}
 
 
 def test_resume_with_complete_checkpoint_does_no_work(tmp_path):

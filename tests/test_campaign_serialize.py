@@ -13,7 +13,7 @@ from repro.campaign.serialize import (
 )
 from repro.campaign.serialize import testcase_from_dict as tc_from_dict
 from repro.campaign.serialize import testcase_to_dict as tc_to_dict
-from repro.core.tg import TestCase, TestGenerator, TGStatus
+from repro.core.tg import SEARCH_COUNTERS, TestCase, TestGenerator, TGStatus
 from repro.errors import BusSSLError
 from repro.mini import build_minipipe
 
@@ -117,7 +117,14 @@ def test_report_with_retired_outcome_fields_loads():
     ))
     data["outcomes"][0].update(restarts=0, deadline_grant=20.0,
                                exposure_forks=1, exposure_fork_decided=1)
-    assert report_from_dict(data).outcomes[0].test_length == 6
+    # Reports written before the ``counters`` mapping hold each counter
+    # as a flat outcome field; an older one lacks some of them.
+    del data["outcomes"][0]["counters"]
+    data["outcomes"][0].update(golden_misses=1, path_cache_misses=6)
+    [outcome] = report_from_dict(data).outcomes
+    assert outcome.test_length == 6
+    assert outcome.counters == {**dict.fromkeys(SEARCH_COUNTERS, 0),
+                                "golden_misses": 1, "path_cache_misses": 6}
 
 
 def test_report_roundtrip_with_dropped_outcomes():

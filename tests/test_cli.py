@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -67,31 +69,52 @@ def test_minipipe_command_with_orchestration_flags(tmp_path, capsys):
     assert not any(e["kind"] == "error-started" for e in data2["events"])
 
 
-def test_minipipe_profile_flag(tmp_path, capsys):
-    from repro.campaign.serialize import load_json
+def test_minipipe_profile_flag():
+    """``--profile`` is retired: every run reports what it added."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["minipipe", "--profile"])
+    assert excinfo.value.code == 2
+
+
+def test_minipipe_report_carries_every_search_counter(tmp_path, capsys):
+    """Each outcome holds every TG search counter, each ``error-finished``
+    event carries its whole outcome, ``campaign-finished`` carries the
+    run's totals, and the cache-traffic-free canonical form keeps none
+    of the counters."""
+    from repro.campaign.serialize import canonical_campaign_run, load_json
+    from repro.core.tg import SEARCH_COUNTERS
 
     out = tmp_path / "run.json"
-    assert main(["minipipe", "--sample", "40", "--profile",
-                 "--json", str(out)]) == 0
-    capsys.readouterr()
-    data = load_json(str(out))
-    events = data["events"]
-    n_errors = len(data["report"]["outcomes"])
-    profiles = [e for e in events if e["kind"] == "error-profile"]
-    assert len(profiles) == n_errors
-    for event in profiles:
-        assert set(event["data"]["phase_seconds"]) <= {
-            "dptrace", "ctrljust", "dprelax", "cosim"}
-        assert event["data"]["golden_misses"] >= 0
-    summaries = [e for e in events if e["kind"] == "profile-summary"]
-    assert len(summaries) == 1
-    summary = summaries[0]["data"]
-    assert summary["golden_hits"] + summary["golden_misses"] >= n_errors
-    # The summary is the per-error sum.
-    for phase, total in summary["phase_seconds"].items():
-        per_error = sum(e["data"]["phase_seconds"].get(phase, 0.0)
-                        for e in profiles)
-        assert total == pytest.approx(per_error)
+    assert main(["minipipe", "--sample", "40", "--json", str(out)]) == 0
+    feed = capsys.readouterr().err
+    run = load_json(str(out))
+    outcomes = run["report"]["outcomes"]
+    finished = [e["data"] for e in run["events"]
+                if e["kind"] == "error-finished"]
+    [totals] = [e["data"] for e in run["events"]
+                if e["kind"] == "campaign-finished"]
+    assert len(finished) == len(outcomes) >= 1
+    assert [{k: v for k, v in event.items() if k != "index"}
+            for event in finished] == outcomes
+    for name in SEARCH_COUNTERS:
+        assert all(name in outcome["counters"] for outcome in outcomes)
+        assert all(name in event["counters"] for event in finished)
+        assert totals["counters"][name] == sum(
+            outcome["counters"][name] for outcome in outcomes
+        )
+    assert totals["counters"]["golden_misses"] >= len(outcomes)
+    for phase, total in totals["phase_seconds"].items():
+        assert total == pytest.approx(sum(
+            outcome["phase_seconds"].get(phase, 0.0) for outcome in outcomes
+        ))
+    [line] = [line for line in feed.splitlines()
+              if line.startswith("counters: ")]
+    for name, total in totals["counters"].items():
+        assert f"{name} {total}" in line
+    stripped = json.dumps(canonical_campaign_run(
+        run, include_cache_traffic=False
+    ))
+    assert not [name for name in SEARCH_COUNTERS if f'"{name}"' in stripped]
 
 
 def test_minipipe_dropping_flag(capsys):
@@ -117,6 +140,13 @@ def test_deadline_must_be_finite_and_positive(capsys):
         for deadline in ("0", "-1", "nan", "inf"):
             assert main(command + ["--deadline", deadline]) == 2
             assert "error: deadline must be" in capsys.readouterr().err
+
+
+def test_fuzz_budget_must_be_finite_and_positive(tmp_path, capsys):
+    for budget in ("0", "-1", "nan", "inf"):
+        assert main(["fuzz", "--budget", budget,
+                     "--report-dir", str(tmp_path)]) == 2
+        assert "error: budget_seconds must be" in capsys.readouterr().err
 
 
 def test_matrix_rejects_unknown_machine(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Differential suite: compiled datapath kernels vs the interpretive oracle.
 
 The compiled backend (:mod:`repro.datapath.compiled`) is an optimisation,
-not a second semantics: every consumer switches backends through a
-``compiled=`` knob, and this suite pins the two implementations
-together —
+not a second semantics.  ``ProcessorSimulator(compiled=False)`` selects
+the interpretive ``DatapathSimulator``; this suite builds its reference
+arm on it, checks that the arm really runs it, and pins the two
+implementations together —
 
 * hypothesis-driven whole-run equivalence on MiniPipe (fault-free and
   with injected errors), cycle-by-cycle over the full co-simulation
@@ -17,13 +18,12 @@ together —
   of every co-simulation on the compiled or the interpretive simulator.
 """
 
-from functools import partial
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tg import TestGenerator, TGStatus
+from repro.datapath import DatapathSimulator
 from repro.errors.models import (
     enumerate_boe,
     enumerate_bus_ssl,
@@ -32,6 +32,7 @@ from repro.errors.models import (
 from repro.mini import Instruction, MiniEnv, MiniSpec, build_minipipe
 from repro.mini.spec import batch_detects as mini_batch_detects
 from repro.mini.spec import detects as mini_detects
+from repro.verify.cosim import ProcessorSimulator
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +46,22 @@ def _mini_errors(processor):
             + enumerate_mse(dp) + enumerate_boe(dp))
 
 
-def _mini_trace(processor, program, init_regs, error=None, compiled=True):
+def _env(env_cls, processor, error=None, compiled=True):
+    """``env_cls`` on ``processor`` with ``error`` planted; with
+    ``compiled=False`` it co-simulates on the interpretive reference."""
+    hooks = {}
     if error is not None:
-        bad = error.attach(processor.datapath)
-        env = MiniEnv(processor, injector=bad.injector,
-                      module_overrides=bad.module_overrides,
-                      compiled=compiled)
-    else:
-        env = MiniEnv(processor, compiled=compiled)
+        injector, module_overrides = error.hooks(processor.datapath)
+        hooks = dict(injector=injector, module_overrides=module_overrides)
+    env = env_cls(processor, **hooks)
+    if not compiled:
+        env.sim = ProcessorSimulator(processor, compiled=False, **hooks)
+        assert type(env.sim.dp_sim) is DatapathSimulator
+    return env
+
+
+def _mini_trace(processor, program, init_regs, error=None, compiled=True):
+    env = _env(MiniEnv, processor, error, compiled)
     result = env.run(program, init_regs)
     return result, [(c.controller, c.datapath) for c in env.trace.cycles]
 
@@ -119,13 +128,7 @@ def test_dlx_equivalence(branch_prediction):
         for error in [None] + errors[seed::17][:4]:
             runs = []
             for compiled in (True, False):
-                if error is not None:
-                    bad = error.attach(dlx.datapath)
-                    env = DlxEnv(dlx, injector=bad.injector,
-                                 module_overrides=bad.module_overrides,
-                                 compiled=compiled)
-                else:
-                    env = DlxEnv(dlx, compiled=compiled)
+                env = _env(DlxEnv, dlx, error, compiled)
                 result = env.run(program, regs)
                 runs.append((
                     result.events, result.registers,
@@ -313,22 +316,30 @@ def test_conformance_matrix_batch_matches_serial():
 # TestGenerator exposure check
 # ----------------------------------------------------------------------
 def test_tg_exposure_matches_interpretive(minipipe, monkeypatch):
-    from repro.verify.cosim import GoldenTraceCache, ProcessorSimulator
-
     errors = enumerate_bus_ssl(minipipe.datapath, stages={1, 2})[:6]
     fast = TestGenerator(minipipe, deadline_seconds=10.0)
     fast_results = [fast.generate(error) for error in errors]
-    # The interpretive oracle: both halves of every exposure check on the
+    # The interpretive oracle: both halves of every exposure check, the
+    # golden trace cache's fault-free run and TG's bad machine, on the
     # interpretive simulator.
-    monkeypatch.setattr(
-        "repro.core.tg.ProcessorSimulator",
-        partial(ProcessorSimulator, compiled=False),
-    )
+    built = set()
+
+    def interpretive(half):
+        def build(*args, **kwargs):
+            sim = ProcessorSimulator(*args, compiled=False, **kwargs)
+            built.add((half, type(sim.dp_sim)))
+            return sim
+        return build
+
+    monkeypatch.setattr("repro.verify.cosim.ProcessorSimulator",
+                        interpretive("golden"))
+    monkeypatch.setattr("repro.core.tg.ProcessorSimulator",
+                        interpretive("bad"))
     slow = TestGenerator(minipipe, deadline_seconds=10.0)
-    slow._golden = GoldenTraceCache(compiled=False)
     for error, a in zip(errors, fast_results):
         b = slow.generate(error)
         assert a.status == b.status
         if a.status is TGStatus.DETECTED:
             assert a.test.cpi_frames == b.test.cpi_frames
             assert a.test.stimulus_state == b.test.stimulus_state
+    assert built == {("golden", DatapathSimulator), ("bad", DatapathSimulator)}

@@ -91,6 +91,11 @@ def test_fuzz_config_validation():
         FuzzConfig(iters=-1)
     with pytest.raises(ValueError):
         FuzzConfig(jobs=0)
+    # A budget of zero or less would run nothing; NaN would run without
+    # any budget.
+    for budget in (0, -1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="budget_seconds"):
+            FuzzConfig(budget_seconds=budget)
     for bad in (dict(machine="vax"), dict(machine=5), dict(programs=0),
                 dict(sample=0), dict(classes=("bus-ssl", "stuck-open")),
                 dict(lanes=-1)):

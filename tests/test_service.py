@@ -170,17 +170,21 @@ def test_healthz_metrics_and_errors(tmp_path):
             assert excinfo.value.status == 400
             assert "deadline" in excinfo.value.body["error"]
         # Fields nothing reads are refused rather than silently ignored:
-        # a retired knob and a misspelt one.
-        for field in ({"restarts": True}, {"droping": True}):
+        # retired knobs and a misspelt one.
+        for field in ({"restarts": True}, {"profile": True},
+                      {"droping": True}):
             with pytest.raises(ServiceError) as excinfo:
                 client.submit_campaign(target="mini", **field)
             assert excinfo.value.status == 400
             assert next(iter(field)) in excinfo.value.body["error"]
         # Fuzz requests are checked at submit time as well: an unknown
-        # matrix machine (by name or by type) and a misspelt field.
+        # matrix machine (by name or by type), a misspelt field, and
+        # budgets that would run nothing or run unbounded.
         for request, named in (({"matrix": True, "machine": "foo"}, "foo"),
                                ({"matrix": True, "machine": 5}, "5"),
-                               ({"iter": 5}, "iter")):
+                               ({"iter": 5}, "iter"),
+                               ({"budget_seconds": -1}, "budget_seconds"),
+                               ({"budget_seconds": "nan"}, "budget_seconds")):
             with pytest.raises(ServiceError) as excinfo:
                 client.submit_fuzz(**request)
             assert excinfo.value.status == 400

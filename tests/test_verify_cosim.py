@@ -406,7 +406,8 @@ def test_dlx_lane_x_d_input_fails_only_that_lane_like_the_scalar_step():
                 continue
             trace = scalar.step(*stream[t])
             assert ctl_values[b] == trace.controller
-            assert sim.datapath_dict(b) == trace.datapath
+            assert dict(zip(sim.cd.names, sim.dense_datapath(b))) \
+                == trace.datapath
             assert _lane_ctl_state(sim, b) == scalar.ctl_state
         if t == 1:
             before = dict(scalars[1].ctl_state)
@@ -581,3 +582,52 @@ def test_resumed_machine_is_the_uninterrupted_one(which):
             result = env.run(program, regs, resume=resume)
             assert machine.canonical(result) == golden, (index, t)
             assert cycles(env.trace) == cycles(trace)[t:], (index, t)
+
+
+def test_dlx_rejoin_compares_registers_controller_state_and_testbench():
+    # A bad machine rejoins the golden run at the start of cycle c only
+    # when its whole state equals the golden's there.  From the golden
+    # state at c, one datapath register, one controller-state value or
+    # the testbench's save alone keeps it from rejoining.
+    from repro.baselines.random_gen import (
+        RandomDlxGenerator,
+        RandomProgramConfig,
+    )
+    from repro.datapath.faultsim import BatchFaultSimulator
+    from repro.dlx.env import DlxEnv, DlxTestbench
+    from repro.verify.cosim import Excursion
+
+    dlx = _machine("dlx")
+    generator = RandomDlxGenerator(RandomProgramConfig(length=12, seed=3))
+    program, regs = generator.program(0), generator.initial_registers(0)
+    env = DlxEnv(dlx)
+    env.run(program, regs)
+    trace = env.trace
+    dense = BatchFaultSimulator(dlx, trace).cycles
+    c = len(trace.cycles) // 2
+    excursion = Excursion(trace, dense, 0, {})
+    sim, bench = env.sim, DlxTestbench(program, regs)
+    Excursion(trace, dense, c, {}).restore(sim, bench)
+    save = bench.save()
+    assert excursion.rejoins(c, sim, save)
+
+    state = sim.dp_sim.state
+    for register in dlx.datapath.compiled().reg_names:
+        value = state[register]
+        state[register] = value ^ 1
+        assert not excursion.rejoins(c, sim, save), register
+        state[register] = value
+
+    signals = dlx.controller.network.signals
+    for q, value in sim.ctl_state.items():
+        other = next((v for v in signals[q].domain if v != value), None)
+        if other is None:
+            continue
+        sim.ctl_state[q] = other
+        assert not excursion.rejoins(c, sim, save), q
+        sim.ctl_state[q] = value
+
+    bench.regs[1] ^= 1
+    assert bench.save() != save
+    assert not excursion.rejoins(c, sim, bench.save())
+    assert excursion.rejoins(c, sim, save)

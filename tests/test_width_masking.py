@@ -19,7 +19,7 @@ results — including full-width 64-bit arithmetic at the wraparound
 boundaries.
 
 The compiled and batched backends evaluate three-valued only.  Where the
-interpretive ``evaluate`` is the reference, their ``evaluate_partial``
+interpretive ``evaluate`` is the reference, their partial evaluation
 runs on frames that set every external: with every input known, partial
 and full evaluation agree.
 """
@@ -32,7 +32,7 @@ from repro.datapath import (
     DatapathBuilder,
     DatapathSimulator,
 )
-from tests.helpers import build_toy_pipeline
+from tests.helpers import batched_lane_values, build_toy_pipeline
 
 requires_numpy = pytest.mark.skipif(
     not HAS_NUMPY, reason="numpy absent (batched backend unavailable)"
@@ -194,7 +194,7 @@ def test_width64_batched_matches_scalar():
 
     netlist = build_wide64()
     batch = BatchedDatapathSimulator(netlist, len(WIDE_FRAMES))
-    lanes = batch.evaluate_partial(WIDE_FRAMES)
+    lanes = batched_lane_values(batch, WIDE_FRAMES)
     for frame, lane in zip(WIDE_FRAMES, lanes):
         assert lane == DatapathSimulator(netlist).evaluate(frame), frame
 
@@ -210,7 +210,7 @@ def test_batched_out_of_range_externals_match_scalar():
         {"a": 0, "b": 0, "c": 0, "alusrc": 0, "op": 0, "wbsel": 0},
     ]
     batch = BatchedDatapathSimulator(netlist, len(frames))
-    lanes = batch.evaluate_partial(frames)
+    lanes = batched_lane_values(batch, frames)
     for frame, lane in zip(frames, lanes):
         assert lane == DatapathSimulator(netlist).evaluate(frame), frame
 
@@ -226,7 +226,7 @@ def test_batched_partial_out_of_range_match_scalar():
         {"b": -1, "alusrc": 1, "op": 0},
     ]
     batch = BatchedDatapathSimulator(netlist, len(frames))
-    lanes = batch.evaluate_partial(frames)
+    lanes = batched_lane_values(batch, frames)
     for frame, lane in zip(frames, lanes):
         assert lane == DatapathSimulator(netlist).evaluate_partial(frame), \
             frame
