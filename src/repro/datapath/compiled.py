@@ -198,9 +198,6 @@ class CompiledDatapath:
                 tuple(idx[p.net.name] for p in module.control_inputs)
             )
 
-        self.dpo_ids = [idx[n.name] for n in netlist.dpo_nets]
-        self.sts_ids = [idx[n.name] for n in netlist.sts_nets]
-
         # Fanout: net id -> schedule positions reading it (data or control).
         self.fanout_sched: list[list[int]] = [[] for _ in range(self.n_nets)]
         for k in range(len(order)):

@@ -5,36 +5,45 @@ stimulus is simulated once; each planted error is then *forked* against it.
 Per cycle, a fork materializes only the net values inside the error site's
 activated fanout cone (a sparse overlay keyed by net id, plus a sparse
 forked-register diff across cycles).  A forked value equal to the golden
-one never enters the overlay, so a masked error converges back to sharing
-the golden trace at zero marginal cost.  A fork may start at any golden
-cycle, from the golden state there (a bad machine that has rejoined the
-golden), and its outcome carries the register diff it held at the cycle it
-stopped in.
+one never stays in the overlay, so a masked error converges back to sharing
+the golden trace at zero marginal cost.  A cycle with no register diff in
+which every seed of the error yields its golden value is *quiet* and is
+skipped without building the cone.  A fork may start at any golden cycle,
+from the golden state there (a bad machine that has rejoined the golden).
 
-Soundness contract (why consumers can trust the outcome kinds).  Every
-kind but ``"clean"`` and ``"unsupported"`` is a *touch* at ``cycle``: up to
-the start of that cycle the erroneous machine is the golden machine plus
-the outcome's ``state_diff``, so a serial run of it may resume there.
+Soundness contract.  Up to the start of the cycle a fork stops in, the
+erroneous machine is the golden machine plus the outcome's ``state_diff``,
+with the golden's controller and testbench state.  A cycle keeps that
+when its bad controller feeds the datapath the CTRLs the fork used and
+reaches the golden's next state, and its testbench commits the same
+events, supplies the same stimulus and ends in the same state.  The fork
+checks this wherever its overlay holds an STS net or a net the judge
+previews (``judge.preview_nets``, every DPO net among them).  It follows
+an STS divergence through the controller: re-evaluated on the golden
+cycle's CPI and CPR values with the fork's STS values, changed CTRLs
+enter the overlay and propagate until the STS values settle (within
+``ProcessorSimulator.resolve``'s bound).  The ``judge``
+(``repro.verify.cosim.TestbenchJudge``) replays the bad testbench's cycle
+on the fork's STS and previewed values.  Those equal what the testbench
+previews because no STS or previewed net has a data primary input in its
+fan-in, nor a CTRL on those paths a controller primary input (or, under
+``SHALLOW_PREVIEW``, an STS; ``tests/test_faultsim_precondition.py``).
 
-``"sts"``
-    A status net diverged.  STS values feed the controller *within* the
-    cycle (the co-simulation fixpoint), so every forked value of that cycle
-    onward is suspect.  Checked before everything else each cycle.
-``"dpo"``
-    First (cycle, net) where a data primary output differs with both sides
-    concrete — exactly :func:`repro.verify.cosim.traces_diverge` — and no
-    STS net diverged at or before that cycle.
-``"abort"``
-    The forked machine would clock an unresolved control or load an
-    unresolved value — the same conditions under which the co-simulator
-    raises ``CosimError``.  With no prior STS divergence this is exact.
-``"observed"``
-    A watched net — DPO, STS or a caller-supplied extra such as an
-    environment-read internal net — diverged in a way not covered above
-    (e.g. a known/unknown mismatch).
+Outcome kinds:
+
 ``"clean"``
-    The fork never touched a watched net: the erroneous machine's observable
-    behaviour is identical to golden for this stimulus.
+    No cycle broke the invariant: the erroneous machine commits the golden
+    machine's events for this stimulus.
+``"detected"``
+    At ``cycle`` the bad testbench commits an event that departs from the
+    specification's.
+``"touch"``
+    At ``cycle`` the invariant breaks: the STS feedback does not settle, a
+    CTRL is unresolved, a CPR's next state differs, the judge sees another
+    stimulus or testbench state, or a register would clock an unresolved
+    control or load an unresolved value (where the co-simulator raises
+    ``CosimError``).  A serial run of the bad machine may resume at the
+    start of ``cycle`` from the golden state plus ``state_diff``.
 ``"unsupported"``
     The error's injector carries no site annotation; no fork was attempted.
 """
@@ -44,7 +53,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+from repro.controller.network import ControlNetworkError
 from repro.datapath.simulate import no_injection
+
+#: Controller/datapath sweeps before an STS feedback counts as unsettled:
+#: ``ProcessorSimulator``'s default ``max_fixpoint_iters``.
+FIXPOINT_ITERS = 8
 
 
 @dataclass
@@ -53,31 +67,33 @@ class ForkOutcome:
 
     kind: str
     cycle: int | None = None
-    net: str | None = None
     #: Datapath register name -> the forked machine's value, for every
     #: register whose value differs from the golden's at the start of
     #: ``cycle``.
     state_diff: dict[str, int] = field(default_factory=dict)
     #: Cycles in which the fork actually held diverging values.
     forked_cycles: int = 0
-    #: Module evaluations performed inside cones (cost metric).
-    evals: int = 0
 
 
 class BatchFaultSimulator:
     """Fork many errors against one golden :class:`~repro.verify.cosim.Trace`.
 
-    The golden trace is densified once (per-cycle lists indexed by net id);
-    every fork shares those arrays.  ``observed_extra`` names additional
-    nets the environment reads back (e.g. DLX's ``mem_alu.y``) so a fork
-    counts them as observable.
+    ``golden_trace`` is the fault-free run: its cycles' controller values
+    and, for the judge, the testbench's saves and stimulus.  Its datapath
+    values are densified once (per-cycle lists indexed by net id) unless
+    ``dense_cycles`` supplies them; every fork shares those arrays.
+    ``judge(cycle, values)`` decides whether the bad machine's testbench
+    sees a touch at ``cycle``, given the bad machine's STS and
+    ``judge.preview_nets`` values by net name: ``"detected"``, ``"touch"``
+    or None (invisible).
     """
 
-    def __init__(self, processor, golden_trace=None, observed_extra=(),
+    def __init__(self, processor, golden_trace, judge,
                  dense_cycles=None) -> None:
         self.processor = processor
-        self.cd = processor.datapath.compiled()
-        cd = self.cd
+        self.golden = golden_trace
+        self.judge = judge
+        self.cd = cd = processor.datapath.compiled()
         if dense_cycles is not None:
             # Pre-densified golden cycles (e.g. from the batched lane
             # environments, which produce dense per-lane arrays directly).
@@ -87,9 +103,12 @@ class BatchFaultSimulator:
                 [cycle.datapath.get(name) for name in cd.names]
                 for cycle in golden_trace.cycles
             ]
-        self.observed_set = frozenset(
-            cd.dpo_ids + cd.sts_ids
-            + [cd.index[n] for n in observed_extra if n in cd.index]
+        controller = processor.controller
+        self.sts = [(name, cd.index[name]) for name in controller.sts_signals]
+        self.ctrl = [(name, cd.index[name]) for name in controller.ctrl_signals]
+        self.watched = sorted(
+            {i for _, i in self.sts}
+            | {cd.index[name] for name in judge.preview_nets}
         )
 
     # ------------------------------------------------------------------
@@ -107,7 +126,7 @@ class BatchFaultSimulator:
 
     def fork(self, error, start: int = 0) -> ForkOutcome:
         """Fork ``error`` from the golden state at the start of cycle
-        ``start`` until its first observable divergence."""
+        ``start`` until the first cycle that breaks the invariant."""
         hooks = self.hooks_for(error)
         if hooks is None:
             return ForkOutcome("unsupported")
@@ -124,9 +143,33 @@ class BatchFaultSimulator:
         fanout = cd.fanout_sched
         n_regs = len(cd.registers)
         net_mask = cd.net_mask
+        sts_ids = [i for _, i in self.sts]
+        watched = self.watched
+
+        def evaluate(k, read):
+            """Scheduled module ``k`` on the values ``read`` gives, with the
+            error's override and injection."""
+            module = sched_modules[k]
+            value = None
+            controls = [read(c) for c in sched_ctl[k]]
+            if None not in controls:
+                inputs = [read(i) for i in sched_in[k]]
+                if all(inputs[i] is not None
+                       for i in module.needed_inputs(controls)):
+                    inputs = [0 if v is None else v for v in inputs]
+                    fn = ovr.get(k)
+                    if fn is not None:
+                        value = fn(inputs, controls) & net_mask[sched_out[k]]
+                    else:
+                        value = module.evaluate(inputs, controls)
+            fn = inj.get(sched_out[k])
+            if fn is not None and value is not None:
+                value = fn(value) & net_mask[sched_out[k]]
+            return value
 
         # Permanent per-cycle seeds: overridden / injected combinational
-        # modules re-evaluate every cycle; injected source nets re-emit.
+        # modules re-evaluate every cycle; injected source nets and
+        # register outputs re-emit.
         forced = set(ovr)
         inj_src: list[tuple[int, object]] = []
         inj_q: dict[int, object] = {}  # reg position -> corrupter
@@ -142,100 +185,80 @@ class BatchFaultSimulator:
                     inj_src.append((i, fn))  # external or constant
         forced = sorted(forced)
 
+        def quiet(golden) -> bool:
+            """Every seed yields its golden value (no register diff).  On
+            golden inputs a module with no override computes its golden
+            output, so an injected net need only keep its golden value."""
+            for i, fn in inj.items():
+                v = golden[i]
+                if v is not None and fn(v) & net_mask[i] != v:
+                    return False
+            read = golden.__getitem__
+            return all(evaluate(k, read) == golden[sched_out[k]]
+                       for k in ovr)
+
         state_diff: dict[int, int] = {}
         forked_cycles = 0
-        evals = 0
 
-        def outcome(kind, t, net):
+        def outcome(kind, t):
             diff = {cd.reg_names[j]: v for j, v in state_diff.items()}
-            return ForkOutcome(kind, t, net, diff, forked_cycles, evals)
+            return ForkOutcome(kind, t, diff, forked_cycles)
 
         for t in range(start, len(self.cycles)):
             golden = self.cycles[t]
+            if not state_diff and quiet(golden):
+                continue
             overlay: dict = {}
+            heap = list(forced)  # sorted: already a heap
+            queued = set(forced)
 
             def read(i):
                 return overlay[i] if i in overlay else golden[i]
 
-            # -- seed the cycle's cone ---------------------------------
-            heap = list(forced)
-            heapq.heapify(heap)
-            queued = set(forced)
-
-            def touch(i):
-                value_changed_for = fanout[i]
-                for k in value_changed_for:
+            def put(i, value):
+                """Give net ``i`` the forked ``value``; queue its readers
+                when that changes what they read."""
+                if value == read(i):
+                    return
+                if value == golden[i]:
+                    del overlay[i]
+                else:
+                    overlay[i] = value
+                for k in fanout[i]:
                     if k not in queued:
                         queued.add(k)
                         heapq.heappush(heap, k)
 
+            def propagate():
+                """Evaluate the queued cone in topological order."""
+                while heap:
+                    k = heapq.heappop(heap)
+                    put(sched_out[k], evaluate(k, read))
+                queued.clear()
+
+            # -- seed and propagate the cycle's cone -------------------
             for j in set(state_diff) | set(inj_q):
                 q_id = cd.reg_q_ids[j]
-                raw = state_diff.get(j, golden[q_id])
+                value = state_diff.get(j, golden[q_id])
                 fn = inj_q.get(j)
-                value = (
-                    fn(raw) & net_mask[q_id]
-                    if fn is not None and raw is not None else raw
-                )
-                if value != golden[q_id]:
-                    overlay[q_id] = value
-                    touch(q_id)
-            for i, fn in inj_src:
-                base = golden[i]
-                if base is None:
-                    continue  # partial sources skip injection on unknowns
-                value = fn(base) & net_mask[i]
-                if value != golden[i]:
-                    overlay[i] = value
-                    touch(i)
-
-            # -- propagate through the cone in topological order -------
-            while heap:
-                k = heapq.heappop(heap)
-                module = sched_modules[k]
-                value = None
-                controls = [read(c) for c in sched_ctl[k]]
-                if None not in controls:
-                    inputs = [read(i) for i in sched_in[k]]
-                    known = True
-                    for i in module.needed_inputs(controls):
-                        if inputs[i] is None:
-                            known = False
-                            break
-                    if known:
-                        inputs = [0 if v is None else v for v in inputs]
-                        fn = ovr.get(k)
-                        if fn is not None:
-                            value = fn(inputs, controls) & net_mask[sched_out[k]]
-                        else:
-                            value = module.evaluate(inputs, controls)
-                        evals += 1
-                out = sched_out[k]
-                fn = inj.get(out)
                 if fn is not None and value is not None:
-                    value = fn(value) & net_mask[out]
-                if value != golden[out]:
-                    overlay[out] = value
-                    touch(out)
-
+                    value = fn(value) & net_mask[q_id]
+                put(q_id, value)
+            for i, fn in inj_src:
+                if golden[i] is not None:  # partial sources skip unknowns
+                    put(i, fn(golden[i]) & net_mask[i])
+            propagate()
             if overlay or state_diff:
                 forked_cycles += 1
 
-            # -- per-cycle observability checks (STS strictly first) ---
-            sts_hit = None
-            for i in cd.sts_ids:
-                if i in overlay:
-                    sts_hit = i
-                    break
-            if sts_hit is not None:
-                return outcome("sts", t, names[sts_hit])
-            for i in cd.dpo_ids:
-                if (i in overlay and overlay[i] is not None
-                        and golden[i] is not None):
-                    return outcome("dpo", t, names[i])
-            for i in overlay:
-                if i in self.observed_set:
-                    return outcome("observed", t, names[i])
+            # -- the controller and the testbench see the touch? -------
+            if any(i in overlay for i in sts_ids):
+                if self._controller_diverges(t, read, put, propagate, inj):
+                    return outcome("touch", t)
+            if any(i in overlay for i in watched):
+                verdict = self.judge(t, {names[i]: read(i) for i in watched})
+                if verdict is not None:
+                    return outcome(verdict, t)
 
             # -- clock the forked registers ----------------------------
             next_golden = (
@@ -256,14 +279,14 @@ class BatchFaultSimulator:
                 reg = cd.registers[j]
                 controls = [read(c) for c in ctl_ids]
                 if None in controls:
-                    return outcome("abort", t, reg.name)
+                    return outcome("touch", t)
                 current = state_diff.get(j, golden[cd.reg_q_ids[j]])
                 d_value = read(d_id)
                 if d_value is None:
                     if reg.next_state(current, 0, controls) != reg.next_state(
                         current, 1, controls
                     ):
-                        return outcome("abort", t, reg.name)
+                        return outcome("touch", t)
                     d_value = current
                 if next_golden is None:
                     continue
@@ -272,4 +295,37 @@ class BatchFaultSimulator:
                     new_diff[j] = forked
             state_diff = new_diff
 
-        return ForkOutcome("clean", forked_cycles=forked_cycles, evals=evals)
+        return ForkOutcome("clean", forked_cycles=forked_cycles)
+
+    def _controller_diverges(self, t, read, put, propagate, inj) -> bool:
+        """Follow the fork's STS values through the controller at cycle
+        ``t``: changed CTRLs enter the overlay (``put``) and propagate
+        until the STS values settle.  True when the bad machine's
+        controller leaves the fork: its feedback does not settle, a CTRL
+        is unresolved, or its next state differs from the golden's."""
+        controller = self.processor.controller
+        net_mask = self.cd.net_mask
+        golden = self.golden.cycles[t].controller
+        for _ in range(FIXPOINT_ITERS):
+            assignment = dict(golden)
+            sts = {name: read(i) for name, i in self.sts}
+            assignment.update(sts)
+            values = controller.network.evaluate(assignment)
+            for name, i in self.ctrl:
+                value = values[name]
+                fn = inj.get(i)
+                if fn is not None and value is not None:
+                    value = fn(value) & net_mask[i]
+                put(i, value)
+            propagate()
+            if all(read(i) == sts[name] for name, i in self.sts):
+                break
+        else:
+            return True
+        if any(values[name] is None for name, _ in self.ctrl):
+            return True
+        try:
+            return (controller.next_state(golden, values)
+                    != controller.next_state(golden, golden))
+        except ControlNetworkError:
+            return True

@@ -194,10 +194,6 @@ class DlxTestbench:
 class DlxEnv:
     """Drives the DLX implementation with a program."""
 
-    #: The testbench :meth:`run` steps; fault simulation reads what it
-    #: previews (``PREVIEW_NETS``).
-    testbench = DlxTestbench
-
     def __init__(
         self,
         processor: Processor,
@@ -218,6 +214,21 @@ class DlxEnv:
         #: (consumed by the coverage collector in ``repro.fuzz``).
         self.trace = Trace()
 
+    def testbench_for(
+        self,
+        program: Sequence[Instruction],
+        init_regs: Sequence[int] | None = None,
+        init_memory: dict[int, int] | None = None,
+        drain: int = 8,
+        max_cycles: int | None = None,
+        spec_events: Sequence[Event] | None = None,
+    ) -> DlxTestbench:
+        """The testbench :meth:`run` steps for these arguments."""
+        return DlxTestbench(
+            program, init_regs, init_memory, drain, max_cycles,
+            branch_prediction=self.branch_prediction, spec_events=spec_events,
+        )
+
     def run(
         self,
         program: Sequence[Instruction],
@@ -236,14 +247,13 @@ class DlxEnv:
         lacks.  The returned events then end with that event, and the
         registers, memory and ``trace`` hold the state at the stop.
 
-        With ``resume`` the run is an excursion: it starts inside a golden
-        run of the same program and stops where it rejoins it (see
-        :func:`repro.verify.cosim.run_testbench`).
+        With ``resume`` the run is an excursion: it steps the excursion's
+        testbench of the same program from inside a golden run and stops
+        where it rejoins it (see :func:`repro.verify.cosim.run_testbench`).
         """
         self.trace = Trace()
-        bench = DlxTestbench(
-            program, init_regs, init_memory, drain, max_cycles,
-            branch_prediction=self.branch_prediction, spec_events=spec_events,
+        bench = resume.bench if resume is not None else self.testbench_for(
+            program, init_regs, init_memory, drain, max_cycles, spec_events,
         )
         return run_testbench(self.sim, bench, self.trace, resume)
 

@@ -71,6 +71,8 @@ class MatrixConfig:
                              f"(choose from {', '.join(MACHINES)})")
         if self.programs < 1:
             raise ValueError("programs must be >= 1")
+        if self.length < 1:
+            raise ValueError("length must be >= 1")
         if self.sample < 1:
             raise ValueError("sample must be >= 1")
         unknown = sorted(set(self.classes) - set(ERROR_CLASSES))

@@ -80,6 +80,8 @@ class FuzzConfig:
                              f"(choose from {', '.join(MACHINES)})")
         if self.iters < 0:
             raise ValueError("iters must be >= 0")
+        if self.length < 1:
+            raise ValueError("length must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.lanes is not None and self.lanes < 0:

@@ -153,10 +153,6 @@ class MiniEnv:
     """Runs a program on the pipelined implementation and extracts the
     ISA-visible write trace."""
 
-    #: The testbench :meth:`run` steps; fault simulation reads what it
-    #: previews (``PREVIEW_NETS``).
-    testbench = MiniTestbench
-
     def __init__(
         self,
         processor: Processor,
@@ -171,6 +167,16 @@ class MiniEnv:
         #: (consumed by the coverage collector in ``repro.fuzz``).
         self.trace = Trace()
 
+    def testbench_for(
+        self,
+        program: Sequence[Instruction],
+        init_regs: Sequence[int] | None = None,
+        drain: int = 4,
+        spec_events: Sequence[tuple[int, int]] | None = None,
+    ) -> MiniTestbench:
+        """The testbench :meth:`run` steps for these arguments."""
+        return MiniTestbench(program, init_regs, drain, spec_events)
+
     def run(
         self,
         program: Sequence[Instruction],
@@ -183,11 +189,13 @@ class MiniEnv:
 
         With ``spec_events`` (the specification's writes) the run stops
         right after the first write that departs from them, as
-        ``DlxEnv.run`` does; with ``resume`` it is an excursion (see
-        :func:`repro.verify.cosim.run_testbench`).
+        ``DlxEnv.run`` does; with ``resume`` it is an excursion on the
+        excursion's testbench (see :func:`repro.verify.cosim.run_testbench`).
         """
         self.trace = Trace()
-        bench = MiniTestbench(program, init_regs, drain, spec_events)
+        bench = resume.bench if resume is not None else self.testbench_for(
+            program, init_regs, drain, spec_events,
+        )
         return run_testbench(self.sim, bench, self.trace, resume)
 
 

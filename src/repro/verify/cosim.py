@@ -42,9 +42,11 @@ class CycleTrace:
 
     datapath: dict[str, int | None]
     controller: dict[str, int | None]
-    #: The testbench's state at the start of the cycle (its ``save()``),
-    #: when a testbench drove the run.
+    #: The testbench's state at the start of the cycle (its ``save()``)
+    #: and the ``(cpi, dpi)`` stimulus it supplied, when a testbench drove
+    #: the run.
     bench: Any = None
+    stimulus: Any = None
 
 
 @dataclass
@@ -52,6 +54,9 @@ class Trace:
     """A multi-cycle simulation trace."""
 
     cycles: list[CycleTrace] = field(default_factory=list)
+    #: The testbench's state after the last cycle, when a testbench drove
+    #: the run.
+    final_bench: Any = None
 
 
 class ProcessorSimulator:
@@ -247,10 +252,11 @@ def run_testbench(sim: ProcessorSimulator, bench, trace: Trace,
     state (the machine's ``SHALLOW_PREVIEW`` single sweep, or the full
     ``resolve({}, {})`` fixpoint), lets the testbench commit what the
     cycle retires and choose the stimulus from the ``PREVIEW_NETS``
-    values, clocks the cycle into ``trace``, and moves the fetch unit.
-    The run ends when the testbench stops running or its ``cycle``
-    returns None.  A :class:`CosimError` propagates with ``trace``
-    holding every cycle clocked before it.
+    values, clocks the cycle into ``trace`` (with the save and the
+    stimulus), and moves the fetch unit.  The run ends when the testbench
+    stops running or its ``cycle`` returns None, and ``trace`` then holds
+    the testbench's final save.  A :class:`CosimError` propagates with
+    ``trace`` holding every cycle clocked before it.
 
     With ``resume`` the run starts from the excursion's state instead of
     the testbench's and the simulator's own, and stops at the start of the
@@ -274,10 +280,11 @@ def run_testbench(sim: ProcessorSimulator, bench, trace: Trace,
         if stimulus is None:
             break
         clocked = sim.step(*stimulus)
-        clocked.bench = save
+        clocked.bench, clocked.stimulus = save, stimulus
         trace.cycles.append(clocked)
         bench.advance(ctl)
         cycle += 1
+    trace.final_bench = bench.save()
     return bench.result()
 
 
@@ -287,10 +294,11 @@ class Excursion:
     ``golden`` is the golden run's trace, whose cycles carry the
     testbench's saved states, and ``dense`` its per-cycle net values
     indexed by net id (``BatchFaultSimulator.cycles``).  The excursion
-    starts at the start of cycle ``start`` from the golden's state there:
-    the datapath registers (the dense cycle's register outputs) overlaid
-    with ``state_diff`` (register name -> value), the controller state
-    (the cycle's CPR values) and the testbench's save.
+    steps ``bench``, a testbench of the golden run's program, and starts
+    at the start of cycle ``start`` from the golden's state there: the
+    datapath registers (the dense cycle's register outputs) overlaid with
+    ``state_diff`` (register name -> value), the controller state (the
+    cycle's CPR values) and the testbench's save.
 
     It *rejoins* the golden at the start of a later cycle ``c`` when its
     whole state equals the golden's there: datapath registers, controller
@@ -301,9 +309,10 @@ class Excursion:
     """
 
     def __init__(self, golden: Trace, dense: Sequence, start: int,
-                 state_diff: Mapping[str, int]) -> None:
+                 state_diff: Mapping[str, int], bench) -> None:
         self.golden, self.dense = golden, dense
         self.start, self.state_diff = start, state_diff
+        self.bench = bench
         self.rejoined: int | None = None
 
     @staticmethod
@@ -339,6 +348,49 @@ class Excursion:
         return save == golden.bench
 
 
+class TestbenchJudge:
+    """Whether a bad machine's testbench sees a cone fork's touch: the
+    ``judge`` of :class:`repro.datapath.faultsim.BatchFaultSimulator`.
+
+    ``bench`` is a testbench of the program ``golden`` ran, built with the
+    specification's events.  The judge restores it from the golden's save
+    at the touch's cycle and replays the cycle as :func:`run_testbench`
+    would on the bad machine's preview: the controller over the golden
+    controller state plus the bad STS values (the state alone under
+    ``SHALLOW_PREVIEW``), and the bad ``PREVIEW_NETS`` values.  It answers
+    ``"detected"`` for a commit that departs from the specification, None
+    when the replay supplies the golden's stimulus and ends in the
+    golden's next save (or final save), else ``"touch"``.
+    """
+
+    def __init__(self, processor: Processor, golden: Trace, bench) -> None:
+        self.network = processor.controller.network
+        self.golden, self.bench = golden, bench
+        self.preview_nets = bench.PREVIEW_NETS
+        self.cprs = processor.controller.csi_signals
+        self.preview_sts = (
+            () if bench.SHALLOW_PREVIEW else processor.controller.sts_signals
+        )
+
+    def __call__(self, t: int, values: Mapping[str, int | None]):
+        cycles = self.golden.cycles
+        cycle, bench = cycles[t], self.bench
+        state = {q: cycle.controller[q] for q in self.cprs}
+        for name in self.preview_sts:
+            state[name] = values[name]
+        ctl = self.network.evaluate(state)
+        bench.restore(cycle.bench)
+        stimulus = bench.cycle(ctl, *(values[n] for n in self.preview_nets))
+        if stimulus is None:
+            return "detected"
+        if stimulus != cycle.stimulus:
+            return "touch"
+        bench.advance(ctl)
+        after = (cycles[t + 1].bench if t + 1 < len(cycles)
+                 else self.golden.final_bench)
+        return None if bench.save() == after else "touch"
+
+
 def batch_detects(env_cls, processor: Processor, run_args: tuple, errors,
                   spec_events: list, golden: tuple | None = None
                   ) -> list[bool]:
@@ -352,49 +404,50 @@ def batch_detects(env_cls, processor: Processor, run_args: tuple, errors,
     dense_cycles)``, e.g. one lane of a batched run recorded ``"dense"``.
 
     Each error is cone-forked against the golden run
-    (:mod:`repro.datapath.faultsim`).  A fork that never touches a net the
-    testbench reads (its ``PREVIEW_NETS``, the DPO pins or the STS nets)
-    leaves every stimulus and every commit identical to the golden's and
-    inherits the golden verdict.  A touch at cycle ``t`` starts an
-    :class:`Excursion`: the bad machine resumed at ``t`` from the golden's
-    state plus the fork's register diff, run against the specification's
-    events.  It ends at its first departing commit (detected), at the
-    program's end, or where it rejoins the golden at some cycle ``c``,
-    which hands back to a fresh fork from ``c``.  A golden that departs
-    from the specification, and an error the fork cannot follow
-    (``"unsupported"``), run the bad machine in full from cycle 0.
+    (:mod:`repro.datapath.faultsim`), which puts every touch of a net the
+    testbench reads to a :class:`TestbenchJudge`.  A clean fork inherits
+    the golden verdict; a ``"detected"`` one is detected.  A real touch at
+    cycle ``t`` starts an :class:`Excursion`: the bad machine resumed at
+    ``t`` from the golden's state plus the fork's register diff, run
+    against the specification's events.  It ends at its first departing
+    commit (detected), at the program's end, or where it rejoins the
+    golden at some cycle ``c``, which hands back to a fresh fork from
+    ``c``.  A golden that departs from the specification, and an error
+    the fork cannot follow (``"unsupported"``), run the bad machine in
+    full from cycle 0.  The judge and every excursion share one testbench
+    of the program.
     """
     from repro.datapath.faultsim import BatchFaultSimulator
 
+    env = env_cls(processor)
     if golden is None:
-        env = env_cls(processor)
         golden = (env.run(*run_args), env.trace, None)
     result, trace, dense = golden
     golden_detects = result.events != spec_events
+    bench = env.testbench_for(*run_args, spec_events=spec_events)
     sim = BatchFaultSimulator(
-        processor, trace, observed_extra=env_cls.testbench.PREVIEW_NETS,
-        dense_cycles=dense,
+        processor, trace, TestbenchJudge(processor, trace, bench), dense,
     )
 
     def verdict(error) -> bool:
         fork = sim.fork(error)
-        if fork.kind == "clean":
-            return golden_detects
+        if fork.kind in ("clean", "detected"):
+            return golden_detects or fork.kind == "detected"
         injector, module_overrides = error.hooks(processor.datapath)
         env = env_cls(processor, injector=injector,
                       module_overrides=module_overrides)
         if golden_detects or fork.kind == "unsupported":
             bad = env.run(*run_args, spec_events=spec_events)
             return bad.events != spec_events
-        while fork.kind != "clean":
+        while fork.kind == "touch":
             excursion = Excursion(trace, sim.cycles, fork.cycle,
-                                  fork.state_diff)
+                                  fork.state_diff, bench)
             bad = env.run(*run_args, spec_events=spec_events,
                           resume=excursion)
             if excursion.rejoined is None:
                 return bad.events != spec_events
             fork = sim.fork(error, excursion.rejoined)
-        return golden_detects
+        return fork.kind == "detected"
 
     return [verdict(error) for error in errors]
 

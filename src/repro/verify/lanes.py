@@ -393,11 +393,11 @@ def run_lanes(
 
     ``record`` selects the trace format: ``"controller"`` keeps only
     controller values per cycle (what the fuzz coverage collector reads),
-    ``"dense"`` additionally collects dense datapath value lists and each
-    cycle's testbench save (a golden run the conformance fault simulator
-    forks against and resumes excursions from, see
-    :func:`repro.verify.cosim.batch_detects`).  Neither fills the
-    ``CycleTrace`` datapath dicts.
+    ``"dense"`` additionally collects dense datapath value lists, each
+    cycle's testbench save and stimulus, and the final save (a golden run
+    the conformance fault simulator forks against, judges touches on and
+    resumes excursions from, see :func:`repro.verify.cosim.batch_detects`).
+    Neither fills the ``CycleTrace`` datapath dicts.
     """
     n = sim.n_lanes
     if len(benches) != n:
@@ -448,13 +448,17 @@ def run_lanes(
                 # nothing of this lane is observed from now on.
                 failure[b] = failures[b]
                 continue
+            cycle = CycleTrace(datapath={}, controller=ctl_values[b])
             if record == "dense":
                 dense[b].append(sim.dense_datapath(b))
-            traces[b].cycles.append(CycleTrace(
-                datapath={}, controller=ctl_values[b], bench=saves.get(b),
-            ))
+                cycle.bench = saves[b]
+                cycle.stimulus = cpi_list[b], dpi_list[b]
+            traces[b].cycles.append(cycle)
             benches[b].advance(ctl_list[b])
     sim.dp.active_lanes = n
+    if record == "dense":
+        for b in range(n):
+            traces[b].final_bench = benches[b].save()
 
     return [
         LaneRun(

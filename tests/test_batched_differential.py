@@ -67,7 +67,8 @@ def _scalar_mini(processor, program, regs, error=None):
 
 
 def _cycles(trace):
-    return [(c.controller, c.datapath) for c in trace.cycles]
+    return [(c.controller, c.datapath, c.bench, c.stimulus)
+            for c in trace.cycles]
 
 
 def _lane_cycles(processor, run):
@@ -75,7 +76,8 @@ def _lane_cycles(processor, run):
     cycle read from the dense values the lane recorded."""
     names = processor.datapath.compiled().names
     return [
-        (cycle.controller, dict(zip(names, values)))
+        (cycle.controller, dict(zip(names, values)), cycle.bench,
+         cycle.stimulus)
         for cycle, values in zip(run.trace.cycles, run.dense_cycles)
     ]
 
@@ -263,7 +265,8 @@ def test_dlx_batch_matches_scalar(branch_prediction):
             except CosimError as exc:
                 scalar.append((None, _cycles(env.trace), str(exc)))
             else:
-                scalar.append((result, _cycles(env.trace), None))
+                scalar.append((result, _cycles(env.trace)
+                               + [env.trace.final_bench], None))
 
         if error is not None:
             bad = error.attach(dlx.datapath)
@@ -277,7 +280,10 @@ def test_dlx_batch_matches_scalar(branch_prediction):
             tag = f"bp={branch_prediction} error={error}"
             assert run.failure == fail, tag
             assert len(run.dense_cycles) == len(run.trace.cycles), tag
-            assert _lane_cycles(dlx, run) == cycles, tag
+            lane_cycles = _lane_cycles(dlx, run)
+            if fail is None:
+                lane_cycles.append(run.trace.final_bench)
+            assert lane_cycles == cycles, tag
             if fail is None:
                 assert run.result.events == result.events, tag
                 assert run.result.registers == result.registers, tag

@@ -149,6 +149,18 @@ def test_fuzz_budget_must_be_finite_and_positive(tmp_path, capsys):
         assert "error: budget_seconds must be" in capsys.readouterr().err
 
 
+def test_fuzz_length_must_be_positive(tmp_path, capsys):
+    # Programs of no instructions ran and reported 0 divergences, and a
+    # matrix of them classified every error undetected_by_budget.
+    for args in (["--machine", "dlx", "--iters", "5", "--length", "0"],
+                 ["--matrix", "--matrix-machines", "mini",
+                  "--matrix-programs", "2", "--length", "0"],
+                 ["--matrix", "--matrix-machines", "mini",
+                  "--matrix-programs", "2", "--length", "-3"]):
+        assert main(["fuzz", *args, "--report-dir", str(tmp_path)]) == 2
+        assert "error: length must be >= 1" in capsys.readouterr().err
+
+
 def test_matrix_rejects_unknown_machine(tmp_path, capsys):
     assert main(["fuzz", "--matrix", "--matrix-machines", "mini,foo",
                  "--report-dir", str(tmp_path)]) == 2

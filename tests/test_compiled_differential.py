@@ -149,6 +149,7 @@ def test_cone_fork_converges_and_inherits_verdict(minipipe):
         RandomProgramConfig,
     )
     from repro.datapath.faultsim import BatchFaultSimulator
+    from repro.verify.cosim import TestbenchJudge
 
     generator = RandomMiniGenerator(RandomProgramConfig(length=10, seed=3))
     program = generator.program(0)
@@ -157,7 +158,10 @@ def test_cone_fork_converges_and_inherits_verdict(minipipe):
     env = MiniEnv(minipipe)
     golden = env.run(program, regs)
     golden_detects = golden.writes != spec.writes
-    sim = BatchFaultSimulator(minipipe, env.trace)
+    bench = env.testbench_for(program, regs, spec_events=spec.writes)
+    sim = BatchFaultSimulator(
+        minipipe, env.trace, TestbenchJudge(minipipe, env.trace, bench),
+    )
 
     transient = 0
     for error in _mini_errors(minipipe):
@@ -195,12 +199,18 @@ def test_mini_batch_detects_matches_serial(minipipe):
 
 
 def test_dlx_batch_detects_matches_serial(monkeypatch):
-    """Every third error of every class on three programs, on the DLX and
-    the DLX+BP: fault simulation with bad-machine excursions gives the
-    verdicts of ``detects``, and every excursion path runs: a resume after
-    cycle 0, a rejoin handed back to a re-fork, and a departing commit.
-    A golden run that departs from the specification takes the full runs
-    from cycle 0 instead, with the same verdicts."""
+    """Every third error of every class and both branch-outcome errors
+    (``zero`` stuck-at-0/1) on four programs, on the DLX and the DLX+BP:
+    fault simulation gives the verdicts of ``detects``, and every path of
+    the fork runs on both machines: a status touch followed through the
+    controller and continued, a touch of a previewed net the testbench
+    does not see, a touch decided detected inside the fork, and a real
+    touch that starts an excursion, one of which rejoins the golden and
+    hands back to a re-fork.  A golden run that departs from the
+    specification takes the full runs from cycle 0 instead, with the same
+    verdicts."""
+    from collections import Counter
+
     from repro.baselines.random_gen import (
         RandomDlxGenerator,
         RandomProgramConfig,
@@ -210,16 +220,19 @@ def test_dlx_batch_detects_matches_serial(monkeypatch):
     from repro.dlx import env as dlx_env
     from repro.dlx.env import DlxEnv
     from repro.dlx.spec import DlxSpec
+    from repro.verify.cosim import TestbenchJudge
 
-    excursions = []  # (excursion, events) of every resumed run
+    excursions = []  # the excursion of every resumed run
     full_runs = []  # the events of every run from cycle 0
     fork_starts = []
-    run, fork = DlxEnv.run, BatchFaultSimulator.fork
+    judged = []  # (verdict, STS moved, previewed net moved) per judgement
+    run, fork, judge = DlxEnv.run, BatchFaultSimulator.fork, \
+        TestbenchJudge.__call__
 
     def recording_run(self, *args, resume=None, **kwargs):
         result = run(self, *args, resume=resume, **kwargs)
         if resume is not None:
-            excursions.append((resume, list(result.events)))
+            excursions.append(resume)
         else:
             full_runs.append(result.events)
         return result
@@ -228,30 +241,53 @@ def test_dlx_batch_detects_matches_serial(monkeypatch):
         fork_starts.append(start)
         return fork(self, error, start)
 
+    def recording_judge(self, t, values):
+        verdict = judge(self, t, values)
+        golden = self.golden.cycles[t]
+        judged.append((
+            verdict,
+            any(values[name] != golden.controller[name]
+                for name in ("zero", "addrlo")),
+            any(values[name] != golden.datapath[name]
+                for name in self.preview_nets),
+        ))
+        return verdict
+
     monkeypatch.setattr(DlxEnv, "run", recording_run)
     monkeypatch.setattr(BatchFaultSimulator, "fork", recording_fork)
+    monkeypatch.setattr(TestbenchJudge, "__call__", recording_judge)
     generator = RandomDlxGenerator(RandomProgramConfig(length=12, seed=5))
     programs = [(generator.program(i), generator.initial_registers(i))
                 for i in range(3)]
-    paths = {"resumed late": 0, "rejoined": 0, "departed": 0}
+    # The second program of ``fuzz --matrix --seed 49``: an excursion of
+    # ``opa_mux.y[1]`` stuck-at-0 rejoins the golden, and ``zero``
+    # stuck-at-1 flips a branch outcome, which only the controller's next
+    # state shows.
+    matrix = RandomDlxGenerator(RandomProgramConfig(length=12, seed=49))
+    programs.append((matrix.program(1), matrix.initial_registers(1)))
     for branch_prediction in (False, True):
         dlx = build_dlx(branch_prediction=branch_prediction)
         dp = dlx.datapath
-        errors = (enumerate_bus_ssl(dp, max_bits_per_net=4)
-                  + enumerate_mse(dp) + enumerate_boe(dp))[::3]
+        every = (enumerate_bus_ssl(dp, max_bits_per_net=4)
+                 + enumerate_mse(dp) + enumerate_boe(dp))
+        errors = [e for i, e in enumerate(every) if i % 3 == 0
+                  or e.describe().startswith("bus-ssl zero[")]
+        judged.clear()
+        excursions.clear()
+        fork_starts.clear()
         for program, regs in programs:
-            spec = DlxSpec().run(program, regs).events
-            excursions.clear()
             batch = dlx_env.batch_detects(dlx, program, errors, regs)
             serial = [dlx_env.detects(dlx, program, e, regs) for e in errors]
             assert batch == serial
-            for excursion, events in excursions:
-                paths["resumed late"] += excursion.start > 0
-                paths["rejoined"] += excursion.rejoined is not None
-                paths["departed"] += (excursion.rejoined is None
-                                      and events != spec[:len(events)])
-    assert all(paths.values()), paths
-    assert any(start > 0 for start in fork_starts)
+        paths = Counter()
+        for verdict, sts_moved, preview_moved in judged:
+            paths["status followed"] += verdict is None and sts_moved
+            paths["preview unseen"] += verdict is None and preview_moved
+            paths["detected in fork"] += verdict == "detected"
+        paths["excursion"] = len(excursions)
+        paths["rejoined"] = sum(e.rejoined is not None for e in excursions)
+        paths["re-forked"] = sum(start > 0 for start in fork_starts)
+        assert len(paths) == 6 and all(paths.values()), paths
 
     class DepartingSpec(DlxSpec):
         """The specification without its last event."""
@@ -262,7 +298,7 @@ def test_dlx_batch_detects_matches_serial(monkeypatch):
             return result
 
     monkeypatch.setattr(dlx_env, "DlxSpec", DepartingSpec)
-    program, regs = programs[0]
+    program, regs = programs[3]
     excursions.clear()
     full_runs.clear()
     batch = dlx_env.batch_detects(dlx, program, errors, regs)

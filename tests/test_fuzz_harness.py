@@ -96,6 +96,12 @@ def test_fuzz_config_validation():
     for budget in (0, -1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="budget_seconds"):
             FuzzConfig(budget_seconds=budget)
+    # An empty program list would run nothing and report it clean.
+    for length in (0, -3):
+        with pytest.raises(ValueError, match="length"):
+            FuzzConfig(length=length)
+        with pytest.raises(ValueError, match="length"):
+            MatrixConfig(length=length)
     for bad in (dict(machine="vax"), dict(machine=5), dict(programs=0),
                 dict(sample=0), dict(classes=("bus-ssl", "stuck-open")),
                 dict(lanes=-1)):

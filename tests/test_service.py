@@ -178,13 +178,15 @@ def test_healthz_metrics_and_errors(tmp_path):
             assert excinfo.value.status == 400
             assert next(iter(field)) in excinfo.value.body["error"]
         # Fuzz requests are checked at submit time as well: an unknown
-        # matrix machine (by name or by type), a misspelt field, and
-        # budgets that would run nothing or run unbounded.
+        # matrix machine (by name or by type), a misspelt field, budgets
+        # that would run nothing or run unbounded, and empty programs.
         for request, named in (({"matrix": True, "machine": "foo"}, "foo"),
                                ({"matrix": True, "machine": 5}, "5"),
                                ({"iter": 5}, "iter"),
                                ({"budget_seconds": -1}, "budget_seconds"),
-                               ({"budget_seconds": "nan"}, "budget_seconds")):
+                               ({"budget_seconds": "nan"}, "budget_seconds"),
+                               ({"length": 0}, "length"),
+                               ({"matrix": True, "length": -3}, "length")):
             with pytest.raises(ServiceError) as excinfo:
                 client.submit_fuzz(**request)
             assert excinfo.value.status == 400

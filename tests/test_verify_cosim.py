@@ -545,15 +545,21 @@ def test_dlx_detects_early_stop_matches_full_run():
     assert cycles["stopped"] < cycles["full"]
 
 
+def _dense(processor, trace):
+    """A scalar trace's datapath values, per cycle by net id."""
+    names = processor.datapath.compiled().names
+    return [[cycle.datapath.get(n) for n in names] for cycle in trace.cycles]
+
+
 @pytest.mark.parametrize("which", ["mini", "dlx", "dlx_bp"])
 def test_resumed_machine_is_the_uninterrupted_one(which):
     # A fault-free machine resumed from the golden's saved state at the
     # start of any cycle, and never handed back, finishes the program
     # exactly as the uninterrupted run does: the same events, registers,
-    # memory and trace, each cycle's testbench save included.  The
+    # memory and trace, each cycle's testbench save and stimulus and the
+    # final save included.  The
     # branch-heavy programs move the DLX+BP fetch unit's shadow pipe.
     from repro.baselines.random_gen import RandomProgramConfig
-    from repro.datapath.faultsim import BatchFaultSimulator
     from repro.machines import machine_adapter
     from repro.verify.cosim import Excursion
 
@@ -562,7 +568,8 @@ def test_resumed_machine_is_the_uninterrupted_one(which):
             return False
 
     def cycles(trace):
-        return [(c.controller, c.datapath, c.bench) for c in trace.cycles]
+        return [(c.controller, c.datapath, c.bench, c.stimulus)
+                for c in trace.cycles] + [trace.final_bench]
 
     machine = machine_adapter(which)
     processor = _machine(which)
@@ -576,9 +583,10 @@ def test_resumed_machine_is_the_uninterrupted_one(which):
         env = machine.scalar_env(processor)
         golden = machine.canonical(env.run(program, regs))
         trace = env.trace
-        dense = BatchFaultSimulator(processor, trace).cycles
+        dense = _dense(processor, trace)
+        bench = env.testbench_for(program, regs)
         for t in range(len(trace.cycles)):
-            resume = Uninterrupted(trace, dense, t, {})
+            resume = Uninterrupted(trace, dense, t, {}, bench)
             result = env.run(program, regs, resume=resume)
             assert machine.canonical(result) == golden, (index, t)
             assert cycles(env.trace) == cycles(trace)[t:], (index, t)
@@ -593,8 +601,7 @@ def test_dlx_rejoin_compares_registers_controller_state_and_testbench():
         RandomDlxGenerator,
         RandomProgramConfig,
     )
-    from repro.datapath.faultsim import BatchFaultSimulator
-    from repro.dlx.env import DlxEnv, DlxTestbench
+    from repro.dlx.env import DlxEnv
     from repro.verify.cosim import Excursion
 
     dlx = _machine("dlx")
@@ -603,11 +610,11 @@ def test_dlx_rejoin_compares_registers_controller_state_and_testbench():
     env = DlxEnv(dlx)
     env.run(program, regs)
     trace = env.trace
-    dense = BatchFaultSimulator(dlx, trace).cycles
+    dense = _dense(dlx, trace)
     c = len(trace.cycles) // 2
-    excursion = Excursion(trace, dense, 0, {})
-    sim, bench = env.sim, DlxTestbench(program, regs)
-    Excursion(trace, dense, c, {}).restore(sim, bench)
+    sim, bench = env.sim, env.testbench_for(program, regs)
+    excursion = Excursion(trace, dense, 0, {}, bench)
+    Excursion(trace, dense, c, {}, bench).restore(sim, bench)
     save = bench.save()
     assert excursion.rejoins(c, sim, save)
 
@@ -631,3 +638,82 @@ def test_dlx_rejoin_compares_registers_controller_state_and_testbench():
     assert bench.save() != save
     assert not excursion.rejoins(c, sim, bench.save())
     assert excursion.rejoins(c, sim, save)
+
+
+def test_testbench_judge_replays_the_bad_testbench_cycle():
+    # The judge replays one cycle of the bad machine's testbench from the
+    # golden's save.  On the golden's own values it sees nothing at any
+    # cycle; a recorded stimulus, next save or final save that differs
+    # from the replay's is a touch; a commit the specification lacks is
+    # detected.  On the DLX+BP a flipped branch outcome (the zero STS)
+    # redirects the fetch unit, which the judge sees only if its preview
+    # reads the bad machine's STS values.
+    import dataclasses
+
+    from repro.baselines.random_gen import (
+        RandomDlxGenerator,
+        RandomProgramConfig,
+    )
+    from repro.dlx.env import DlxEnv
+    from repro.dlx.spec import DlxSpec
+    from repro.verify.cosim import TestbenchJudge, Trace
+
+    def moved(save):
+        regs = list(save[0])
+        regs[1] ^= 1
+        return (tuple(regs),) + save[1:]
+
+    dlx = _machine("dlx_bp")
+    generator = RandomDlxGenerator(RandomProgramConfig(
+        length=12, seed=7, opcode_weights={"BEQZ": 6, "BNEZ": 6, "J": 2},
+    ))
+    redirects = 0
+    for index in range(4):
+        program = generator.program(index)
+        regs = generator.initial_registers(index)
+        env = DlxEnv(dlx)
+        env.run(program, regs)
+        trace = env.trace
+        bench = env.testbench_for(
+            program, regs, spec_events=DlxSpec().run(program, regs).events,
+        )
+        judge = TestbenchJudge(dlx, trace, bench)
+
+        def values(t, **bad):
+            cycle = trace.cycles[t]
+            seen = {name: cycle.controller[name]
+                    for name in dlx.controller.sts_signals}
+            seen.update((name, cycle.datapath[name])
+                        for name in judge.preview_nets)
+            seen.update(bad)
+            return seen
+
+        def judged(t, cycles=trace.cycles, final=trace.final_bench,
+                   bench=bench):
+            golden = Trace(list(cycles), final)
+            return TestbenchJudge(dlx, golden, bench)(t, values(t))
+
+        last = len(trace.cycles) - 1
+        for t in range(last + 1):
+            assert judge(t, values(t)) is None, (index, t)
+            zero = trace.cycles[t].controller["zero"]
+            if zero is not None:
+                redirects += judge(t, values(t, zero=1 - zero)) == "touch"
+
+        t = last // 2
+        cycles = list(trace.cycles)
+        cycles[t] = dataclasses.replace(cycles[t], stimulus=None)
+        assert judged(t, cycles) == "touch"
+        cycles = list(trace.cycles)
+        cycles[t + 1] = dataclasses.replace(
+            cycles[t + 1], bench=moved(cycles[t + 1].bench),
+        )
+        assert judged(t, cycles) == "touch"
+        assert judged(last, final=moved(trace.final_bench)) == "touch"
+        commits = next(
+            t for t in range(last)
+            if trace.cycles[t].bench[2] != trace.cycles[t + 1].bench[2]
+        )
+        unspecified = env.testbench_for(program, regs, spec_events=[])
+        assert judged(commits, bench=unspecified) == "detected"
+    assert redirects
