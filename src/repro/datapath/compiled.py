@@ -326,18 +326,20 @@ class CompiledDatapath:
     def injector_map(self, injector) -> dict:
         """Net id -> unary corrupter map for a name-based injector.
 
-        Injectors carrying a ``sites`` attribute (an iterable of net names,
-        as produced by :meth:`BusSSLError.injector`) hook only those nets;
-        a generic injector hooks every net, matching the interpretive
-        simulator's per-emission call.
+        Injectors carrying a ``sites`` attribute (net name -> the unary
+        corrupter of that net, as produced by :meth:`BusSSLError.injector`)
+        hook only those nets, with that corrupter; a generic injector hooks
+        every net, matching the interpretive simulator's per-emission call.
         """
         if injector is no_injection:
             return {}
         sites = getattr(injector, "sites", None)
-        names = self.names if sites is None else sites
+        if sites is None:
+            return {i: _bind(injector, name)
+                    for i, name in enumerate(self.names)}
         return {
-            self.index[name]: _bind(injector, name)
-            for name in names if name in self.index
+            self.index[name]: fn
+            for name, fn in sites.items() if name in self.index
         }
 
     def override_map(self, module_overrides: Mapping | None) -> dict:

@@ -2,14 +2,29 @@
 
 Concurrent-fault-simulation style: the fault-free ("golden") trace of a
 stimulus is simulated once; each planted error is then *forked* against it.
-Per cycle, a fork materializes only the net values inside the error site's
-activated fanout cone (a sparse overlay keyed by net id, plus a sparse
-forked-register diff across cycles).  A forked value equal to the golden
-one never stays in the overlay, so a masked error converges back to sharing
-the golden trace at zero marginal cost.  A cycle with no register diff in
-which every seed of the error yields its golden value is *quiet* and is
-skipped without building the cone.  A fork may start at any golden cycle,
-from the golden state there (a bad machine that has rejoined the golden).
+Per cycle, a fork evaluates only the modules in the error site's activated
+fanout cone, on one copy of the golden cycle's dense net values, and keeps
+a sparse forked-register diff across cycles, so a masked error converges
+back to sharing the golden trace at zero marginal cost.  While the fork
+holds no register diff, it builds a cycle's cone only where the error is
+*active* (some seed, an injected net or an overridden module's output,
+moves off its golden value on golden inputs) and some seed is
+*observable*.  A fork may start at any golden cycle, from the golden state
+there (a bad machine that has rejoined the golden).
+
+Observability.  ``BatchFaultSimulator.observable`` gives every net a
+bitmask over the golden cycles: bit ``t`` is set when a change of the net
+at cycle ``t`` can reach what the fork reads after the cone, an STS net, a
+previewed net or a register's data or control input.  One backward sweep
+of the schedule builds it: a control input always passes, a data input
+only where the module's golden controls need it (``needed_inputs``: the
+input a mux's golden select picks, a tristate's input while enabled; every
+input where a control is unknown).  Skipping such a cycle is exact.  A net
+the cycle moves is a seed or the output of a module with a moved input,
+and under golden controls only a needed data input or a control input can
+move the output; those are the edges the sweep passes.  So a moved watched
+net or register input leads back to an observable seed, and with none the
+cone would end with no controller step, no judgement and no register diff.
 
 Soundness contract.  Up to the start of the cycle a fork stops in, the
 erroneous machine is the golden machine plus the outcome's ``state_diff``,
@@ -17,17 +32,18 @@ with the golden's controller and testbench state.  A cycle keeps that
 when its bad controller feeds the datapath the CTRLs the fork used and
 reaches the golden's next state, and its testbench commits the same
 events, supplies the same stimulus and ends in the same state.  The fork
-checks this wherever its overlay holds an STS net or a net the judge
-previews (``judge.preview_nets``, every DPO net among them).  It follows
-an STS divergence through the controller: re-evaluated on the golden
-cycle's CPI and CPR values with the fork's STS values, changed CTRLs
-enter the overlay and propagate until the STS values settle (within
-``ProcessorSimulator.resolve``'s bound).  The ``judge``
-(``repro.verify.cosim.TestbenchJudge``) replays the bad testbench's cycle
-on the fork's STS and previewed values.  Those equal what the testbench
-previews because no STS or previewed net has a data primary input in its
-fan-in, nor a CTRL on those paths a controller primary input (or, under
-``SHALLOW_PREVIEW``, an STS; ``tests/test_faultsim_precondition.py``).
+checks this wherever it moves an STS net or a net the judge previews
+(``judge.preview_nets``, every DPO net among them); a cycle it skips moves
+neither (see Observability).  It follows an STS divergence through the
+controller: re-evaluated on the golden cycle's CPI and CPR values with the
+fork's STS values, changed CTRLs enter the fork and propagate until the
+STS values settle (within ``repro.verify.cosim.FIXPOINT_ITERS`` sweeps).
+The ``judge`` (``repro.verify.cosim.TestbenchJudge``) replays the bad
+testbench's cycle on the fork's STS and previewed values.  Those equal
+what the testbench previews because no STS or previewed net has a data
+primary input in its fan-in, nor a CTRL on those paths a controller
+primary input (or, under ``SHALLOW_PREVIEW``, an STS;
+``tests/test_faultsim_precondition.py``).
 
 Outcome kinds:
 
@@ -55,10 +71,7 @@ from dataclasses import dataclass, field
 
 from repro.controller.network import ControlNetworkError
 from repro.datapath.simulate import no_injection
-
-#: Controller/datapath sweeps before an STS feedback counts as unsettled:
-#: ``ProcessorSimulator``'s default ``max_fixpoint_iters``.
-FIXPOINT_ITERS = 8
+from repro.verify.cosim import FIXPOINT_ITERS
 
 
 @dataclass
@@ -106,10 +119,17 @@ class BatchFaultSimulator:
         controller = processor.controller
         self.sts = [(name, cd.index[name]) for name in controller.sts_signals]
         self.ctrl = [(name, cd.index[name]) for name in controller.ctrl_signals]
+        self.sts_ids = {i for _, i in self.sts}
         self.watched = sorted(
-            {i for _, i in self.sts}
-            | {cd.index[name] for name in judge.preview_nets}
+            self.sts_ids | {cd.index[name] for name in judge.preview_nets}
         )
+        #: Net id -> positions of the registers reading it (data or
+        #: control).
+        self.readers: list[list[int]] = [[] for _ in range(cd.n_nets)]
+        for j, d_id in enumerate(cd.reg_d_ids):
+            for i in {d_id, *cd.reg_ctl_ids[j]}:
+                self.readers[i].append(j)
+        self.observable = self._observability()
 
     # ------------------------------------------------------------------
     def hooks_for(self, error):
@@ -133,6 +153,36 @@ class BatchFaultSimulator:
         return self._fork(*hooks, start)
 
     # ------------------------------------------------------------------
+    def _observability(self) -> list[int]:
+        """``observable``: net id -> bitmask over the golden cycles, from
+        one backward sweep of the schedule (see the module docstring)."""
+        cd = self.cd
+        every = (1 << len(self.cycles)) - 1
+        observable = [0] * cd.n_nets
+        for i in set(self.watched).union(cd.reg_d_ids, *cd.reg_ctl_ids):
+            observable[i] = every
+        for k in reversed(range(len(cd.sched_modules))):
+            seen = observable[cd.sched_out[k]]
+            if not seen:
+                continue
+            ctl, ins = cd.sched_ctl[k], cd.sched_in[k]
+            passes = [every] * len(ins)
+            if ctl:
+                module = cd.sched_modules[k]
+                passes = [0] * len(ins)
+                for t, values in enumerate(self.cycles):
+                    if seen >> t & 1:
+                        controls = [values[c] for c in ctl]
+                        needed = (range(len(ins)) if None in controls
+                                  else module.needed_inputs(controls))
+                        for x in needed:
+                            passes[x] |= 1 << t
+            for c in ctl:
+                observable[c] |= seen
+            for i, needed_at in zip(ins, passes):
+                observable[i] |= seen & needed_at
+        return observable
+
     def _fork(self, inj, ovr, start) -> ForkOutcome:
         cd = self.cd
         names = cd.names
@@ -141,22 +191,27 @@ class BatchFaultSimulator:
             cd.sched_out, cd.sched_in, cd.sched_ctl,
         )
         fanout = cd.fanout_sched
-        n_regs = len(cd.registers)
         net_mask = cd.net_mask
-        sts_ids = [i for _, i in self.sts]
-        watched = self.watched
+        cycles = self.cycles
+        heap: list[int] = []
+        queued: set[int] = set()
+        touched: list[int] = []  # nets ``put`` moved this cycle
+        values: list = []  # this cycle's forked values, by net id
 
-        def evaluate(k, read):
-            """Scheduled module ``k`` on the values ``read`` gives, with the
-            error's override and injection."""
+        def evaluate(k):
+            """Scheduled module ``k`` on ``values``, with the error's
+            override and injection."""
             module = sched_modules[k]
             value = None
-            controls = [read(c) for c in sched_ctl[k]]
+            controls = [values[c] for c in sched_ctl[k]]
             if None not in controls:
-                inputs = [read(i) for i in sched_in[k]]
-                if all(inputs[i] is not None
-                       for i in module.needed_inputs(controls)):
+                inputs = [values[i] for i in sched_in[k]]
+                if None in inputs and all(
+                    inputs[x] is not None
+                    for x in module.needed_inputs(controls)
+                ):
                     inputs = [0 if v is None else v for v in inputs]
+                if None not in inputs:
                     fn = ovr.get(k)
                     if fn is not None:
                         value = fn(inputs, controls) & net_mask[sched_out[k]]
@@ -166,6 +221,24 @@ class BatchFaultSimulator:
             if fn is not None and value is not None:
                 value = fn(value) & net_mask[sched_out[k]]
             return value
+
+        def put(i, value):
+            """Give net ``i`` the forked ``value``; queue its readers
+            when that changes what they read."""
+            if value != values[i]:
+                values[i] = value
+                touched.append(i)
+                for k in fanout[i]:
+                    if k not in queued:
+                        queued.add(k)
+                        heapq.heappush(heap, k)
+
+        def propagate():
+            """Evaluate the queued cone in topological order."""
+            while heap:
+                k = heapq.heappop(heap)
+                put(sched_out[k], evaluate(k))
+            queued.clear()
 
         # Permanent per-cycle seeds: overridden / injected combinational
         # modules re-evaluate every cycle; injected source nets and
@@ -184,18 +257,12 @@ class BatchFaultSimulator:
                 else:
                     inj_src.append((i, fn))  # external or constant
         forced = sorted(forced)
-
-        def quiet(golden) -> bool:
-            """Every seed yields its golden value (no register diff).  On
-            golden inputs a module with no override computes its golden
-            output, so an injected net need only keep its golden value."""
-            for i, fn in inj.items():
-                v = golden[i]
-                if v is not None and fn(v) & net_mask[i] != v:
-                    return False
-            read = golden.__getitem__
-            return all(evaluate(k, read) == golden[sched_out[k]]
-                       for k in ovr)
+        # The cycles at which some seed's change can reach a watched net
+        # or a register.
+        observable = 0
+        for i in set(inj).union(sched_out[k] for k in ovr):
+            observable |= self.observable[i]
+        inj_items = list(inj.items())
 
         state_diff: dict[int, int] = {}
         forked_cycles = 0
@@ -204,39 +271,31 @@ class BatchFaultSimulator:
             diff = {cd.reg_names[j]: v for j, v in state_diff.items()}
             return ForkOutcome(kind, t, diff, forked_cycles)
 
-        for t in range(start, len(self.cycles)):
-            golden = self.cycles[t]
-            if not state_diff and quiet(golden):
-                continue
-            overlay: dict = {}
-            heap = list(forced)  # sorted: already a heap
-            queued = set(forced)
-
-            def read(i):
-                return overlay[i] if i in overlay else golden[i]
-
-            def put(i, value):
-                """Give net ``i`` the forked ``value``; queue its readers
-                when that changes what they read."""
-                if value == read(i):
-                    return
-                if value == golden[i]:
-                    del overlay[i]
+        for t in range(start, len(cycles)):
+            values = golden = cycles[t]
+            if not state_diff:
+                # With no register diff, the cycle is quiet when every seed
+                # yields its golden value: an injected net keeps it, and an
+                # overridden module computes it on golden inputs.
+                for i, fn in inj_items:
+                    v = golden[i]
+                    if v is not None and fn(v) & net_mask[i] != v:
+                        break
                 else:
-                    overlay[i] = value
-                for k in fanout[i]:
-                    if k not in queued:
-                        queued.add(k)
-                        heapq.heappush(heap, k)
-
-            def propagate():
-                """Evaluate the queued cone in topological order."""
-                while heap:
-                    k = heapq.heappop(heap)
-                    put(sched_out[k], evaluate(k, read))
-                queued.clear()
+                    for k in ovr:
+                        if evaluate(k) != golden[sched_out[k]]:
+                            break
+                    else:
+                        continue
+                if not observable >> t & 1:
+                    forked_cycles += 1  # masked inside the cycle
+                    continue
 
             # -- seed and propagate the cycle's cone -------------------
+            values = golden.copy()
+            touched.clear()
+            heap[:] = forced  # sorted: already a heap
+            queued.update(forced)
             for j in set(state_diff) | set(inj_q):
                 q_id = cd.reg_q_ids[j]
                 value = state_diff.get(j, golden[q_id])
@@ -248,40 +307,34 @@ class BatchFaultSimulator:
                 if golden[i] is not None:  # partial sources skip unknowns
                     put(i, fn(golden[i]) & net_mask[i])
             propagate()
-            if overlay or state_diff:
+            changed = {i for i in touched if values[i] != golden[i]}
+            if changed or state_diff:
                 forked_cycles += 1
 
             # -- the controller and the testbench see the touch? -------
-            if any(i in overlay for i in sts_ids):
-                if self._controller_diverges(t, read, put, propagate, inj):
+            if not changed.isdisjoint(self.sts_ids):
+                if self._controller_diverges(t, values, put, propagate, inj):
                     return outcome("touch", t)
-            if any(i in overlay for i in watched):
-                verdict = self.judge(t, {names[i]: read(i) for i in watched})
+                changed = {i for i in touched if values[i] != golden[i]}
+            if not changed.isdisjoint(self.watched):
+                verdict = self.judge(t, {names[i]: values[i]
+                                         for i in self.watched})
                 if verdict is not None:
                     return outcome(verdict, t)
 
             # -- clock the forked registers ----------------------------
-            next_golden = (
-                self.cycles[t + 1] if t + 1 < len(self.cycles) else None
-            )
+            next_golden = cycles[t + 1] if t + 1 < len(cycles) else None
+            affected = set(state_diff)
+            for i in changed:
+                affected.update(self.readers[i])
             new_diff: dict[int, int] = {}
-            for j in range(n_regs):
-                d_id = cd.reg_d_ids[j]
-                ctl_ids = cd.reg_ctl_ids[j]
-                affected = j in state_diff or d_id in overlay
-                if not affected:
-                    for c in ctl_ids:
-                        if c in overlay:
-                            affected = True
-                            break
-                if not affected:
-                    continue
+            for j in sorted(affected):
                 reg = cd.registers[j]
-                controls = [read(c) for c in ctl_ids]
+                controls = [values[c] for c in cd.reg_ctl_ids[j]]
                 if None in controls:
                     return outcome("touch", t)
                 current = state_diff.get(j, golden[cd.reg_q_ids[j]])
-                d_value = read(d_id)
+                d_value = values[cd.reg_d_ids[j]]
                 if d_value is None:
                     if reg.next_state(current, 0, controls) != reg.next_state(
                         current, 1, controls
@@ -297,35 +350,36 @@ class BatchFaultSimulator:
 
         return ForkOutcome("clean", forked_cycles=forked_cycles)
 
-    def _controller_diverges(self, t, read, put, propagate, inj) -> bool:
-        """Follow the fork's STS values through the controller at cycle
-        ``t``: changed CTRLs enter the overlay (``put``) and propagate
-        until the STS values settle.  True when the bad machine's
-        controller leaves the fork: its feedback does not settle, a CTRL
-        is unresolved, or its next state differs from the golden's."""
+    def _controller_diverges(self, t, values, put, propagate, inj) -> bool:
+        """Follow the fork's STS values (in ``values``, the cycle's dense
+        forked values) through the controller at cycle ``t``: changed CTRLs
+        enter the fork (``put``) and propagate until the STS values settle.
+        True when the bad machine's controller leaves the fork: its
+        feedback does not settle, a CTRL is unresolved, or its next state
+        differs from the golden's."""
         controller = self.processor.controller
         net_mask = self.cd.net_mask
         golden = self.golden.cycles[t].controller
         for _ in range(FIXPOINT_ITERS):
             assignment = dict(golden)
-            sts = {name: read(i) for name, i in self.sts}
+            sts = {name: values[i] for name, i in self.sts}
             assignment.update(sts)
-            values = controller.network.evaluate(assignment)
+            ctl = controller.network.evaluate(assignment)
             for name, i in self.ctrl:
-                value = values[name]
+                value = ctl[name]
                 fn = inj.get(i)
                 if fn is not None and value is not None:
                     value = fn(value) & net_mask[i]
                 put(i, value)
             propagate()
-            if all(read(i) == sts[name] for name, i in self.sts):
+            if all(values[i] == sts[name] for name, i in self.sts):
                 break
         else:
             return True
-        if any(values[name] is None for name, _ in self.ctrl):
+        if any(ctl[name] is None for name, _ in self.ctrl):
             return True
         try:
-            return (controller.next_state(golden, values)
+            return (controller.next_state(golden, ctl)
                     != controller.next_state(golden, golden))
         except ControlNetworkError:
             return True

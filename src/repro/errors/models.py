@@ -96,9 +96,10 @@ class BusSSLError(DesignError):
                 return self.corrupt(value)
             return value
 
-        # Site annotation: compiled kernels hook only these nets instead of
-        # wrapping every net emission (repro.datapath.compiled).
-        inject.sites = (self.net,)
+        # Site annotation: compiled kernels hook only these nets, each with
+        # its corrupter, instead of wrapping every net emission
+        # (repro.datapath.compiled).
+        inject.sites = {self.net: self.corrupt}
         return inject
 
     def hooks(self, netlist: Netlist):

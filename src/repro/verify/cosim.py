@@ -32,6 +32,12 @@ from repro.model.processor import Processor
 from repro.utils.bits import mask
 
 
+#: Controller/datapath sweeps before a cycle's status feedback counts as
+#: unsettled: the bound of every co-simulator and of the cone fork's
+#: controller step.
+FIXPOINT_ITERS = 8
+
+
 class CosimError(Exception):
     """Raised when a cycle cannot be resolved to concrete values."""
 
@@ -67,7 +73,6 @@ class ProcessorSimulator:
         processor: Processor,
         injector: Injector = no_injection,
         module_overrides: Mapping[str, ModuleOverride] | None = None,
-        max_fixpoint_iters: int = 8,
         compiled: bool = True,
     ) -> None:
         self.processor = processor
@@ -80,7 +85,6 @@ class ProcessorSimulator:
             module_overrides=module_overrides,
         )
         self.ctl_state = processor.controller.reset_state()
-        self.max_fixpoint_iters = max_fixpoint_iters
 
     def reset(self) -> None:
         self.dp_sim.reset()
@@ -112,7 +116,7 @@ class ProcessorSimulator:
         sts_known: dict[str, int] = {}
         ctl_values: dict[str, int | None] = {}
         dp_values: dict[str, int | None] = {}
-        for _ in range(self.max_fixpoint_iters):
+        for _ in range(FIXPOINT_ITERS):
             assignment: dict[str, int | None] = dict(cpi)
             assignment.update(self.ctl_state)
             assignment.update(sts_known)

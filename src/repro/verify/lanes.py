@@ -52,7 +52,7 @@ from repro.datapath.batched import BatchedDatapathSimulator, require_numpy
 from repro.datapath.simulate import Injector, ModuleOverride, no_injection
 from repro.model.processor import Processor
 from repro.utils.bits import mask
-from repro.verify.cosim import CosimError, CycleTrace, Trace
+from repro.verify.cosim import FIXPOINT_ITERS, CosimError, CycleTrace, Trace
 
 try:  # pragma: no cover - exercised by the no-numpy CI tier
     import numpy as _np
@@ -69,7 +69,6 @@ class LaneProcessorSimulator:
         n_lanes: int,
         injector: Injector = no_injection,
         module_overrides: Mapping[str, ModuleOverride] | None = None,
-        max_fixpoint_iters: int = 8,
     ) -> None:
         require_numpy()
         self.processor = processor
@@ -82,7 +81,6 @@ class LaneProcessorSimulator:
         self.cd = cd
         controller = processor.controller
         self.kernel = kernel = controller.network.compiled().lane_kernel()
-        self.max_fixpoint_iters = max_fixpoint_iters
         nm = self.dp.batched.net_mask
         self._ctrl_x = [
             (name, kernel.x[kernel.index[name]])
@@ -169,7 +167,7 @@ class LaneProcessorSimulator:
         }
         assignment.update(self.ctl_state)
         sts = self._sts_unknown
-        for _ in range(self.max_fixpoint_iters):
+        for _ in range(FIXPOINT_ITERS):
             ctl = controller.network.evaluate(assignment, lanes=self.n_lanes)
             self._drive_ctrl(ctl)
             self.dp.run_partial()
