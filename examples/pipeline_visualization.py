@@ -11,8 +11,7 @@ Run:  python examples/pipeline_visualization.py
 """
 
 from repro.analysis import render_pipeline_trace
-from repro.dlx import Instruction, MNEMONICS, build_dlx, to_cpi
-from repro.verify import ProcessorSimulator
+from repro.dlx import DlxEnv, Instruction, MNEMONICS, build_dlx
 
 PROGRAM = [
     Instruction("ADDI", rs=0, rt=1, imm=8),    # r1 = 8
@@ -30,24 +29,10 @@ PROGRAM = [
 
 
 def run_and_render(processor, title: str) -> None:
-    """Drive the machine through its environment shim and show the trace."""
-    from repro.dlx import DlxEnv
-
+    """Drive the machine through its environment shim and show the trace
+    the run kept (``DlxEnv.trace``)."""
     env = DlxEnv(processor)
-    cycles = []
-    original_step = env.sim.step
-
-    def recording_step(cpi, dpi):
-        trace = original_step(cpi, dpi)
-        cycles.append(trace)
-        return trace
-
-    env.sim.step = recording_step
     result = env.run(PROGRAM)
-
-    from repro.verify.cosim import Trace
-
-    trace = Trace(cycles=cycles)
     columns = [
         ("op_id", "ctl", None),
         ("stall", "ctl", None),
@@ -58,9 +43,10 @@ def run_and_render(processor, title: str) -> None:
         ("wb_value_o", "dp", None),
     ]
     print(f"\n=== {title} ===")
-    print(render_pipeline_trace(trace, columns, decoders={"op_id": MNEMONICS}))
+    print(render_pipeline_trace(env.trace, columns,
+                                decoders={"op_id": MNEMONICS}))
     print(f"architectural events: {result.events}")
-    print(f"cycles: {len(cycles)}")
+    print(f"cycles: {len(env.trace.cycles)}")
 
 
 def main() -> None:

@@ -35,7 +35,7 @@ them as read-only.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.controller.network import ControlNetworkError
 from repro.datapath.batched import require_numpy
@@ -83,13 +83,19 @@ class LaneKernel:
             ) from None
 
     def lane_dicts(
-        self, codes: Mapping[str, "_np.ndarray"]
+        self, codes: Mapping[str, "_np.ndarray"],
+        names: Sequence[str] | None = None,
     ) -> list[dict[str, int | None]]:
-        """One name -> value dict per lane (``names`` order) from the code
-        arrays of every signal, as :attr:`evaluate` returns them."""
-        stacked = _np.stack([codes[name] for name in self.names])
-        rows = self._values[stacked + self._offset].T.tolist()
-        return [dict(zip(self.names, row)) for row in rows]
+        """One name -> value dict per lane from the code arrays of every
+        signal, as :attr:`evaluate` returns them: of the signals ``names``
+        in that order, or of every signal in ``names`` order."""
+        if names is None:
+            names, offset = self.names, self._offset
+        else:
+            offset = self._offset[[self.index[name] for name in names]]
+        stacked = _np.stack([codes[name] for name in names])
+        rows = self._values[stacked + offset].T.tolist()
+        return [dict(zip(names, row)) for row in rows]
 
     # ------------------------------------------------------------------
     # Code generation

@@ -449,8 +449,9 @@ class BatchedDatapathSimulator:
     """Lane-batch counterpart of :class:`CompiledDatapathSimulator`.
 
     Carries ``n_lanes`` independent stimulus streams through one kernel call
-    per cycle: ``fill_external`` stages one external frame per lane and
-    ``run_partial`` evaluates them.  The array buffers (``values`` /
+    per cycle: ``fill_external`` stages one external frame per lane (or
+    ``stage`` one external net on every lane) and ``run_partial``
+    evaluates them.  The array buffers (``values`` /
     ``known`` / ``state`` and the external staging arrays) are exposed for
     hot-loop consumers like the lane co-simulator, which clocks ``state``
     itself.
@@ -497,32 +498,27 @@ class BatchedDatapathSimulator:
 
     # -- external staging ----------------------------------------------
     def fill_external(self, frames: Sequence[Mapping]) -> None:
-        """Stage one named external frame per lane into the ext arrays.
-
-        Values are masked to the net width in Python (uint64 arrays refuse
-        negative ints); a missing or ``None`` external is unknown on that
-        lane and stores 0 per the stored-0 invariant.  ``frames`` must hold
-        exactly one frame per lane, so no lane keeps a previous call's
-        externals.
+        """Stage one named external frame per lane into the ext arrays,
+        one :meth:`stage` per external net: a missing or ``None`` external
+        is unknown on that lane.  ``frames`` must hold exactly one frame
+        per lane, so no lane keeps a previous call's externals.
         """
         if len(frames) != self.n_lanes:
             raise ValueError(
                 f"got {len(frames)} external frames for {self.n_lanes} lanes"
             )
-        cd = self.compiled
-        nm = self.batched.net_mask
-        for i, name in cd.ext_pairs:
-            v = self._ext_v[i]
-            k = self._ext_k[i]
-            m = nm[i]
-            for b, frame in enumerate(frames):
-                value = frame.get(name)
-                if value is None:
-                    v[b] = 0
-                    k[b] = False
-                else:
-                    v[b] = value & m
-                    k[b] = True
+        for i, name in self.compiled.ext_pairs:
+            self.stage(i, [frame.get(name) for frame in frames])
+
+    def stage(self, i: int, column: Sequence) -> None:
+        """Stage external net ``i`` on every lane: ``column[b]`` on lane
+        ``b``, masked to the net width in Python (uint64 arrays refuse
+        negative ints), or unknown where it is None (stored 0, per the
+        stored-0 invariant)."""
+        m = self.batched.net_mask[i]
+        self._ext_k[i][:] = [value is not None for value in column]
+        self._ext_v[i][:] = [0 if value is None else value & m
+                             for value in column]
 
     # -- kernel invocation ---------------------------------------------
     def run_partial(self) -> None:

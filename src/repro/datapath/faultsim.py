@@ -119,6 +119,7 @@ class BatchFaultSimulator:
         controller = processor.controller
         self.sts = [(name, cd.index[name]) for name in controller.sts_signals]
         self.ctrl = [(name, cd.index[name]) for name in controller.ctrl_signals]
+        self.cprs = controller.csi_signals
         self.sts_ids = {i for _, i in self.sts}
         self.watched = sorted(
             self.sts_ids | {cd.index[name] for name in judge.preview_nets}
@@ -379,7 +380,16 @@ class BatchFaultSimulator:
         if any(ctl[name] is None for name, _ in self.ctrl):
             return True
         try:
-            return (controller.next_state(golden, ctl)
-                    != controller.next_state(golden, golden))
+            return controller.next_state(golden, ctl) != self._next_state(t)
         except ControlNetworkError:
             return True
+
+    def _next_state(self, t):
+        """The golden controller state after cycle ``t``: the CPR values
+        of the next golden cycle, clocked only past the last one."""
+        cycles = self.golden.cycles
+        if t + 1 < len(cycles):
+            after = cycles[t + 1].controller
+            return {q: after[q] for q in self.cprs}
+        golden = cycles[t].controller
+        return self.processor.controller.next_state(golden, golden)

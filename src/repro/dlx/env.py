@@ -49,6 +49,14 @@ class DlxTestbench:
     #: observable values come from the gated output pins, so an error on a
     #: pin net corrupts real traffic.
     PREVIEW_NETS = ("wb_value_o", "dmem_addr_o", "dmem_wdata_o", "mem_alu.y")
+    #: Controller signals :meth:`cycle` and :meth:`advance` read from the
+    #: preview; the last four exist only on a branch-prediction
+    #: controller.
+    CONTROL_READS = (
+        "regwrite_g_ctl", "dest_wb", "mem_access_ctl", "memwrite_ctl",
+        "size_mem", "stall", "rs_id", "rt_id",
+        "id_ex_clear", "if_id_clear", "redirect_back", "pred",
+    )
     #: The DLX previews with the full ``resolve({}, {})`` fixpoint: branch
     #: resolution (``zero``) and the memory stage (``addrlo``) read status
     #: nets, which only the controller/datapath fixpoint resolves.

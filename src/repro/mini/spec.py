@@ -91,6 +91,8 @@ class MiniTestbench:
 
     #: Datapath nets :meth:`cycle` reads from the preview, in order.
     PREVIEW_NETS = ("out",)
+    #: Controller signals :meth:`cycle` reads from the preview.
+    CONTROL_READS = ("wb_en", "rd_wb")
     #: The write-back value depends only on pipeline state, so MiniPipe
     #: previews with the state-only single sweep.
     SHALLOW_PREVIEW = True

@@ -9,13 +9,17 @@ evaluation per fixpoint sweep instead of one scalar call of each per lane.
 Equivalence contract (enforced by ``tests/test_batched_differential.py``):
 per lane, every resolved value, every clocked state and every failure
 message is byte-identical to a scalar :class:`ProcessorSimulator` run of
-that lane alone.  Three design points make that hold:
+that lane alone.  Four design points make that hold:
 
-* **Lockstep global fixpoint.**  ``resolve`` iterates the controller/
-  datapath sweep until *all* lanes settle.  A lane that settled early is
-  re-swept, but re-sweeping a settled lane is idempotent (same assignment
-  -> same controller values -> same partial evaluation), so its values
-  cannot drift from the scalar run's.
+* **Lockstep global fixpoint.**  :meth:`~LaneProcessorSimulator.preview`
+  and :meth:`~LaneProcessorSimulator.step` iterate the controller/datapath
+  sweep until *all* lanes settle.  A lane that settled early is re-swept,
+  but re-sweeping a settled lane is idempotent (same assignment -> same
+  controller values -> same partial evaluation), so its values cannot
+  drift from the scalar run's.  As on the scalar co-simulator, the step
+  starts from the STS codes its preview settled, an exact warm start (see
+  :mod:`repro.verify.cosim`): a DLX cycle takes two sweeps to preview and
+  one to step.
 * **Lane controller kernel.**  Controller values live in lane arrays of
   codes, each lane's index into the signal's domain with one extra code
   for X (:mod:`repro.controller.lanes`), and so does the controller
@@ -25,8 +29,14 @@ that lane alone.  Three design points make that hold:
   datapath's external arrays and reads the STS nets back as codes.  The
   clock edge reuses the settled codes: per CPR, array selects reproduce
   ``PipelinedController.next_state`` (clear wins, then a low enable
-  holds, else D loads).  The per-lane value dicts that the environments
-  and traces read are decoded once per ``resolve``/``step`` call.
+  holds, else D loads).  The step decodes every signal into the per-lane
+  dicts the traces keep; the preview decodes only the signals the
+  testbench declares in its ``CONTROL_READS``.
+* **Stimulus staging.**  The step stages every external net the CTRL
+  codes do not drive, one column per net, with each lane's DPI value or
+  unknown, so no lane keeps an earlier cycle's stimulus; the preview
+  stages them all unknown.  The CTRL externals are left to the
+  controller codes, which overwrite them every sweep.
 * **Per-lane failure collection.**  Where the scalar co-simulator raises
   (:class:`CosimError` for an unresolved CTRL at the clock edge, an
   unresolved register control or loading an unresolved value;
@@ -108,6 +118,14 @@ class LaneProcessorSimulator:
         self._sts_unknown = [
             _np.full(n_lanes, x, _np.intp) for *_, x in self._sts_slots
         ]
+        # Stimulus -> datapath: (net id, DPI name, bound CPI names) for
+        # every external the CTRL codes do not drive.
+        ctrl_ids = {i for _, i, *_ in self._ctrl_slots}
+        self._stim_slots = [
+            (i, name, [cpi for cpi, dpi in processor.cpi_dpi_bindings.items()
+                       if dpi == name])
+            for i, name in cd.ext_pairs if i not in ctrl_ids
+        ]
         self._cpr_plan = [_cpr_plan(kernel, cpr) for cpr in controller.cprs]
         # Register clock plan: (reg, d_id, ctl_ids, width mask).
         self._reg_plan = [
@@ -139,102 +157,117 @@ class LaneProcessorSimulator:
     # ------------------------------------------------------------------
     # One cycle
     # ------------------------------------------------------------------
-    def _settle(
+    def _stage_stimulus(
         self,
         cpi_list: Sequence[Mapping],
         dpi_list: Sequence[Mapping],
-    ) -> dict:
-        """The controller/datapath fixpoint of one cycle on every lane,
-        without clocking; returns the settled controller code arrays."""
-        processor = self.processor
-        ext_names = processor.datapath.external_input_names
-        frames = []
-        for b in range(self.n_lanes):
-            dpi_full: dict = dict.fromkeys(ext_names)
-            dpi_full.update(dpi_list[b])
-            cpi = cpi_list[b]
-            for cpi_name, dpi_name in processor.cpi_dpi_bindings.items():
-                if cpi_name in cpi and cpi[cpi_name] is not None:
-                    dpi_full[dpi_name] = cpi[cpi_name]
-            frames.append(dpi_full)
-        self.dp.fill_external(frames)
+    ) -> None:
+        """Stage each lane's DPI values (a bound CPI field wins when
+        known) as the datapath's externals, unknown where a lane has
+        none."""
+        for i, name, bound in self._stim_slots:
+            column = [dpi.get(name) for dpi in dpi_list]
+            for cpi_name in bound:
+                for b, cpi in enumerate(cpi_list):
+                    if cpi.get(cpi_name) is not None:
+                        column[b] = cpi[cpi_name]
+            self.dp.stage(i, column)
 
-        controller = processor.controller
-        encode = self.kernel.encode
-        assignment = {
-            name: encode(name, [cpi.get(name) for cpi in cpi_list])
-            for name in controller.cpi_signals
-        }
-        assignment.update(self.ctl_state)
-        sts = self._sts_unknown
+    def _stage_unknown(self) -> None:
+        """Stage every stimulus external as unknown on every lane."""
+        ext_v, ext_k = self.dp._ext_v, self.dp._ext_k
+        for i, *_ in self._stim_slots:
+            ext_v[i][:] = 0
+            ext_k[i][:] = False
+
+    def _read_sts(self) -> list:
+        """The STS nets of the staged evaluation, as code arrays."""
+        values, known = self.dp.values, self.dp.known
+        return [
+            _np.where(known[i], codes[values[i]], x)
+            for _, i, codes, x in self._sts_slots
+        ]
+
+    def _settle(self, assignment: dict, sts: list) -> tuple[dict, list]:
+        """Sweep the controller over ``assignment`` and the datapath over
+        the staged externals, from the STS code arrays ``sts``, until
+        every lane's STS codes settle, without clocking; returns the
+        settled controller and STS code arrays."""
+        network = self.processor.controller.network
         for _ in range(FIXPOINT_ITERS):
-            ctl = controller.network.evaluate(assignment, lanes=self.n_lanes)
-            self._drive_ctrl(ctl)
-            self.dp.run_partial()
-            values, known = self.dp.values, self.dp.known
-            new_sts = [
-                _np.where(known[i], codes[values[i]], x)
-                for _, i, codes, x in self._sts_slots
-            ]
-            if all(map(_np.array_equal, new_sts, sts)):
-                return ctl
-            sts = new_sts
             for (name, *_), codes in zip(self._sts_slots, sts):
                 assignment[name] = codes
+            ctl = network.evaluate(assignment, lanes=self.n_lanes)
+            self._drive_ctrl(ctl)
+            self.dp.run_partial()
+            new_sts = self._read_sts()
+            if all(map(_np.array_equal, new_sts, sts)):
+                return ctl, sts
+            sts = new_sts
         raise CosimError(  # pragma: no cover - defensive
             "controller/datapath fixpoint did not settle"
         )
 
-    def resolve(
-        self,
-        cpi_list: Sequence[Mapping],
-        dpi_list: Sequence[Mapping],
-    ) -> list[dict]:
-        """Resolve one cycle's values for every lane WITHOUT clocking.
+    def preview(self, names: Sequence[str]) -> tuple[list[dict], list]:
+        """The cycle's fixpoint on an all-unknown stimulus, WITHOUT
+        clocking: :meth:`ProcessorSimulator.resolve` with empty stimulus,
+        on every lane.
 
-        Mirrors :meth:`ProcessorSimulator.resolve` per lane; the resolved
-        datapath arrays stay staged in ``self.dp`` (read one lane with
-        :meth:`dense_datapath`).  Returns the per-lane controller value
-        dicts.
+        Leaves the preview staged in ``self.dp`` (read one lane with
+        :meth:`dense_datapath`).  Returns the per-lane dicts of the
+        controller signals ``names``, and the settled STS code arrays,
+        from which :meth:`step` starts the cycle's fixpoint.
         """
-        return self.kernel.lane_dicts(self._settle(cpi_list, dpi_list))
+        self._stage_unknown()
+        ctl, sts = self._settle(dict(self.ctl_state), self._sts_unknown)
+        return self.kernel.lane_dicts(ctl, names), sts
 
-    def preview_shallow(self) -> list[dict]:
+    def preview_shallow(self, names: Sequence[str]) -> tuple[list[dict], list]:
         """State-only single-sweep preview (MiniPipe's commit peek).
 
         Evaluate the controller on the pipe-register state alone and feed
         only the CTRL values into one partial datapath evaluation — exactly
         :meth:`ProcessorSimulator.preview_shallow`, on every lane.  Leaves
-        the preview staged in ``self.dp``; returns the per-lane controller
-        dicts.
+        the preview staged in ``self.dp``; returns what :meth:`preview`
+        returns, with the STS codes of that one sweep.
         """
-        ext_v, ext_k = self.dp._ext_v, self.dp._ext_k
-        for i, _ in self.cd.ext_pairs:
-            ext_v[i][:] = 0
-            ext_k[i][:] = False
+        self._stage_unknown()
         ctl = self.processor.controller.network.evaluate(
             self.ctl_state, lanes=self.n_lanes
         )
         self._drive_ctrl(ctl)
         self.dp.run_partial()
-        return self.kernel.lane_dicts(ctl)
+        return self.kernel.lane_dicts(ctl, names), self._read_sts()
 
     def step(
         self,
         cpi_list: Sequence[Mapping],
         dpi_list: Sequence[Mapping],
+        sts: list | None = None,
     ) -> tuple[list[dict], dict[int, str]]:
         """Resolve and clock one cycle on every lane.
 
-        Returns ``(ctl_values, failures)`` where ``failures`` maps a lane
-        index to the message of the :class:`CosimError` (or controller
-        :class:`ControlNetworkError`) the scalar co-simulator would have
-        raised for that lane this cycle — first failure in scalar check
-        order.  Failed lanes are clocked safely (holds instead of loading
-        unknowns) so the batch keeps running; callers must stop observing
-        a lane once it fails.
+        ``sts``, the STS code arrays a preview of this cycle returned,
+        starts the fixpoint (see :mod:`repro.verify.cosim`); without it
+        the fixpoint starts from unknown.  Returns ``(ctl_values,
+        failures)`` where ``ctl_values`` holds every controller signal and
+        ``failures`` maps a lane index to the message of the
+        :class:`CosimError` (or controller :class:`ControlNetworkError`)
+        the scalar co-simulator would have raised for that lane this
+        cycle — first failure in scalar check order.  Failed lanes are
+        clocked safely (holds instead of loading unknowns) so the batch
+        keeps running; callers must stop observing a lane once it fails.
         """
-        ctl = self._settle(cpi_list, dpi_list)
+        self._stage_stimulus(cpi_list, dpi_list)
+        encode = self.kernel.encode
+        assignment = {
+            name: encode(name, [cpi.get(name) for cpi in cpi_list])
+            for name in self.processor.controller.cpi_signals
+        }
+        assignment.update(self.ctl_state)
+        ctl, _ = self._settle(
+            assignment, self._sts_unknown if sts is None else sts
+        )
         failures: dict[int, str] = {}
         unresolved = [(name, ctl[name] == x) for name, x in self._ctrl_x]
         for b in _np.flatnonzero(
@@ -382,7 +415,10 @@ def run_lanes(
 
     Each lane does what :func:`repro.verify.cosim.run_testbench` does for
     its testbench alone, so every lane is byte-identical to a scalar run
-    of that program.  Testbenches may run for different numbers of cycles:
+    of that program.  Each preview hands the testbench the controller
+    signals its class declares in ``CONTROL_READS`` (those the machine's
+    controller has), not all of them.  Testbenches may run for different
+    numbers of cycles:
     a finished or failed lane steps on the testbench class's
     ``QUIET_STIMULUS``, unobserved, and the simulator's ``active_lanes``
     counts only running lanes so the batch fill-rate counters stay
@@ -404,8 +440,10 @@ def run_lanes(
         raise ValueError(f"unknown record mode {record!r}")
     bench_cls = type(benches[0])
     net_ids = [sim.cd.index[name] for name in bench_cls.PREVIEW_NETS]
+    reads = [name for name in bench_cls.CONTROL_READS
+             if name in sim.kernel.index]
+    preview = sim.preview_shallow if bench_cls.SHALLOW_PREVIEW else sim.preview
     quiet_cpi, quiet_dpi = bench_cls.QUIET_STIMULUS
-    empty: dict = {}
     traces = [Trace() for _ in range(n)]
     dense: list[list | None] = [
         [] if record == "dense" else None for _ in range(n)
@@ -419,10 +457,7 @@ def run_lanes(
         if not active:
             break
         sim.dp.active_lanes = len(active)
-        if bench_cls.SHALLOW_PREVIEW:
-            ctl_list = sim.preview_shallow()
-        else:
-            ctl_list = sim.resolve([empty] * n, [empty] * n)
+        ctl_list, sts = preview(reads)
         values, known = sim.dp.values, sim.dp.known
         columns = [
             [v if k else None
@@ -439,7 +474,7 @@ def run_lanes(
                 ctl_list[b], *(column[b] for column in columns)
             )
 
-        ctl_values, failures = sim.step(cpi_list, dpi_list)
+        ctl_values, failures = sim.step(cpi_list, dpi_list, sts)
         for b in active:
             if b in failures:
                 # The scalar run raises here: no trace for this cycle, and

@@ -33,7 +33,7 @@ from repro.errors.models import (
 )
 from repro.mini import Instruction, MiniEnv, build_minipipe
 from repro.verify.cosim import CosimError
-from tests.helpers import build_toy_pipeline
+from tests.helpers import batched_lane_values, build_toy_pipeline
 
 requires_numpy = pytest.mark.skipif(
     not HAS_NUMPY, reason="numpy absent (batched backend unavailable)"
@@ -355,6 +355,19 @@ def test_effective_lanes_with_numpy():
     assert effective_lanes(None) == batched.DEFAULT_LANES
     assert effective_lanes(0) == 0
     assert effective_lanes(5) == 5
+
+
+@requires_numpy
+def test_staged_externals_do_not_outlive_their_call():
+    # A lane a later frame leaves without a value is unknown there, not
+    # on the earlier frame's value.
+    from repro.datapath import BatchedDatapathSimulator
+
+    sim = BatchedDatapathSimulator(build_toy_pipeline(), 3)
+    batched_lane_values(sim, [{"a": 1, "c": 5}] * 3)
+    lanes = batched_lane_values(sim, [{"a": 2}, {"c": 6}, {"a": None}])
+    assert [(lane["a"], lane["c"]) for lane in lanes] == \
+        [(2, None), (None, 6), (None, None)]
 
 
 @requires_numpy

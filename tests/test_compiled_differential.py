@@ -32,7 +32,7 @@ from repro.errors.models import (
 from repro.mini import Instruction, MiniEnv, MiniSpec, build_minipipe
 from repro.mini.spec import batch_detects as mini_batch_detects
 from repro.mini.spec import detects as mini_detects
-from repro.verify.cosim import ProcessorSimulator
+from repro.verify.cosim import ProcessorSimulator, TestbenchJudge
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +149,6 @@ def test_cone_fork_converges_and_inherits_verdict(minipipe):
         RandomProgramConfig,
     )
     from repro.datapath.faultsim import BatchFaultSimulator
-    from repro.verify.cosim import TestbenchJudge
 
     generator = RandomMiniGenerator(RandomProgramConfig(length=10, seed=3))
     program = generator.program(0)
@@ -220,7 +219,6 @@ def test_dlx_batch_detects_matches_serial(monkeypatch):
     from repro.dlx import env as dlx_env
     from repro.dlx.env import DlxEnv
     from repro.dlx.spec import DlxSpec
-    from repro.verify.cosim import TestbenchJudge
 
     excursions = []  # the excursion of every resumed run
     full_runs = []  # the events of every run from cycle 0
@@ -305,6 +303,36 @@ def test_dlx_batch_detects_matches_serial(monkeypatch):
     assert not excursions
     assert len(full_runs) > 1  # the golden run and the bad machines'
     assert batch == [dlx_env.detects(dlx, program, e, regs) for e in errors]
+
+
+@pytest.mark.parametrize("branch_prediction", [False, True])
+def test_fork_reads_the_golden_next_state_from_the_trace(branch_prediction):
+    """The fork's controller step takes the golden's next controller
+    state from the next golden cycle's CPR values, and clocks only the
+    last cycle: the state the golden's own clock edge reaches."""
+    from repro.baselines.random_gen import (
+        RandomDlxGenerator,
+        RandomProgramConfig,
+    )
+    from repro.datapath.faultsim import BatchFaultSimulator
+    from repro.dlx import build_dlx
+    from repro.dlx.env import DlxEnv
+
+    dlx = build_dlx(branch_prediction=branch_prediction)
+    generator = RandomDlxGenerator(RandomProgramConfig(length=12, seed=5))
+    for index in range(3):
+        program = generator.program(index)
+        regs = generator.initial_registers(index)
+        env = DlxEnv(dlx)
+        env.run(program, regs)
+        bench = env.testbench_for(program, regs)
+        sim = BatchFaultSimulator(
+            dlx, env.trace, TestbenchJudge(dlx, env.trace, bench),
+        )
+        for t, cycle in enumerate(env.trace.cycles):
+            golden = cycle.controller
+            assert sim._next_state(t) == \
+                dlx.controller.next_state(golden, golden)
 
 
 def test_conformance_matrix_batch_matches_serial():

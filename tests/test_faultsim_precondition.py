@@ -1,12 +1,18 @@
-"""The cone fork's precondition, on every machine in the table.
+"""The cone fork's and the warm start's preconditions, on every machine
+in the table.
 
 ``repro.datapath.faultsim`` hands a fork's STS and previewed values to
 the testbench judge as the values the bad machine's testbench previews.
 The preview runs without controller or data primary inputs (and, under
 ``SHALLOW_PREVIEW``, without status feedback), while the fork's values
 are the stepped ones; the two agree only when none of those inputs can
-reach an STS or previewed net.  A machine that breaks this must fail
+reach an STS or previewed net, nor a controller signal the testbench
+reads (its ``CONTROL_READS``).  A machine that breaks this must fail
 here, not silently in the fork.
+
+A step starts its fixpoint from the STS values of its preview
+(``repro.verify.cosim``).  That is exact when no STS net reads itself
+through the controller, so that the status feedback has one fixpoint.
 """
 
 import pytest
@@ -72,3 +78,35 @@ def test_previewed_and_status_nets_read_no_primary_input(which):
     if bench.SHALLOW_PREVIEW:
         unseen |= set(controller.sts_signals)
     assert not _controller_fan_in(controller.network, ctrls) & unseen
+
+    # The controller signals the testbench reads from the preview are
+    # the step's too.
+    reads = [name for name in bench.CONTROL_READS
+             if name in controller.network.signals]
+    assert reads
+    assert not _controller_fan_in(controller.network, reads) & unseen
+
+
+@pytest.mark.parametrize("which", MACHINES)
+def test_status_feedback_is_acyclic(which):
+    processor = machine_adapter(which).build()
+    netlist, controller = processor.datapath, processor.controller
+    sts = set(controller.sts_signals)
+    # STS net -> the STS values its datapath fan-in reads through a CTRL.
+    reads = {}
+    for name in sts:
+        fan_in = _datapath_fan_in(netlist, [name])
+        ctrls = [n for n in fan_in if netlist.nets[n].role is NetRole.CTRL]
+        reads[name] = _controller_fan_in(controller.network, ctrls) & sts
+
+    done: set[str] = set()
+
+    def visit(name, path):
+        assert name not in path, f"status feedback loop {path + [name]}"
+        if name not in done:
+            for read in reads[name]:
+                visit(read, path + [name])
+            done.add(name)
+
+    for name in sorted(sts):
+        visit(name, [])

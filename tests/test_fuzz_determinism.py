@@ -86,11 +86,12 @@ def test_lanes_do_not_change_report():
 
 @requires_numpy
 def test_lanes_with_plant_and_jobs():
-    base = dict(machine="mini", iters=10, seed=11, plant=PLANT,
-                max_minimize=2)
-    scalar = _report_bytes(lanes=0, **base)
-    assert scalar == _report_bytes(lanes=4, **base)
-    assert scalar == _report_bytes(lanes=4, jobs=2, **base)
+    for machine, plant in (("mini", PLANT), ("dlx", "bus-ssl:zero:0:1")):
+        base = dict(machine=machine, iters=10, seed=11, plant=plant,
+                    max_minimize=2)
+        scalar = _report_bytes(lanes=0, **base)
+        assert scalar == _report_bytes(lanes=4, **base)
+        assert scalar == _report_bytes(lanes=4, jobs=2, **base)
 
 
 @requires_numpy

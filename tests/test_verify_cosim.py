@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from repro.errors import BusSSLError
 from repro.mini import Instruction, build_minipipe, to_cpi
 from repro.verify import ProcessorSimulator, traces_diverge
-from repro.verify.cosim import GoldenTraceCache, stimulus_key
+from repro.verify.cosim import (
+    CycleTrace,
+    Excursion,
+    GoldenTraceCache,
+    TestbenchJudge,
+    Trace,
+    stimulus_key,
+)
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +152,6 @@ def test_golden_cache_lru_eviction(processor):
 
 def _single_dpo_trace(values):
     """A Trace whose only DPO net ("out") takes the given per-cycle values."""
-    from repro.verify.cosim import CycleTrace, Trace
-
     return Trace(cycles=[
         CycleTrace(datapath={"out": v}, controller={}) for v in values
     ])
@@ -561,7 +566,6 @@ def test_resumed_machine_is_the_uninterrupted_one(which):
     # branch-heavy programs move the DLX+BP fetch unit's shadow pipe.
     from repro.baselines.random_gen import RandomProgramConfig
     from repro.machines import machine_adapter
-    from repro.verify.cosim import Excursion
 
     class Uninterrupted(Excursion):
         def rejoins(self, cycle, sim, save):
@@ -602,7 +606,6 @@ def test_dlx_rejoin_compares_registers_controller_state_and_testbench():
         RandomProgramConfig,
     )
     from repro.dlx.env import DlxEnv
-    from repro.verify.cosim import Excursion
 
     dlx = _machine("dlx")
     generator = RandomDlxGenerator(RandomProgramConfig(length=12, seed=3))
@@ -656,7 +659,6 @@ def test_testbench_judge_replays_the_bad_testbench_cycle():
     )
     from repro.dlx.env import DlxEnv
     from repro.dlx.spec import DlxSpec
-    from repro.verify.cosim import TestbenchJudge, Trace
 
     def moved(save):
         regs = list(save[0])
