@@ -449,9 +449,8 @@ class BatchedDatapathSimulator:
     """Lane-batch counterpart of :class:`CompiledDatapathSimulator`.
 
     Carries ``n_lanes`` independent stimulus streams through one kernel call
-    per cycle: ``fill_external`` stages one external frame per lane (or
-    ``stage`` one external net on every lane) and ``run_partial``
-    evaluates them.  The array buffers (``values`` /
+    per cycle: ``stage`` stages one external net on every lane and
+    ``run_partial`` evaluates them.  The array buffers (``values`` /
     ``known`` / ``state`` and the external staging arrays) are exposed for
     hot-loop consumers like the lane co-simulator, which clocks ``state``
     itself.
@@ -497,19 +496,6 @@ class BatchedDatapathSimulator:
             self.state[j] = _np.full(self.n_lanes, reg.reset_value, _np.uint64)
 
     # -- external staging ----------------------------------------------
-    def fill_external(self, frames: Sequence[Mapping]) -> None:
-        """Stage one named external frame per lane into the ext arrays,
-        one :meth:`stage` per external net: a missing or ``None`` external
-        is unknown on that lane.  ``frames`` must hold exactly one frame
-        per lane, so no lane keeps a previous call's externals.
-        """
-        if len(frames) != self.n_lanes:
-            raise ValueError(
-                f"got {len(frames)} external frames for {self.n_lanes} lanes"
-            )
-        for i, name in self.compiled.ext_pairs:
-            self.stage(i, [frame.get(name) for frame in frames])
-
     def stage(self, i: int, column: Sequence) -> None:
         """Stage external net ``i`` on every lane: ``column[b]`` on lane
         ``b``, masked to the net width in Python (uint64 arrays refuse

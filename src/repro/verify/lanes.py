@@ -257,7 +257,14 @@ class LaneProcessorSimulator:
         cycle — first failure in scalar check order.  Failed lanes are
         clocked safely (holds instead of loading unknowns) so the batch
         keeps running; callers must stop observing a lane once it fails.
+        ``cpi_list`` and ``dpi_list`` hold exactly one frame per lane.
         """
+        for frames in (cpi_list, dpi_list):
+            if len(frames) != self.n_lanes:
+                raise ValueError(
+                    f"got {len(frames)} external frames for "
+                    f"{self.n_lanes} lanes"
+                )
         self._stage_stimulus(cpi_list, dpi_list)
         encode = self.kernel.encode
         assignment = {

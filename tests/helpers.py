@@ -64,10 +64,12 @@ def build_masking_datapath():
 
 
 def batched_lane_values(sim, frames):
-    """Stage one external frame per lane on a ``BatchedDatapathSimulator``,
-    run its kernel, and return every lane's net values as the scalar
-    simulators' ``evaluate_partial`` dict (``None`` where unknown)."""
-    sim.fill_external(frames)
+    """Stage one external frame per lane on a ``BatchedDatapathSimulator``
+    (a missing or ``None`` external is unknown on that lane), run its
+    kernel, and return every lane's net values as the scalar simulators'
+    ``evaluate_partial`` dict (``None`` where unknown)."""
+    for i, name in sim.compiled.ext_pairs:
+        sim.stage(i, [frame.get(name) for frame in frames])
     sim.run_partial()
     return [
         {

@@ -33,7 +33,7 @@ from repro.errors.models import (
 )
 from repro.mini import Instruction, MiniEnv, build_minipipe
 from repro.verify.cosim import CosimError
-from tests.helpers import batched_lane_values, build_toy_pipeline
+from tests.helpers import build_toy_pipeline
 
 requires_numpy = pytest.mark.skipif(
     not HAS_NUMPY, reason="numpy absent (batched backend unavailable)"
@@ -320,6 +320,45 @@ def test_dlx_ragged_batch():
         assert run.result.registers == result.registers
 
 
+@requires_numpy
+def test_dlx_lane_step_stages_only_its_own_stimulus():
+    """A lane that a later step leaves without a DPI value is unknown
+    there, and fails as a scalar step does, not on the earlier step's
+    value; a step takes exactly one CPI and one DPI frame per lane."""
+    from repro.dlx import build_dlx
+    from repro.dlx.isa import Instruction, to_cpi
+    from repro.verify import ProcessorSimulator
+    from repro.verify.lanes import LaneProcessorSimulator
+
+    dlx = build_dlx()
+    cpi = to_cpi(Instruction("ADDI", rs=1, rt=2, imm=4))
+    full = {"rf_a": 3, "rf_b": 5, "imm16": 4, "dmem_rdata": 9}
+    later = [full, {"rf_b": 6}, {}]
+    sim = LaneProcessorSimulator(dlx, len(later))
+    sim.step([cpi] * 3, [full] * 3)
+    _, failures = sim.step([cpi] * 3, later)
+    rf_a = sim.cd.index["rf_a"]
+    assert [sim.dense_datapath(b)[rf_a] for b in range(3)] == [3, None, None]
+    assert sorted(failures) == [1, 2]
+    for b, dpi in enumerate(later):
+        scalar = ProcessorSimulator(dlx)
+        scalar.step(cpi, full)
+        try:
+            trace = scalar.step(cpi, dpi)
+        except CosimError as exc:
+            assert failures[b] == str(exc)
+        else:
+            assert dict(zip(sim.cd.names, sim.dense_datapath(b))) \
+                == trace.datapath
+
+    # A one-frame list would otherwise reach every lane.
+    for cpis, dpis, got in (([cpi], [full] * 3, 1),
+                            ([cpi] * 3, [full] * 4, 4)):
+        with pytest.raises(ValueError,
+                           match=f"got {got} external frames for 3 lanes"):
+            sim.step(cpis, dpis)
+
+
 # ----------------------------------------------------------------------
 # The lanes knob and the numpy-absent fallback
 # ----------------------------------------------------------------------
@@ -358,32 +397,11 @@ def test_effective_lanes_with_numpy():
 
 
 @requires_numpy
-def test_staged_externals_do_not_outlive_their_call():
-    # A lane a later frame leaves without a value is unknown there, not
-    # on the earlier frame's value.
-    from repro.datapath import BatchedDatapathSimulator
-
-    sim = BatchedDatapathSimulator(build_toy_pipeline(), 3)
-    batched_lane_values(sim, [{"a": 1, "c": 5}] * 3)
-    lanes = batched_lane_values(sim, [{"a": 2}, {"c": 6}, {"a": None}])
-    assert [(lane["a"], lane["c"]) for lane in lanes] == \
-        [(2, None), (None, 6), (None, None)]
-
-
-@requires_numpy
 def test_batched_rejects_bad_shapes():
     from repro.datapath import BatchedDatapathSimulator, DatapathBuilder
 
     with pytest.raises(ValueError, match="n_lanes"):
         BatchedDatapathSimulator(build_toy_pipeline(), 0)
-
-    # One frame per lane: a short list would leave the other lanes on the
-    # previous call's externals.
-    sim = BatchedDatapathSimulator(build_toy_pipeline(), 3)
-    sim.fill_external([{"a": 1}] * 3)
-    for frames in ([{"a": 7}], [{}] * 4):
-        with pytest.raises(ValueError, match=f"{len(frames)} .* 3 lanes"):
-            sim.fill_external(frames)
 
     b = DatapathBuilder("toowide")
     x = b.input("x", 65)
