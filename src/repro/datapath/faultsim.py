@@ -9,8 +9,7 @@ back to sharing the golden trace at zero marginal cost.  While the fork
 holds no register diff, it builds a cycle's cone only where the error is
 *active* (some seed, an injected net or an overridden module's output,
 moves off its golden value on golden inputs) and some seed is
-*observable*.  A fork may start at any golden cycle, from the golden state
-there (a bad machine that has rejoined the golden).
+*observable*.
 
 Observability.  ``BatchFaultSimulator.observable`` gives every net a
 bitmask over the golden cycles: bit ``t`` is set when a change of the net
@@ -27,7 +26,7 @@ net or register input leads back to an observable seed, and with none the
 cone would end with no controller step, no judgement and no register diff.
 
 Soundness contract.  Up to the start of the cycle a fork stops in, the
-erroneous machine is the golden machine plus the outcome's ``state_diff``,
+erroneous machine is the golden machine plus the fork's register diff,
 with the golden's controller and testbench state.  A cycle keeps that
 when its bad controller feeds the datapath the CTRLs the fork used and
 reaches the golden's next state, and its testbench commits the same
@@ -51,15 +50,14 @@ Outcome kinds:
     No cycle broke the invariant: the erroneous machine commits the golden
     machine's events for this stimulus.
 ``"detected"``
-    At ``cycle`` the bad testbench commits an event that departs from the
+    The bad testbench commits an event that departs from the
     specification's.
 ``"touch"``
-    At ``cycle`` the invariant breaks: the STS feedback does not settle, a
-    CTRL is unresolved, a CPR's next state differs, the judge sees another
+    The invariant breaks: the STS feedback does not settle, a CTRL is
+    unresolved, a CPR's next state differs, the judge sees another
     stimulus or testbench state, or a register would clock an unresolved
     control or load an unresolved value (where the co-simulator raises
-    ``CosimError``).  A serial run of the bad machine may resume at the
-    start of ``cycle`` from the golden state plus ``state_diff``.
+    ``CosimError``).  Only a serial run of the bad machine decides it.
 ``"unsupported"``
     The error's injector carries no site annotation; no fork was attempted.
 """
@@ -67,7 +65,7 @@ Outcome kinds:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.controller.network import ControlNetworkError
 from repro.datapath.simulate import no_injection
@@ -79,11 +77,6 @@ class ForkOutcome:
     """Result of forking one error against the golden trace."""
 
     kind: str
-    cycle: int | None = None
-    #: Datapath register name -> the forked machine's value, for every
-    #: register whose value differs from the golden's at the start of
-    #: ``cycle``.
-    state_diff: dict[str, int] = field(default_factory=dict)
     #: Cycles in which the fork actually held diverging values.
     forked_cycles: int = 0
 
@@ -145,13 +138,13 @@ class BatchFaultSimulator:
         ovr = cd.override_map(module_overrides)
         return inj, ovr
 
-    def fork(self, error, start: int = 0) -> ForkOutcome:
-        """Fork ``error`` from the golden state at the start of cycle
-        ``start`` until the first cycle that breaks the invariant."""
+    def fork(self, error) -> ForkOutcome:
+        """Fork ``error`` from cycle 0 until the first cycle that breaks
+        the invariant."""
         hooks = self.hooks_for(error)
         if hooks is None:
             return ForkOutcome("unsupported")
-        return self._fork(*hooks, start)
+        return self._fork(*hooks)
 
     # ------------------------------------------------------------------
     def _observability(self) -> list[int]:
@@ -184,7 +177,7 @@ class BatchFaultSimulator:
                 observable[i] |= seen & needed_at
         return observable
 
-    def _fork(self, inj, ovr, start) -> ForkOutcome:
+    def _fork(self, inj, ovr) -> ForkOutcome:
         cd = self.cd
         names = cd.names
         sched_modules = cd.sched_modules
@@ -268,11 +261,7 @@ class BatchFaultSimulator:
         state_diff: dict[int, int] = {}
         forked_cycles = 0
 
-        def outcome(kind, t):
-            diff = {cd.reg_names[j]: v for j, v in state_diff.items()}
-            return ForkOutcome(kind, t, diff, forked_cycles)
-
-        for t in range(start, len(cycles)):
+        for t in range(len(cycles)):
             values = golden = cycles[t]
             if not state_diff:
                 # With no register diff, the cycle is quiet when every seed
@@ -315,13 +304,13 @@ class BatchFaultSimulator:
             # -- the controller and the testbench see the touch? -------
             if not changed.isdisjoint(self.sts_ids):
                 if self._controller_diverges(t, values, put, propagate, inj):
-                    return outcome("touch", t)
+                    return ForkOutcome("touch", forked_cycles)
                 changed = {i for i in touched if values[i] != golden[i]}
             if not changed.isdisjoint(self.watched):
                 verdict = self.judge(t, {names[i]: values[i]
                                          for i in self.watched})
                 if verdict is not None:
-                    return outcome(verdict, t)
+                    return ForkOutcome(verdict, forked_cycles)
 
             # -- clock the forked registers ----------------------------
             next_golden = cycles[t + 1] if t + 1 < len(cycles) else None
@@ -333,14 +322,14 @@ class BatchFaultSimulator:
                 reg = cd.registers[j]
                 controls = [values[c] for c in cd.reg_ctl_ids[j]]
                 if None in controls:
-                    return outcome("touch", t)
+                    return ForkOutcome("touch", forked_cycles)
                 current = state_diff.get(j, golden[cd.reg_q_ids[j]])
                 d_value = values[cd.reg_d_ids[j]]
                 if d_value is None:
                     if reg.next_state(current, 0, controls) != reg.next_state(
                         current, 1, controls
                     ):
-                        return outcome("touch", t)
+                        return ForkOutcome("touch", forked_cycles)
                     d_value = current
                 if next_golden is None:
                     continue
@@ -349,7 +338,7 @@ class BatchFaultSimulator:
                     new_diff[j] = forked
             state_diff = new_diff
 
-        return ForkOutcome("clean", forked_cycles=forked_cycles)
+        return ForkOutcome("clean", forked_cycles)
 
     def _controller_diverges(self, t, values, put, propagate, inj) -> bool:
         """Follow the fork's STS values (in ``values``, the cycle's dense

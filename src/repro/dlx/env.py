@@ -50,12 +50,11 @@ class DlxTestbench:
     #: pin net corrupts real traffic.
     PREVIEW_NETS = ("wb_value_o", "dmem_addr_o", "dmem_wdata_o", "mem_alu.y")
     #: Controller signals :meth:`cycle` and :meth:`advance` read from the
-    #: preview; the last four exist only on a branch-prediction
-    #: controller.
+    #: preview; a branch-prediction testbench adds the four its fetch
+    #: unit reads.
     CONTROL_READS = (
         "regwrite_g_ctl", "dest_wb", "mem_access_ctl", "memwrite_ctl",
         "size_mem", "stall", "rs_id", "rt_id",
-        "id_ex_clear", "if_id_clear", "redirect_back", "pred",
     )
     #: The DLX previews with the full ``resolve({}, {})`` fixpoint: branch
     #: resolution (``zero``) and the memory stage (``addrlo``) read status
@@ -88,6 +87,10 @@ class DlxTestbench:
         self.events: list[Event] = []
         self.spec_events = spec_events
         self.branch_prediction = branch_prediction
+        if branch_prediction:
+            self.CONTROL_READS += (
+                "id_ex_clear", "if_id_clear", "redirect_back", "pred",
+            )
         # Predicted-taken branches skip two slots each, eating into the
         # drain; pad accordingly so in-flight instructions always retire.
         n_branches = sum(1 for i in program if i.op in ("BEQZ", "BNEZ"))
@@ -245,7 +248,6 @@ class DlxEnv:
         drain: int = 8,
         max_cycles: int | None = None,
         spec_events: Sequence[Event] | None = None,
-        resume: cosim.Excursion | None = None,
     ) -> DlxSpecResult:
         """Run ``program``; returns the committed events and final state.
 
@@ -254,16 +256,12 @@ class DlxEnv:
         specification's event at that index, or that the specification
         lacks.  The returned events then end with that event, and the
         registers, memory and ``trace`` hold the state at the stop.
-
-        With ``resume`` the run is an excursion: it steps the excursion's
-        testbench of the same program from inside a golden run and stops
-        where it rejoins it (see :func:`repro.verify.cosim.run_testbench`).
         """
         self.trace = Trace()
-        bench = resume.bench if resume is not None else self.testbench_for(
+        bench = self.testbench_for(
             program, init_regs, init_memory, drain, max_cycles, spec_events,
         )
-        return run_testbench(self.sim, bench, self.trace, resume)
+        return run_testbench(self.sim, bench, self.trace)
 
 
 def detects(
@@ -301,7 +299,8 @@ def batch_detects(
     golden: tuple | None = None,
 ) -> list[bool]:
     """``[detects(processor, program, e, ...) for e in errors]`` via one
-    golden run, cone forks and bad-machine excursions
+    golden run and cone forks, with a bad-machine run from cycle 0 for
+    each error the fork leaves undecided
     (:func:`repro.verify.cosim.batch_detects`).
 
     ``golden`` optionally supplies a precomputed fault-free run as

@@ -185,20 +185,16 @@ class MiniEnv:
         init_regs: Sequence[int] | None = None,
         drain: int = 4,
         spec_events: Sequence[tuple[int, int]] | None = None,
-        resume: cosim.Excursion | None = None,
     ) -> SpecResult:
         """Feed the program followed by ``drain`` NOP cycles.
 
         With ``spec_events`` (the specification's writes) the run stops
         right after the first write that departs from them, as
-        ``DlxEnv.run`` does; with ``resume`` it is an excursion on the
-        excursion's testbench (see :func:`repro.verify.cosim.run_testbench`).
+        ``DlxEnv.run`` does.
         """
         self.trace = Trace()
-        bench = resume.bench if resume is not None else self.testbench_for(
-            program, init_regs, drain, spec_events,
-        )
-        return run_testbench(self.sim, bench, self.trace, resume)
+        bench = self.testbench_for(program, init_regs, drain, spec_events)
+        return run_testbench(self.sim, bench, self.trace)
 
 
 def detects(
@@ -228,7 +224,8 @@ def batch_detects(
     golden: tuple | None = None,
 ) -> list[bool]:
     """``[detects(processor, program, e, init_regs) for e in errors]`` via
-    one golden run, cone forks and bad-machine excursions
+    one golden run and cone forks, with a bad-machine run from cycle 0
+    for each error the fork leaves undecided
     (:func:`repro.verify.cosim.batch_detects`).
 
     ``golden`` optionally supplies a precomputed fault-free run as

@@ -26,10 +26,10 @@ still computes.  On every machine here no STS net reads a primary input,
 so the preview settles them to their final values and the step settles in
 one sweep: three sweeps per DLX cycle instead of four.
 
-:func:`run_testbench` runs one program's testbench on the co-simulator,
-from cycle 0 or resumed inside a golden run (:class:`Excursion`);
+:func:`run_testbench` runs one program's testbench on the co-simulator;
 :func:`batch_detects` decides many errors against one golden run with
-cone forks and such excursions.
+cone forks, and runs the bad machine from cycle 0 only where a fork sees
+a touch it cannot decide.
 """
 
 from __future__ import annotations
@@ -273,8 +273,7 @@ def commit(events: list, spec_events: Sequence | None, event) -> bool:
     )
 
 
-def run_testbench(sim: ProcessorSimulator, bench, trace: Trace,
-                  resume: Excursion | None = None):
+def run_testbench(sim: ProcessorSimulator, bench, trace: Trace):
     """Run one program's testbench on ``sim``; return ``bench.result()``.
 
     A testbench (``repro.dlx.env.DlxTestbench``,
@@ -288,23 +287,12 @@ def run_testbench(sim: ProcessorSimulator, bench, trace: Trace,
     stimulus) on a step that starts from the preview's STS values, and
     moves the fetch unit.  The run ends when the testbench
     stops running or its ``cycle`` returns None, and ``trace`` then holds
-    the testbench's final save.  A :class:`CosimError` propagates with
-    ``trace`` holding every cycle clocked before it.
-
-    With ``resume`` the run starts from the excursion's state instead of
-    the testbench's and the simulator's own, and stops at the start of the
-    first later cycle at which it rejoins the golden run (see
-    :class:`Excursion`).
+    the testbench's final save.  The saves and the stimulus are what a
+    :class:`TestbenchJudge` replays a cycle from.  A :class:`CosimError`
+    propagates with ``trace`` holding every cycle clocked before it.
     """
-    cycle = 0
-    if resume is not None:
-        cycle = resume.start
-        resume.restore(sim, bench)
     while bench.running:
         save = bench.save()
-        if resume is not None and resume.rejoins(cycle, sim, save):
-            resume.rejoined = cycle
-            break
         if bench.SHALLOW_PREVIEW:
             ctl, dp = sim.preview_shallow()
         else:
@@ -316,69 +304,8 @@ def run_testbench(sim: ProcessorSimulator, bench, trace: Trace,
         clocked.bench, clocked.stimulus = save, stimulus
         trace.cycles.append(clocked)
         bench.advance(ctl)
-        cycle += 1
     trace.final_bench = bench.save()
     return bench.result()
-
-
-class Excursion:
-    """A bad-machine run resumed inside a golden (fault-free) run.
-
-    ``golden`` is the golden run's trace, whose cycles carry the
-    testbench's saved states, and ``dense`` its per-cycle net values
-    indexed by net id (``BatchFaultSimulator.cycles``).  The excursion
-    steps ``bench``, a testbench of the golden run's program, and starts
-    at the start of cycle ``start`` from the golden's state there: the
-    datapath registers (the dense cycle's register outputs) overlaid with
-    ``state_diff`` (register name -> value), the controller state (the
-    cycle's CPR values) and the testbench's save.
-
-    It *rejoins* the golden at the start of a later cycle ``c`` when its
-    whole state equals the golden's there: datapath registers, controller
-    state and testbench.  From ``c`` on the bad machine is the golden
-    machine with the error planted and no state difference, which is what
-    a fork from ``c`` models.  :func:`run_testbench` stops there and sets
-    ``rejoined`` to ``c``.
-    """
-
-    def __init__(self, golden: Trace, dense: Sequence, start: int,
-                 state_diff: Mapping[str, int], bench) -> None:
-        self.golden, self.dense = golden, dense
-        self.start, self.state_diff = start, state_diff
-        self.bench = bench
-        self.rejoined: int | None = None
-
-    @staticmethod
-    def _registers(sim: ProcessorSimulator):
-        cd = sim.processor.datapath.compiled()
-        return zip(cd.reg_names, cd.reg_q_ids)
-
-    def restore(self, sim: ProcessorSimulator, bench) -> None:
-        """Put ``sim`` and ``bench`` in the excursion's starting state."""
-        values = self.dense[self.start]
-        state = sim.dp_sim.state
-        for name, q in self._registers(sim):
-            state[name] = values[q]
-        state.update(self.state_diff)
-        cycle = self.golden.cycles[self.start]
-        sim.ctl_state = {q: cycle.controller[q] for q in sim.ctl_state}
-        bench.restore(cycle.bench)
-
-    def rejoins(self, cycle: int, sim: ProcessorSimulator, save) -> bool:
-        """Whether the machine in ``sim`` with the testbench state
-        ``save`` equals the golden's at the start of ``cycle``."""
-        if not self.start < cycle < len(self.dense):
-            return False
-        values = self.dense[cycle]
-        state = sim.dp_sim.state
-        for name, q in self._registers(sim):
-            if state[name] != values[q]:
-                return False
-        golden = self.golden.cycles[cycle]
-        for q, value in sim.ctl_state.items():
-            if golden.controller[q] != value:
-                return False
-        return save == golden.bench
 
 
 class TestbenchJudge:
@@ -441,16 +368,10 @@ def batch_detects(env_cls, processor: Processor, run_args: tuple, errors,
     Each error is cone-forked against the golden run
     (:mod:`repro.datapath.faultsim`), which puts every touch of a net the
     testbench reads to a :class:`TestbenchJudge`.  A clean fork inherits
-    the golden verdict; a ``"detected"`` one is detected.  A real touch at
-    cycle ``t`` starts an :class:`Excursion`: the bad machine resumed at
-    ``t`` from the golden's state plus the fork's register diff, run
-    against the specification's events.  It ends at its first departing
-    commit (detected), at the program's end, or where it rejoins the
-    golden at some cycle ``c``, which hands back to a fresh fork from
-    ``c``.  A golden that departs from the specification, and an error
-    the fork cannot follow (``"unsupported"``), run the bad machine in
-    full from cycle 0.  The judge and every excursion share one testbench
-    of the program.
+    the golden verdict; a ``"detected"`` one is detected.  Any other fork,
+    a real touch or an error the fork cannot follow (``"unsupported"``),
+    gets the run ``detects`` makes: the bad machine from cycle 0 against
+    the specification's events.
     """
     from repro.datapath.faultsim import BatchFaultSimulator
 
@@ -471,18 +392,8 @@ def batch_detects(env_cls, processor: Processor, run_args: tuple, errors,
         injector, module_overrides = error.hooks(processor.datapath)
         env = env_cls(processor, injector=injector,
                       module_overrides=module_overrides)
-        if golden_detects or fork.kind == "unsupported":
-            bad = env.run(*run_args, spec_events=spec_events)
-            return bad.events != spec_events
-        while fork.kind == "touch":
-            excursion = Excursion(trace, sim.cycles, fork.cycle,
-                                  fork.state_diff, bench)
-            bad = env.run(*run_args, spec_events=spec_events,
-                          resume=excursion)
-            if excursion.rejoined is None:
-                return bad.events != spec_events
-            fork = sim.fork(error, excursion.rejoined)
-        return fork.kind == "detected"
+        bad = env.run(*run_args, spec_events=spec_events)
+        return bad.events != spec_events
 
     return [verdict(error) for error in errors]
 

@@ -423,9 +423,8 @@ def run_lanes(
     Each lane does what :func:`repro.verify.cosim.run_testbench` does for
     its testbench alone, so every lane is byte-identical to a scalar run
     of that program.  Each preview hands the testbench the controller
-    signals its class declares in ``CONTROL_READS`` (those the machine's
-    controller has), not all of them.  Testbenches may run for different
-    numbers of cycles:
+    signals it declares in ``CONTROL_READS``, not all of them.
+    Testbenches may run for different numbers of cycles:
     a finished or failed lane steps on the testbench class's
     ``QUIET_STIMULUS``, unobserved, and the simulator's ``active_lanes``
     counts only running lanes so the batch fill-rate counters stay
@@ -436,9 +435,9 @@ def run_lanes(
     controller values per cycle (what the fuzz coverage collector reads),
     ``"dense"`` additionally collects dense datapath value lists, each
     cycle's testbench save and stimulus, and the final save (a golden run
-    the conformance fault simulator forks against, judges touches on and
-    resumes excursions from, see :func:`repro.verify.cosim.batch_detects`).
-    Neither fills the ``CycleTrace`` datapath dicts.
+    the conformance fault simulator forks against and judges touches on,
+    see :func:`repro.verify.cosim.batch_detects`).  Neither fills the
+    ``CycleTrace`` datapath dicts.
     """
     n = sim.n_lanes
     if len(benches) != n:
@@ -447,8 +446,7 @@ def run_lanes(
         raise ValueError(f"unknown record mode {record!r}")
     bench_cls = type(benches[0])
     net_ids = [sim.cd.index[name] for name in bench_cls.PREVIEW_NETS]
-    reads = [name for name in bench_cls.CONTROL_READS
-             if name in sim.kernel.index]
+    reads = benches[0].CONTROL_READS
     preview = sim.preview_shallow if bench_cls.SHALLOW_PREVIEW else sim.preview
     quiet_cpi, quiet_dpi = bench_cls.QUIET_STIMULUS
     traces = [Trace() for _ in range(n)]

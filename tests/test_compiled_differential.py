@@ -204,10 +204,9 @@ def test_dlx_batch_detects_matches_serial(monkeypatch):
     the fork runs on both machines: a status touch followed through the
     controller and continued, a touch of a previewed net the testbench
     does not see, a touch decided detected inside the fork, and a real
-    touch that starts an excursion, one of which rejoins the golden and
-    hands back to a re-fork.  A golden run that departs from the
-    specification takes the full runs from cycle 0 instead, with the same
-    verdicts."""
+    touch, which runs the bad machine from cycle 0.  A golden run that
+    departs from the specification gives the same verdicts as
+    ``detects`` too."""
     from collections import Counter
 
     from repro.baselines.random_gen import (
@@ -220,24 +219,21 @@ def test_dlx_batch_detects_matches_serial(monkeypatch):
     from repro.dlx.env import DlxEnv
     from repro.dlx.spec import DlxSpec
 
-    excursions = []  # the excursion of every resumed run
-    full_runs = []  # the events of every run from cycle 0
-    fork_starts = []
+    # ("fork", kind) per fork and ("run", bad) per run from cycle 0, bad
+    # for a run given the specification's events, in call order.
+    calls = []
     judged = []  # (verdict, STS moved, previewed net moved) per judgement
     run, fork, judge = DlxEnv.run, BatchFaultSimulator.fork, \
         TestbenchJudge.__call__
 
-    def recording_run(self, *args, resume=None, **kwargs):
-        result = run(self, *args, resume=resume, **kwargs)
-        if resume is not None:
-            excursions.append(resume)
-        else:
-            full_runs.append(result.events)
-        return result
+    def recording_run(self, *args, spec_events=None, **kwargs):
+        calls.append(("run", spec_events is not None))
+        return run(self, *args, spec_events=spec_events, **kwargs)
 
-    def recording_fork(self, error, start=0):
-        fork_starts.append(start)
-        return fork(self, error, start)
+    def recording_fork(self, error):
+        outcome = fork(self, error)
+        calls.append(("fork", outcome.kind))
+        return outcome
 
     def recording_judge(self, t, values):
         verdict = judge(self, t, values)
@@ -257,8 +253,7 @@ def test_dlx_batch_detects_matches_serial(monkeypatch):
     generator = RandomDlxGenerator(RandomProgramConfig(length=12, seed=5))
     programs = [(generator.program(i), generator.initial_registers(i))
                 for i in range(3)]
-    # The second program of ``fuzz --matrix --seed 49``: an excursion of
-    # ``opa_mux.y[1]`` stuck-at-0 rejoins the golden, and ``zero``
+    # The second program of ``fuzz --matrix --seed 49``: ``zero``
     # stuck-at-1 flips a branch outcome, which only the controller's next
     # state shows.
     matrix = RandomDlxGenerator(RandomProgramConfig(length=12, seed=49))
@@ -271,8 +266,7 @@ def test_dlx_batch_detects_matches_serial(monkeypatch):
         errors = [e for i, e in enumerate(every) if i % 3 == 0
                   or e.describe().startswith("bus-ssl zero[")]
         judged.clear()
-        excursions.clear()
-        fork_starts.clear()
+        calls.clear()
         for program, regs in programs:
             batch = dlx_env.batch_detects(dlx, program, errors, regs)
             serial = [dlx_env.detects(dlx, program, e, regs) for e in errors]
@@ -282,10 +276,12 @@ def test_dlx_batch_detects_matches_serial(monkeypatch):
             paths["status followed"] += verdict is None and sts_moved
             paths["preview unseen"] += verdict is None and preview_moved
             paths["detected in fork"] += verdict == "detected"
-        paths["excursion"] = len(excursions)
-        paths["rejoined"] = sum(e.rejoined is not None for e in excursions)
-        paths["re-forked"] = sum(start > 0 for start in fork_starts)
-        assert len(paths) == 6 and all(paths.values()), paths
+        # Each touch is followed by the bad machine's run from cycle 0.
+        touches = [i for i, call in enumerate(calls)
+                   if call == ("fork", "touch")]
+        assert all(calls[i + 1] == ("run", True) for i in touches)
+        paths["touch run from cycle 0"] = len(touches)
+        assert len(paths) == 4 and all(paths.values()), paths
 
     class DepartingSpec(DlxSpec):
         """The specification without its last event."""
@@ -297,11 +293,9 @@ def test_dlx_batch_detects_matches_serial(monkeypatch):
 
     monkeypatch.setattr(dlx_env, "DlxSpec", DepartingSpec)
     program, regs = programs[3]
-    excursions.clear()
-    full_runs.clear()
+    calls.clear()
     batch = dlx_env.batch_detects(dlx, program, errors, regs)
-    assert not excursions
-    assert len(full_runs) > 1  # the golden run and the bad machines'
+    assert calls.count(("run", True)) > 0  # the bad machines' runs
     assert batch == [dlx_env.detects(dlx, program, e, regs) for e in errors]
 
 

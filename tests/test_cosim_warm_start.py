@@ -11,7 +11,8 @@ status net), so the preview's status values are the step's and every
 warm step settles in one sweep, where a cold one takes two.
 
 A testbench reads from the preview only the controller signals it
-declares in ``CONTROL_READS``, which is all the lane preview decodes.
+declares in ``CONTROL_READS``, and reads each of them; the lane preview
+decodes just those.
 """
 
 import pytest
@@ -204,12 +205,19 @@ class _Declared(dict):
         return super().get(name, default)
 
 
+#: Controller signals each machine's testbench reads from the preview:
+#: the DLX+BP fetch unit reads four more than the base DLX's.
+CONTROL_READ_COUNTS = {"mini": 2, "dlx": 8, "dlx_bp": 12}
+
+
 @pytest.mark.parametrize("which", MACHINES)
 def test_testbench_reads_only_its_control_reads(which, monkeypatch):
     machine = machine_adapter(which)
     processor = machine.build()
-    bench_cls = type(machine.scalar_env(processor).testbench_for([]))
-    declared, read = set(bench_cls.CONTROL_READS), set()
+    bench = machine.scalar_env(processor).testbench_for([])
+    bench_cls = type(bench)
+    declared, read = set(bench.CONTROL_READS), set()
+    assert len(declared) == CONTROL_READ_COUNTS[which]
     cycle, advance = bench_cls.cycle, bench_cls.advance
 
     def declared_cycle(self, ctl, *nets):
@@ -225,6 +233,29 @@ def test_testbench_reads_only_its_control_reads(which, monkeypatch):
         result = machine.scalar_env(processor).run(program, init_regs)
         assert machine.canonical(result) == \
             machine.spec_outcome(program, init_regs)
-    # A controller with every declared signal has each of them read.
-    if declared <= set(processor.controller.network.signals):
-        assert read == declared
+    assert read == declared
+
+
+@requires_numpy
+@pytest.mark.parametrize("which", MACHINES)
+def test_lane_preview_decodes_only_the_control_reads(which, monkeypatch):
+    # The preview decodes the testbench's CONTROL_READS and nothing else;
+    # the step still decodes every controller signal into the traces.
+    machine = machine_adapter(which)
+    processor = machine.build()
+    declared = machine.scalar_env(processor).testbench_for([]).CONTROL_READS
+    decoded = set()
+    for name in ("preview", "preview_shallow"):
+        preview = getattr(LaneProcessorSimulator, name)
+
+        def recording(self, names, preview=preview):
+            decoded.add(tuple(names))
+            return preview(self, names)
+
+        monkeypatch.setattr(LaneProcessorSimulator, name, recording)
+    programs, regs = _programs(machine)
+    runs = machine.lane_env(processor, len(programs)).run(programs, regs)
+    assert decoded == {tuple(declared)}
+    signals = set(processor.controller.network.signals)
+    assert all(set(cycle.controller) == signals
+               for run in runs for cycle in run.trace.cycles)
